@@ -1,91 +1,55 @@
 #!/usr/bin/env python
-"""Before/after benchmark of the truss kernel and the solver engine.
+"""Section benchmarks of the serving stack, appended to ``BENCH_kernel.json``.
 
-Two generations of the same harness write into ``BENCH_kernel.json``:
+``BENCH_kernel.json`` is a trajectory: each generation of the harness
+appended comparable sections, and recorded sections are never overwritten.
+Six sections are *live* — this script can re-run them:
 
-* the **PR 1 sections** (``decomposition`` / ``followers`` / ``gas``) time
-  the integer-indexed kernel against the seed tuple-domain implementation
-  (``legacy_mode`` patches the seams).  The "after" bar is the *pre-engine*
-  solver stack, preserved as ``gas_reference``, so the numbers stay
-  comparable across PRs;
-* the **``engine`` section** (PR 2) times the ``SolverEngine`` layer —
-  incremental re-peeling of commits and of BASE's per-candidate
-  evaluations — against that same pre-engine stack
-  (``base_greedy_reference`` / ``gas_reference``) on the Fig. 9 stand-ins.
-  Targets: BASE >= 5x end to end, GAS no slower (>= 0.9x to absorb noise);
-* the **``engine_v2`` section** (PR 3) times the incremental component-tree
-  maintenance plus the lazy candidate heap against the PR 2 engine
-  (``tree_mode="rebuild"`` + ``candidates="scan"`` force the old behaviour
-  on the *same* code base, so the bar isolates exactly the two new
-  mechanisms).  Targets: GAS >= 2x end to end on the Fig. 9 stand-ins,
-  BASE and exact at parity (>= 0.9x — they do not use the tree, the rows
-  guard against accidental regressions);
-* the **``service`` section** (PR 4) times the serving layer: a warm
-  ``SolveService`` (engine-session cache + grouped batching + memoisation)
-  against cold single-shot solves of the same request batch (target: >= 3x
-  throughput on the Fig. 9 stand-ins), asserts batched results are
-  byte-identical to single-shot solves for **every** registered solver, and
-  records the ROADMAP's paper-budget (b=100) heap-vs-scan GAS row on the
-  largest stand-in loaded through the on-disk SNAP pipeline;
-* the **``api`` section** (PR 5) covers the ``repro.api`` v1 redesign: a
-  byte-identity grid of every registered solver across {raw solver-fn
-  path, ``repro.api``} x {thread, process} executors x {stdio, tcp}
-  transports, the process-pool vs thread-pool wall clock on a 4-graph
-  Fig. 9 stand-in workload (target: >= 1.8x given >= 2 cores;
-  ``cpu_count`` is recorded so 1-core boxes read honestly), and the GAS
-  warm-path win from the persisted baseline follower cache;
-* the **``resilience`` section** (PR 6) measures the resilience layer:
-  overload fast-reject latency (a shed request must answer in
-  microseconds, not solve time), worker-crash recovery wall clock (kill a
-  process worker, time until the rebuilt pool answers), and steady-state
-  throughput with admission control armed vs the unbounded service on the
-  same workload (target: >= 0.95x — bounded admission must be ~free when
-  not shedding);
-* the **``kernel_v2`` section** (PR 7) times the array-native kernel —
-  CSR triangle enumeration (:mod:`repro.graph.csr`) plus the vectorised
-  bucketed peel (:mod:`repro.truss.peel`) — against the seed reference on
-  the same stand-ins and with the same fields as the PR 1
-  ``decomposition`` / ``gas`` sections.  Targets: cold
-  ``truss_decomposition`` >= 5x (the cold bar now includes the array
-  index build), anchored sequence and GAS re-run in the same section so
-  the trajectory stays comparable.  The resolved peel backend and numba
-  availability are recorded alongside;
-* the **``world`` section** (PR 8) measures the scenario world
-  (:mod:`repro.world`): wall time of the registry-wide sweep over the
-  sampled parameter space, the per-family spread of the incremental
-  engine's speedup over forced full re-peels (GAS with
-  ``full_peel_threshold`` inf vs 0.0), and the invariant rig pass on the
-  same points (the recorded ``violations`` count must stay 0);
-* the **``obs`` section** (PR 9) measures the observability layer
-  (:mod:`repro.obs`): instrumented-vs-uninstrumented warm-path wall clock
-  on the same workload (target: <= 3% overhead), canonical-result byte
-  identity between an obs-off service and a fully armed one (process-global
-  registry + per-request trace), and the content of a live metrics scrape
-  and a completed trace;
-* the **``cluster`` section** (PR 10) measures the sharded serving tier
-  (:mod:`repro.cluster`): routed-vs-direct canonical byte identity for
-  every registered solver over thread and process backends, 3-backend vs
-  1-backend routed throughput with the cluster-wide warm-shard session
-  hit rate (merged ``sessions.*`` counters), mid-batch backend-kill
-  failover with survivors byte-identical, the router-tier result store
-  answering repeats, and the re-attempted process-vs-thread row gated on
-  ``os.cpu_count() >= 2`` (``cpu_count`` recorded either way).
+* ``service`` (PR 4) — a warm ``SolveService`` (engine-session cache +
+  grouped batching + memoisation) against cold single-shot solves of the
+  same request batch (target: >= 3x throughput on the Fig. 9 stand-ins),
+  batched-vs-single-shot byte identity for **every** registered solver, and
+  the paper-budget (b=100) heap-vs-scan GAS row on the largest stand-in
+  loaded through the on-disk SNAP pipeline;
+* ``api`` (PR 5) — a byte-identity grid of every registered solver across
+  {raw solver-fn path, ``repro.api``} x {thread, process} executors x
+  {stdio, tcp} transports, the process-pool vs thread-pool wall clock on a
+  4-graph Fig. 9 stand-in workload (``cpu_count`` is recorded so 1-core
+  boxes read honestly), and the GAS warm-path win from the persisted
+  baseline follower cache;
+* ``resilience`` (PR 6) — overload fast-reject latency, worker-crash
+  recovery wall clock, and steady-state throughput with admission control
+  armed vs the unbounded service (target: >= 0.95x);
+* ``world`` (PR 8) — wall time of the registry-wide scenario sweep
+  (:mod:`repro.world`), the per-family spread of the incremental engine's
+  speedup over forced full re-peels, and the invariant rig pass on the same
+  points (the recorded ``violations`` count must stay 0);
+* ``obs`` (PR 9) — instrumented-vs-uninstrumented warm-path wall clock
+  (target: <= 3% overhead), obs-on/off canonical byte identity, and the
+  content of a live metrics scrape and a completed trace;
+* ``cluster`` (PR 10) — routed-vs-direct canonical byte identity for every
+  registered solver, 3-backend vs 1-backend routed throughput with the
+  warm-shard session hit rate, mid-batch backend-kill failover, the
+  router-tier result store, and the process-vs-thread row gated on
+  ``os.cpu_count() >= 2``.
+
+The PR 1 ``decomposition`` / ``followers`` / ``gas`` sections and the
+``engine`` (PR 2), ``engine_v2`` (PR 3) and ``kernel_v2`` (PR 7) sections
+timed code paths that no longer exist (the seed tuple-domain stack and the
+pre-engine solvers); their rows stay in the JSON as recorded history and
+``tests/test_bench_guard.py`` keeps asserting on them.
 
 Run with::
 
-    PYTHONPATH=src python benchmarks/bench_kernel.py [--full] [--smoke]
-        [--engine-only] [--engine-v2-only] [--service-only] [--api-only]
-        [--resilience-only] [--kernel-v2-only] [--world-only] [--obs-only]
-        [--cluster-only] [--force] [--output PATH]
+    PYTHONPATH=src python benchmarks/bench_kernel.py [--section NAME]
+        [--full] [--smoke] [--api-workers N] [--paper-budget B] [--force]
+        [--output PATH]
 
-``--engine-only`` / ``--engine-v2-only`` / ``--service-only`` /
-``--api-only`` / ``--resilience-only`` / ``--kernel-v2-only`` /
-``--world-only`` / ``--obs-only`` / ``--cluster-only`` recompute
-just that section and
-merge it into the existing output file.  Sections already present in the
-output are **never overwritten** unless ``--force`` is given (the ROADMAP's
-trajectory rule: later PRs append comparable sections, they do not replace
-history).  ``--smoke`` shrinks every section to the smallest stand-in for CI.
+``--section NAME`` recomputes just that section and merges it into the
+existing output file; without it every live section runs.  Sections
+already present in the output are **never overwritten** unless ``--force``
+is given (the ROADMAP's trajectory rule).  ``--smoke`` shrinks every
+section to the smallest stand-ins for CI and writes to a scratch file.
 """
 
 from __future__ import annotations
@@ -96,101 +60,20 @@ import math
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, List, Tuple
 
-import repro.core.gas  # noqa: F401 - imported for sys.modules lookup below
-from repro.core.component_tree import TrussComponentTree
-from repro.core.exact import exact_atr
-from repro.core.followers import FollowerMethod, compute_followers
-from repro.core.followers_reference import (
-    followers_candidate_peel_reference,
-    followers_support_check_reference,
-)
-from repro.core.gas import gas, gas_reference
-from repro.core.greedy import base_greedy, base_greedy_reference
-from repro.core.reuse import compute_reuse_decision_reference
 from repro.datasets import extract_ego_subgraph, load_dataset
 from repro.service.protocol import result_to_json as result_to_json_payload
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.graph.sampling import sample_edges
-from repro.truss import state as state_module
-from repro.truss.decomposition import (
-    truss_decomposition,
-    truss_decomposition_reference,
-)
-from repro.truss.state import TrussState
-
-# ``repro.core.gas`` the module is shadowed by the ``gas`` function re-export
-# on the package, so fetch it from sys.modules.
-gas_module = sys.modules["repro.core.gas"]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_kernel.json"
 
-#: Number of growing anchor sets in the anchored-sequence benchmark (the
-#: laptop profile's budget sweep tops out at b=10 and the paper uses b=100;
-#: BASE additionally runs one decomposition per *candidate* per round, so a
-#: 12-round sequence is a conservative stand-in for the solver access
-#: pattern).
-ANCHOR_ROUNDS = 12
-#: Candidate edges evaluated in the follower benchmark.
-FOLLOWER_CANDIDATES = 60
 #: Fig. 9 sampling seed (matches the quick experiment profile).
 SAMPLING_SEED = 42
-
-
-def _legacy_compute_followers(
-    state: TrussState,
-    anchor,
-    method=FollowerMethod.SUPPORT_CHECK,
-    candidate_filter=None,
-    candidate_filter_ids=None,
-):
-    """Dispatch to the seed follower implementations (tuple filters only)."""
-    if candidate_filter_ids is not None:
-        edge_of = state.index.edge_of
-        candidate_filter = {edge_of[eid] for eid in candidate_filter_ids}
-    method = FollowerMethod(method)
-    if method is FollowerMethod.PEEL:
-        return followers_candidate_peel_reference(state, anchor, candidate_filter)
-    return followers_support_check_reference(state, anchor, candidate_filter)
-
-
-@contextmanager
-def legacy_mode() -> Iterator[None]:
-    """Temporarily run the whole solver stack on the seed implementation.
-
-    Patches the four kernel seams: the decomposition used by
-    ``TrussState.compute``, the component-tree construction (per-level
-    tuple-domain triangle connectivity, per-edge ``sla``), the follower
-    machinery used by the (pre-engine) GAS loop, and the triangle queries
-    behind ``TrussState.triangle_list``.
-    """
-    saved_decomposition = state_module.truss_decomposition
-    saved_build = TrussComponentTree.build
-    saved_followers = gas_module.compute_followers
-    saved_reuse = gas_module.compute_reuse_decision
-    saved_triangle_list = TrussState.triangle_list
-
-    def legacy_triangle_list(self: TrussState, edge) -> list:
-        return list(self._triangles_reference(edge))
-
-    state_module.truss_decomposition = truss_decomposition_reference
-    TrussComponentTree.build = TrussComponentTree.build_reference  # type: ignore[method-assign]
-    gas_module.compute_followers = _legacy_compute_followers
-    gas_module.compute_reuse_decision = compute_reuse_decision_reference
-    TrussState.triangle_list = legacy_triangle_list  # type: ignore[method-assign]
-    try:
-        yield
-    finally:
-        state_module.truss_decomposition = saved_decomposition
-        TrussComponentTree.build = saved_build  # type: ignore[method-assign]
-        gas_module.compute_followers = saved_followers
-        gas_module.compute_reuse_decision = saved_reuse
-        TrussState.triangle_list = saved_triangle_list  # type: ignore[method-assign]
 
 
 def _timed(fn: Callable[[], object], repeats: int = 1) -> float:
@@ -201,289 +84,6 @@ def _timed(fn: Callable[[], object], repeats: int = 1) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _anchor_sets(graph: Graph) -> List[List[tuple]]:
-    """Deterministic growing anchor sets: prefixes of the edge-id order."""
-    edges = graph.edge_list()[:ANCHOR_ROUNDS]
-    return [edges[: i + 1] for i in range(len(edges))]
-
-
-def bench_decomposition(name: str, graph: Graph) -> Dict[str, object]:
-    anchor_sets = _anchor_sets(graph)
-
-    # Cold: the kernel pays its one-off index build (fresh copy has no cached
-    # index; the copy itself happens outside the timed region).
-    fresh_cold = graph.copy()
-    reference_cold = _timed(lambda: truss_decomposition_reference(graph))
-    kernel_cold = _timed(lambda: truss_decomposition(fresh_cold))
-
-    # Anchored sequence: one decomposition per growing anchor set — the
-    # access pattern of the greedy rounds (BASE additionally runs one per
-    # candidate).  The kernel side runs warm: inside any solver the index
-    # already exists, because the follower machinery and the component tree
-    # share the same snapshot.  The cold number above reports the one-off
-    # build cost transparently.
-    def run_reference() -> None:
-        truss_decomposition_reference(graph)
-        for anchors in anchor_sets:
-            truss_decomposition_reference(graph, anchors)
-
-    def run_kernel() -> None:
-        truss_decomposition(fresh_cold)
-        for anchors in anchor_sets:
-            truss_decomposition(fresh_cold, anchors)
-
-    reference_seq = _timed(run_reference, repeats=3)
-    kernel_seq = _timed(run_kernel, repeats=3)
-
-    return {
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "cold": {
-            "reference_s": round(reference_cold, 4),
-            "kernel_s": round(kernel_cold, 4),
-            "speedup": round(reference_cold / kernel_cold, 2),
-        },
-        "anchored_sequence": {
-            "rounds": 1 + len(anchor_sets),
-            "reference_s": round(reference_seq, 4),
-            "kernel_s": round(kernel_seq, 4),
-            "speedup": round(reference_seq / kernel_seq, 2),
-        },
-    }
-
-
-def bench_followers(name: str, graph: Graph) -> Dict[str, object]:
-    candidates = graph.edge_list()[:FOLLOWER_CANDIDATES]
-
-    with legacy_mode():
-        state = TrussState.compute(graph)
-        legacy_s = _timed(
-            lambda: [followers_support_check_reference(state, e) for e in candidates],
-            repeats=3,
-        )
-
-    fresh = graph.copy()
-    state = TrussState.compute(fresh)
-    kernel_s = _timed(
-        lambda: [compute_followers(state, e, method="support-check") for e in candidates],
-        repeats=3,
-    )
-
-    return {
-        "edges": graph.num_edges,
-        "candidates": len(candidates),
-        "reference_s": round(legacy_s, 4),
-        "kernel_s": round(kernel_s, 4),
-        "speedup": round(legacy_s / kernel_s, 2),
-    }
-
-
-def bench_gas(name: str, graph: Graph, budget: int, repeats: int = 5) -> Dict[str, object]:
-    # The "kernel" bar of this PR 1 section is the *pre-engine* solver stack
-    # (gas_reference), so the numbers stay comparable with earlier runs; the
-    # engine layer is measured separately in bench_engine_gas.  Pre-warm the
-    # graph's cached index so the legacy run does not pay for a kernel
-    # structure it never uses; the kernel run gets a fresh copy and pays its
-    # own index build end-to-end.  Best-of-N on both sides to shave
-    # scheduler noise.
-    GraphIndex.of(graph)
-    legacy_s = math.inf
-    kernel_s = math.inf
-    for _ in range(repeats):
-        with legacy_mode():
-            legacy_result = gas_reference(graph, budget)
-        fresh = graph.copy()
-        kernel_result = gas_reference(fresh, budget)
-        if legacy_result.anchors != kernel_result.anchors:  # pragma: no cover
-            raise AssertionError(
-                f"kernel GAS diverged from legacy GAS on {name}: "
-                f"{legacy_result.anchors} != {kernel_result.anchors}"
-            )
-        legacy_s = min(legacy_s, legacy_result.elapsed_seconds)
-        kernel_s = min(kernel_s, kernel_result.elapsed_seconds)
-    return {
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "budget": budget,
-        "reference_s": round(legacy_s, 4),
-        "kernel_s": round(kernel_s, 4),
-        "speedup": round(legacy_s / kernel_s, 2),
-    }
-
-
-# ---------------------------------------------------------------------------
-# PR 2: the SolverEngine layer (incremental re-peeling) vs the PR 1 stack
-# ---------------------------------------------------------------------------
-def bench_engine_pair(
-    label: str,
-    name: str,
-    graph: Graph,
-    budget: int,
-    reference_fn: Callable,
-    engine_fn: Callable,
-    repeats: int,
-) -> Dict[str, object]:
-    """Pre-engine solver vs its engine counterpart, asserting identical anchors."""
-    GraphIndex.of(graph)
-    reference_s = math.inf
-    engine_s = math.inf
-    for _ in range(repeats):
-        reference_result = reference_fn(graph, budget)
-        engine_result = engine_fn(graph, budget)
-        if reference_result.anchors != engine_result.anchors:  # pragma: no cover
-            raise AssertionError(
-                f"engine {label} diverged from pre-engine {label} on {name}: "
-                f"{reference_result.anchors} != {engine_result.anchors}"
-            )
-        reference_s = min(reference_s, reference_result.elapsed_seconds)
-        engine_s = min(engine_s, engine_result.elapsed_seconds)
-    return {
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "budget": budget,
-        "reference_s": round(reference_s, 4),
-        "engine_s": round(engine_s, 4),
-        "speedup": round(reference_s / engine_s, 2),
-    }
-
-
-def run_engine_section(
-    gas_graphs: Dict[str, Graph],
-    base_graphs: Dict[str, Graph],
-    base_budget: int,
-    gas_budget: int,
-) -> Dict[str, object]:
-    section: Dict[str, object] = {
-        "description": "SolverEngine layer (incremental re-peeling) vs the "
-        "pre-engine PR 1 solver stack (base_greedy_reference / gas_reference)",
-        "targets": {"base": 5.0, "gas": 0.9},
-        "base": {},
-        "gas": {},
-    }
-    runs = (
-        # (section key, banner, graphs, budget, reference, engine, repeats)
-        # BASE's reference bar runs a full decomposition per candidate, so
-        # one repetition is already expensive; GAS is cheap enough for
-        # best-of-5.
-        ("base", "BASE (incremental per-candidate re-peel)", base_graphs,
-         base_budget, base_greedy_reference, base_greedy, 1),
-        ("gas", "GAS (incremental commits)", gas_graphs,
-         gas_budget, gas_reference, gas, 5),
-    )
-    for key, banner, graphs, budget, reference_fn, engine_fn, repeats in runs:
-        print(f"== engine: {banner} ==")
-        for name, graph in graphs.items():
-            entry = bench_engine_pair(
-                key.upper(), name, graph, budget, reference_fn, engine_fn, repeats
-            )
-            section[key][name] = entry
-            print(
-                f"{name:>14}  {entry['speedup']:>7.2f}x  "
-                f"({entry['reference_s']}s -> {entry['engine_s']}s, b={budget})"
-            )
-    base_min = min(entry["speedup"] for entry in section["base"].values())
-    gas_min = min(entry["speedup"] for entry in section["gas"].values())
-    section["summary"] = {
-        "base_speedup_min": base_min,
-        "gas_speedup_min": gas_min,
-        "meets_base_target": base_min >= 5.0,
-        "gas_not_slower": gas_min >= 0.9,
-    }
-    return section
-
-
-def merge_engine_summary(report: Dict[str, object]) -> None:
-    """Propagate the engine section's summary into the top-level summary."""
-    engine_summary = report["engine"]["summary"]
-    summary = report.setdefault("summary", {})
-    summary["engine_base_speedup_min"] = engine_summary["base_speedup_min"]
-    summary["engine_gas_speedup_min"] = engine_summary["gas_speedup_min"]
-    summary["meets_engine_base_target"] = engine_summary["meets_base_target"]
-    summary["engine_gas_not_slower"] = engine_summary["gas_not_slower"]
-
-
-# ---------------------------------------------------------------------------
-# PR 3: incremental component tree + lazy candidate heap vs the PR 2 engine
-# ---------------------------------------------------------------------------
-def _gas_v2(graph: Graph, budget: int):
-    """GAS with the PR 3 defaults: patched tree + lazy candidate heap."""
-    return gas(graph, budget)
-
-
-def _gas_pr2(graph: Graph, budget: int):
-    """GAS forced onto the PR 2 engine path: full tree rebuild + full scan."""
-    return gas(graph, budget, tree_mode="rebuild", candidates="scan")
-
-
-def run_engine_v2_section(
-    gas_graphs: Dict[str, Graph],
-    exact_graphs: Dict[str, Graph],
-    gas_budget: int,
-    base_budget: int,
-    exact_budget: int,
-) -> Dict[str, object]:
-    """The PR 3 section: same harness, new bars.
-
-    The "reference" bar is the PR 2 engine itself (``tree_mode="rebuild"``,
-    ``candidates="scan"``), so the measured speedup isolates exactly the
-    incremental tree patch and the candidate heap.  GAS uses a larger budget
-    than the ``engine`` section (the two mechanisms only pay off from round
-    two onwards; the paper's budgets are 100).  BASE and exact never touch
-    the component tree — their rows run the identical engine path twice and
-    guard parity.
-    """
-    section: Dict[str, object] = {
-        "description": "incremental component-tree maintenance + lazy candidate "
-        "heap (PR 3) vs the PR 2 engine (full tree rebuild + full candidate "
-        "scan per round), same solver code with the old paths forced",
-        "targets": {"gas": 2.0, "base": 0.9, "exact": 0.9},
-        "gas": {},
-        "base": {},
-        "exact": {},
-    }
-    runs = (
-        ("gas", "GAS (tree patch + candidate heap)", gas_graphs,
-         gas_budget, _gas_pr2, _gas_v2, 5),
-        ("base", "BASE (parity guard, no tree use)", gas_graphs,
-         base_budget, base_greedy, base_greedy, 3),
-        ("exact", "exact (parity guard, no tree use)", exact_graphs,
-         exact_budget, exact_atr, exact_atr, 3),
-    )
-    for key, banner, graphs, budget, reference_fn, engine_fn, repeats in runs:
-        print(f"== engine_v2: {banner} ==")
-        for name, graph in graphs.items():
-            entry = bench_engine_pair(
-                key.upper(), name, graph, budget, reference_fn, engine_fn, repeats
-            )
-            section[key][name] = entry
-            print(
-                f"{name:>14}  {entry['speedup']:>7.2f}x  "
-                f"({entry['reference_s']}s -> {entry['engine_s']}s, b={budget})"
-            )
-    gas_min = min(entry["speedup"] for entry in section["gas"].values())
-    base_min = min(entry["speedup"] for entry in section["base"].values())
-    exact_min = min(entry["speedup"] for entry in section["exact"].values())
-    section["summary"] = {
-        "gas_speedup_min": gas_min,
-        "base_speedup_min": base_min,
-        "exact_speedup_min": exact_min,
-        "meets_gas_target": gas_min >= 2.0,
-        "base_at_parity": base_min >= 0.9,
-        "exact_at_parity": exact_min >= 0.9,
-    }
-    return section
-
-
-def merge_engine_v2_summary(report: Dict[str, object]) -> None:
-    """Propagate the engine_v2 summary into the top-level summary."""
-    v2 = report["engine_v2"]["summary"]
-    summary = report.setdefault("summary", {})
-    summary["engine_v2_gas_speedup_min"] = v2["gas_speedup_min"]
-    summary["meets_engine_v2_gas_target"] = v2["meets_gas_target"]
-    summary["engine_v2_base_at_parity"] = v2["base_at_parity"]
-    summary["engine_v2_exact_at_parity"] = v2["exact_at_parity"]
 
 
 # ---------------------------------------------------------------------------
@@ -1183,154 +783,6 @@ def merge_resilience_summary(report: Dict[str, object]) -> None:
     summary["resilience_meets_steady_state_target"] = resilience_summary[
         "meets_steady_state_target"
     ]
-
-
-# ---------------------------------------------------------------------------
-# PR 7: the array-native kernel (CSR enumeration + vectorised peel) vs the
-# seed reference, same stand-ins and fields as the PR 1 sections
-# ---------------------------------------------------------------------------
-def bench_decomposition_v2(name: str, graph: Graph) -> Dict[str, object]:
-    """Cold + anchored-sequence timings of the array-native kernel.
-
-    Same fields as :func:`bench_decomposition` so the ``kernel_v2`` rows read
-    like the PR 1 ``decomposition`` rows.  The cold bar is best-of-7 with a
-    *fresh copy per repetition* (a repeat on the same graph would hit the
-    cached index and measure the warm path); copies are made outside the
-    timed region, and reference/kernel repetitions are interleaved so timing
-    drift affects both sides alike.  One untimed warm-up run on each side
-    first-touches the allocator arenas and lazy imports, so the recorded
-    numbers measure the kernels rather than process start-up.
-    """
-    anchor_sets = _anchor_sets(graph)
-    cold_repeats = 7
-    copies = [graph.copy() for _ in range(cold_repeats)]
-    truss_decomposition(graph.copy())
-    truss_decomposition_reference(graph)
-    # Interleave the two sides rep by rep so slow scheduler/thermal periods
-    # hit both measurements equally instead of biasing whichever block ran
-    # during the dip.
-    reference_cold = math.inf
-    kernel_cold = math.inf
-    for fresh in copies:
-        start = time.perf_counter()
-        truss_decomposition_reference(graph)
-        reference_cold = min(reference_cold, time.perf_counter() - start)
-        start = time.perf_counter()
-        truss_decomposition(fresh)
-        kernel_cold = min(kernel_cold, time.perf_counter() - start)
-
-    warm = copies[0]  # index already built by the cold run above
-
-    def run_reference() -> None:
-        truss_decomposition_reference(graph)
-        for anchors in anchor_sets:
-            truss_decomposition_reference(graph, anchors)
-
-    def run_kernel() -> None:
-        truss_decomposition(warm)
-        for anchors in anchor_sets:
-            truss_decomposition(warm, anchors)
-
-    reference_seq = _timed(run_reference, repeats=3)
-    kernel_seq = _timed(run_kernel, repeats=3)
-
-    return {
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "cold": {
-            "reference_s": round(reference_cold, 4),
-            "kernel_s": round(kernel_cold, 4),
-            "speedup": round(reference_cold / kernel_cold, 2),
-        },
-        "anchored_sequence": {
-            "rounds": 1 + len(anchor_sets),
-            "reference_s": round(reference_seq, 4),
-            "kernel_s": round(kernel_seq, 4),
-            "speedup": round(reference_seq / kernel_seq, 2),
-        },
-    }
-
-
-def run_kernel_v2_section(
-    decomposition_datasets: List[str],
-    gas_graphs: Dict[str, Graph],
-    gas_budget: int,
-    gas_repeats: int,
-) -> Dict[str, object]:
-    import gc
-
-    from repro.truss.peel import (
-        get_peel_backend,
-        numba_available,
-        resolve_peel_backend,
-    )
-
-    # The preloaded stand-ins hold millions of objects; freeze them out of
-    # the collector so the timed regions measure the kernels rather than
-    # gen-2 scans triggered mid-build.
-    gc.collect()
-    gc.freeze()
-
-    section: Dict[str, object] = {
-        "description": "array-native kernel (PR 7): CSR triangle enumeration "
-        "(repro.graph.csr) + vectorised bucketed peel (repro.truss.peel) vs "
-        "the seed tuple-domain reference; same stand-ins and fields as the "
-        "PR 1 decomposition/gas sections, cold bar includes the array index "
-        "build",
-        "targets": {"cold_truss_decomposition": 5.0, "gas": 3.0},
-        "backend": {
-            "configured": get_peel_backend(),
-            "resolved": resolve_peel_backend(),
-            "numba_available": numba_available(),
-        },
-        "decomposition": {},
-        "gas": {},
-    }
-    print("== kernel_v2: truss_decomposition (array-native kernel) ==")
-    for name in decomposition_datasets:
-        graph = load_dataset(name)
-        entry = bench_decomposition_v2(name, graph)
-        section["decomposition"][name] = entry
-        print(
-            f"{name:>10}  cold {entry['cold']['speedup']:>6.2f}x   "
-            f"anchored-sequence {entry['anchored_sequence']['speedup']:>6.2f}x"
-        )
-    print("== kernel_v2: gas() end-to-end (pre-engine stack) ==")
-    for name, graph in gas_graphs.items():
-        entry = bench_gas(name, graph, gas_budget, repeats=gas_repeats)
-        section["gas"][name] = entry
-        print(
-            f"{name:>14}  {entry['speedup']:>6.2f}x  "
-            f"({entry['reference_s']}s -> {entry['kernel_s']}s)"
-        )
-    cold_min = min(
-        entry["cold"]["speedup"] for entry in section["decomposition"].values()
-    )
-    anchored_min = min(
-        entry["anchored_sequence"]["speedup"]
-        for entry in section["decomposition"].values()
-    )
-    gas_min = min(entry["speedup"] for entry in section["gas"].values())
-    section["summary"] = {
-        "cold_speedup_min": cold_min,
-        "anchored_speedup_min": anchored_min,
-        "gas_speedup_min": gas_min,
-        "meets_cold_target": cold_min >= 5.0,
-        "meets_gas_target": gas_min >= 3.0,
-        "resolved_backend": section["backend"]["resolved"],
-    }
-    return section
-
-
-def merge_kernel_v2_summary(report: Dict[str, object]) -> None:
-    """Propagate the kernel_v2 summary into the top-level summary."""
-    v2 = report["kernel_v2"]["summary"]
-    summary = report.setdefault("summary", {})
-    summary["kernel_v2_cold_speedup_min"] = v2["cold_speedup_min"]
-    summary["kernel_v2_anchored_speedup_min"] = v2["anchored_speedup_min"]
-    summary["kernel_v2_gas_speedup_min"] = v2["gas_speedup_min"]
-    summary["kernel_v2_meets_cold_target"] = v2["meets_cold_target"]
-    summary["kernel_v2_resolved_backend"] = v2["resolved_backend"]
 
 
 def run_world_section(
@@ -2034,12 +1486,81 @@ def write_report(
     return report
 
 
+#: The live sections in run order: ``name -> (run, merge)``.  ``run``
+#: measures the section (its positional arguments come from
+#: :func:`section_args`); ``merge`` copies the section's summary keys into the
+#: report's top-level ``summary``.
+SECTIONS: Dict[str, Tuple[Callable[..., Dict[str, object]], Callable[[Dict[str, object]], None]]] = {
+    "service": (run_service_section, merge_service_summary),
+    "api": (run_api_section, merge_api_summary),
+    "resilience": (run_resilience_section, merge_resilience_summary),
+    "world": (run_world_section, merge_world_summary),
+    "obs": (run_obs_section, merge_obs_summary),
+    "cluster": (run_cluster_section, merge_cluster_summary),
+}
+
+
+def section_args(
+    smoke: bool, full: bool, paper_budget: int, api_workers: int
+) -> Dict[str, tuple]:
+    """Positional arguments of every live section's ``run``: the smallest
+    stand-ins with ``smoke``, else the recorded configuration."""
+    # The exact and determinism rows run on a Fig. 5 style ego subgraph (the
+    # exact solver is combinatorial; whole stand-ins are out of reach).
+    exact_graph = extract_ego_subgraph(load_dataset("facebook"), 55, seed=SAMPLING_SEED)
+    if smoke:
+        college = load_dataset("college")
+        executor_graphs = {"college": college, "facebook": load_dataset("facebook")}
+        return {
+            "service": ({"college": college}, exact_graph, "college", min(paper_budget, 10)),
+            "api": (executor_graphs, {"college": college}, exact_graph, 1, 2, api_workers),
+            "resilience": (50, 2, 8, 2),
+            "world": (6, SAMPLING_SEED, 1, (30, 60)),
+            "obs": ("college", 3, 4, 1),
+            "cluster": (3, 2, 1, (10, 8), executor_graphs, 1, api_workers),
+        }
+    patents = load_dataset("patents")
+    pokec = load_dataset("pokec")
+    rates = [0.5, 0.7, 1.0] if full else [0.5, 1.0]
+    service_graphs = {
+        f"patents@{rate}": sample_edges(patents, rate, seed=SAMPLING_SEED) for rate in rates
+    }
+    # The api section's 4-graph Fig. 9 stand-in workload: distinct graphs, so
+    # the process pool has genuine cross-graph parallelism to exploit.
+    executor_graphs = {
+        "patents@0.5": sample_edges(patents, 0.5, seed=SAMPLING_SEED),
+        "patents@1.0": patents,
+        "pokec@0.5": sample_edges(pokec, 0.5, seed=SAMPLING_SEED),
+        "pokec@1.0": pokec,
+    }
+    warm_graphs = {name: executor_graphs[name] for name in ("patents@0.5", "pokec@0.5")}
+    return {
+        # Paper-budget row: the largest stand-in the pipeline can load.
+        "service": (service_graphs, exact_graph, "pokec", paper_budget),
+        "api": (executor_graphs, warm_graphs, exact_graph, 2, 5, api_workers),
+        "resilience": (200, 5, 24, 2),
+        "world": (18, SAMPLING_SEED, 2, (60, 120)),
+        "obs": ("college", 6, 20, 2),
+        # The cluster section measures routing/sharding behaviour, not kernel
+        # scale: many distinct small graphs (distinct fingerprints) with
+        # repeat rounds is exactly the warm-shard workload.
+        "cluster": (6, 4, 1, (14, 12), executor_graphs, 2, api_workers),
+    }
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
+        "--section",
+        choices=list(SECTIONS),
+        default=None,
+        help="recompute only this section and append it to the existing "
+        "output file (default: every live section)",
+    )
+    parser.add_argument(
         "--full",
         action="store_true",
-        help="also benchmark the pokec stand-in and the 0.7 sampling rate "
+        help="also benchmark the 0.7 sampling rate in the service section "
         "(slower; the default sticks to the quick Fig. 9 configuration)",
     )
     parser.add_argument(
@@ -2048,71 +1569,9 @@ def main(argv: List[str] | None = None) -> int:
         help="shrink every section to the smallest stand-in (CI smoke run)",
     )
     parser.add_argument(
-        "--engine-only",
-        action="store_true",
-        help="recompute only the 'engine' section and merge it into the "
-        "existing output file (PR 1 sections are left untouched)",
-    )
-    parser.add_argument(
-        "--engine-v2-only",
-        action="store_true",
-        help="recompute only the 'engine_v2' section (PR 3: incremental "
-        "tree + candidate heap) and append it to the existing output file",
-    )
-    parser.add_argument(
-        "--service-only",
-        action="store_true",
-        help="recompute only the 'service' section (PR 4: warm engine "
-        "sessions, batching, memoisation, paper-budget heap-vs-scan) and "
-        "append it to the existing output file",
-    )
-    parser.add_argument(
-        "--api-only",
-        action="store_true",
-        help="recompute only the 'api' section (PR 5: executor/transport "
-        "identity grid, process-pool parallelism, GAS warm path) and append "
-        "it to the existing output file",
-    )
-    parser.add_argument(
-        "--resilience-only",
-        action="store_true",
-        help="recompute only the 'resilience' section (PR 6: overload "
-        "fast-reject latency, worker-crash recovery, steady-state admission "
-        "overhead) and append it to the existing output file",
-    )
-    parser.add_argument(
-        "--kernel-v2-only",
-        action="store_true",
-        help="recompute only the 'kernel_v2' section (PR 7: CSR triangle "
-        "enumeration + vectorised peel vs the seed reference, with the "
-        "anchored-sequence and GAS rows re-run) and append it to the "
-        "existing output file",
-    )
-    parser.add_argument(
-        "--world-only",
-        action="store_true",
-        help="recompute only the 'world' section (PR 8: scenario-world sweep "
-        "wall time, per-family incremental-vs-full engine speedup spread, "
-        "invariant rig pass) and append it to the existing output file",
-    )
-    parser.add_argument(
-        "--obs-only",
-        action="store_true",
-        help="recompute only the 'obs' section (PR 9: instrumented vs "
-        "uninstrumented warm-path overhead, obs-on/off byte identity, "
-        "metrics/trace exposition) and append it to the existing output file",
-    )
-    parser.add_argument(
-        "--cluster-only",
-        action="store_true",
-        help="recompute only the 'cluster' section (PR 10: routed-vs-direct "
-        "byte identity, 3-vs-1 backend throughput with warm-shard session "
-        "hit rate, mid-batch failover, router-tier store repeats, CPU-gated "
-        "process-vs-thread retry) and append it to the existing output file",
-    )
-    parser.add_argument(
         "--api-workers", type=int, default=4,
-        help="worker count for the api section's thread-vs-process comparison",
+        help="worker count for the api and cluster sections' thread-vs-process "
+        "comparisons",
     )
     parser.add_argument(
         "--paper-budget", type=int, default=100,
@@ -2132,24 +1591,6 @@ def main(argv: List[str] | None = None) -> int:
         help=f"output JSON path (default: {DEFAULT_OUTPUT}; --smoke defaults "
         "to a scratch file so it never clobbers the curated trajectory)",
     )
-    parser.add_argument(
-        "--gas-budget", type=int, default=2, help="anchor budget for the gas() benchmarks"
-    )
-    parser.add_argument(
-        "--base-budget", type=int, default=1, help="anchor budget for the BASE benchmarks"
-    )
-    parser.add_argument(
-        "--gas-v2-budget",
-        type=int,
-        default=5,
-        help="anchor budget for the engine_v2 GAS comparison (the tree patch "
-        "and candidate heap pay off from round two onwards, so a budget of "
-        "one or two mostly measures the cold first round)",
-    )
-    parser.add_argument(
-        "--exact-budget", type=int, default=2,
-        help="anchor budget for the engine_v2 exact parity row",
-    )
     args = parser.parse_args(argv)
     if args.output is None:
         # A --smoke run measures the wrong stand-ins for the trajectory file;
@@ -2165,356 +1606,21 @@ def main(argv: List[str] | None = None) -> int:
         # append-only guard.
         args.force = True
 
-    if args.smoke:
-        decomposition_datasets = ["college"]
-        follower_datasets = ["college"]
-        gas_rates: List[float] = []
-        engine_gas_graphs = {"college": load_dataset("college")}
-        engine_base_graphs = {"college": load_dataset("college")}
-        exact_graphs = {
-            "facebook-ego": extract_ego_subgraph(
-                load_dataset("facebook"), 55, seed=SAMPLING_SEED
-            )
-        }
-        service_graphs = {"college": load_dataset("college")}
-        paper_dataset, paper_budget = "college", min(args.paper_budget, 10)
-        api_executor_graphs = {
-            "college": load_dataset("college"),
-            "facebook": load_dataset("facebook"),
-        }
-        api_warm_graphs = {"college": load_dataset("college")}
-        api_executor_budget, api_warm_budget = 1, 2
-        reject_samples, crash_rounds, steady_repeat = 50, 2, 8
-        kernel_v2_datasets = ["college"]
-        kernel_v2_gas_graphs = {"college": load_dataset("college")}
-        kernel_v2_gas_repeats = 2
-        world_points, world_budget, world_n = 6, 1, (30, 60)
-        obs_batches, obs_per_batch, obs_budget = 3, 4, 1
-        cluster_graphs, cluster_repeats, cluster_budget = 3, 2, 1
-        cluster_size = (10, 8)
-    else:
-        decomposition_datasets = ["patents", "pokec"] if args.full else ["patents"]
-        follower_datasets = ["college", "facebook"]
-        gas_rates = [0.5, 0.7, 1.0] if args.full else [0.5, 1.0]
-        patents = load_dataset("patents")
-        engine_gas_graphs = {
-            f"patents@{rate}": sample_edges(patents, rate, seed=SAMPLING_SEED)
-            for rate in gas_rates
-        }
-        # BASE's pre-engine bar runs one full decomposition per candidate
-        # edge, so even one round on the full patents stand-in is expensive;
-        # the Fig. 9 samples keep the "before" measurement honest but finite.
-        engine_base_graphs = dict(engine_gas_graphs)
-        # The exact parity row runs on a Fig. 5 style ego subgraph (the
-        # solver is combinatorial; whole stand-ins are out of reach).
-        exact_graphs = {
-            "facebook-ego": extract_ego_subgraph(
-                load_dataset("facebook"), 55, seed=SAMPLING_SEED
-            )
-        }
-        service_graphs = dict(engine_gas_graphs)
-        # Paper-budget row: the largest stand-in the pipeline can load.
-        paper_dataset, paper_budget = "pokec", args.paper_budget
-        # The api section's 4-graph Fig. 9 stand-in workload: distinct
-        # graphs, so the process pool has genuine cross-graph parallelism
-        # to exploit (patents and pokec at two sampling rates each).
-        pokec = load_dataset("pokec")
-        api_executor_graphs = {
-            "patents@0.5": sample_edges(patents, 0.5, seed=SAMPLING_SEED),
-            "patents@1.0": patents,
-            "pokec@0.5": sample_edges(pokec, 0.5, seed=SAMPLING_SEED),
-            "pokec@1.0": pokec,
-        }
-        api_warm_graphs = {
-            "patents@0.5": api_executor_graphs["patents@0.5"],
-            "pokec@0.5": api_executor_graphs["pokec@0.5"],
-        }
-        api_executor_budget, api_warm_budget = 2, 5
-        reject_samples, crash_rounds, steady_repeat = 200, 5, 24
-        # The kernel_v2 acceptance covers both large stand-ins regardless of
-        # --full (the PR 7 target is cold >= 5x on patents AND pokec).
-        kernel_v2_datasets = ["patents", "pokec"]
-        kernel_v2_gas_graphs = dict(engine_gas_graphs)
-        kernel_v2_gas_repeats = 5
-        world_points, world_budget, world_n = 18, 2, (60, 120)
-        obs_batches, obs_per_batch, obs_budget = 6, 20, 2
-        # The cluster section measures routing/sharding behaviour, not
-        # kernel scale: many distinct small graphs (distinct fingerprints)
-        # with repeat rounds is exactly the warm-shard workload.
-        cluster_graphs, cluster_repeats, cluster_budget = 6, 4, 1
-        cluster_size = (14, 12)
-
-    try:
-        if args.engine_only:
-            report = {
-                "engine": run_engine_section(
-                    engine_gas_graphs,
-                    engine_base_graphs,
-                    args.base_budget,
-                    args.gas_budget,
-                )
-            }
-            merge_engine_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (engine section only)")
-            print(json.dumps(report["engine"]["summary"], indent=2))
-            return 0
-
-        if args.engine_v2_only:
-            report = {
-                "engine_v2": run_engine_v2_section(
-                    engine_gas_graphs,
-                    exact_graphs,
-                    args.gas_v2_budget,
-                    args.base_budget,
-                    args.exact_budget,
-                )
-            }
-            merge_engine_v2_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (engine_v2 section only)")
-            print(json.dumps(report["engine_v2"]["summary"], indent=2))
-            return 0
-
-        if args.service_only:
-            report = {
-                "service": run_service_section(
-                    service_graphs,
-                    exact_graphs["facebook-ego"],
-                    paper_dataset,
-                    paper_budget,
-                )
-            }
-            merge_service_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (service section only)")
-            print(json.dumps(report["service"]["summary"], indent=2))
-            return 0
-
-        if args.api_only:
-            report = {
-                "api": run_api_section(
-                    api_executor_graphs,
-                    api_warm_graphs,
-                    exact_graphs["facebook-ego"],
-                    api_executor_budget,
-                    api_warm_budget,
-                    args.api_workers,
-                )
-            }
-            merge_api_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (api section only)")
-            print(json.dumps(report["api"]["summary"], indent=2))
-            return 0
-
-        if args.resilience_only:
-            report = {
-                "resilience": run_resilience_section(
-                    reject_samples,
-                    crash_rounds,
-                    steady_repeat,
-                    workers=2,
-                )
-            }
-            merge_resilience_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (resilience section only)")
-            print(json.dumps(report["resilience"]["summary"], indent=2))
-            return 0
-
-        if args.kernel_v2_only:
-            report = {
-                "kernel_v2": run_kernel_v2_section(
-                    kernel_v2_datasets,
-                    kernel_v2_gas_graphs,
-                    args.gas_budget,
-                    kernel_v2_gas_repeats,
-                )
-            }
-            merge_kernel_v2_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (kernel_v2 section only)")
-            print(json.dumps(report["kernel_v2"]["summary"], indent=2))
-            return 0
-
-        if args.world_only:
-            report = {
-                "world": run_world_section(
-                    world_points,
-                    SAMPLING_SEED,
-                    world_budget,
-                    world_n,
-                )
-            }
-            merge_world_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (world section only)")
-            print(json.dumps(report["world"]["summary"], indent=2))
-            return 0
-
-        if args.obs_only:
-            report = {
-                "obs": run_obs_section(
-                    "college",
-                    obs_batches,
-                    obs_per_batch,
-                    obs_budget,
-                )
-            }
-            merge_obs_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (obs section only)")
-            print(json.dumps(report["obs"]["summary"], indent=2))
-            return 0
-
-        if args.cluster_only:
-            report = {
-                "cluster": run_cluster_section(
-                    cluster_graphs,
-                    cluster_repeats,
-                    cluster_budget,
-                    cluster_size,
-                    api_executor_graphs,
-                    api_executor_budget,
-                    args.api_workers,
-                )
-            }
-            merge_cluster_summary(report)
-            report = write_report(args.output, report, args.force)
-            print(f"\nwrote {args.output} (cluster section only)")
-            print(json.dumps(report["cluster"]["summary"], indent=2))
-            return 0
-    except SectionExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report: Dict[str, object] = {
-        "description": "before/after timings of the integer-indexed truss kernel "
-        "(reference = seed tuple-domain implementation)",
-        "targets": {"truss_decomposition": 5.0, "gas": 3.0},
-        "decomposition": {},
-        "followers": {},
-        "gas": {},
-    }
-
-    print("== truss_decomposition ==")
-    for name in decomposition_datasets:
-        graph = load_dataset(name)
-        entry = bench_decomposition(name, graph)
-        report["decomposition"][name] = entry
-        print(
-            f"{name:>10}  cold {entry['cold']['speedup']:>6.2f}x   "
-            f"anchored-sequence {entry['anchored_sequence']['speedup']:>6.2f}x"
-        )
-
-    print("== compute_followers (support-check) ==")
-    for name in follower_datasets:
-        graph = load_dataset(name)
-        entry = bench_followers(name, graph)
-        report["followers"][name] = entry
-        print(f"{name:>10}  {entry['speedup']:>6.2f}x  ({entry['candidates']} candidates)")
-
-    print("== gas() end-to-end (Fig. 9 samples, pre-engine stack) ==")
-    if args.smoke:
-        graph = load_dataset("college")
-        entry = bench_gas("college", graph, args.gas_budget, repeats=2)
-        report["gas"]["college"] = entry
-        print(f"college      {entry['speedup']:>6.2f}x")
-    else:
-        for rate in gas_rates:
-            graph = sample_edges(load_dataset("patents"), rate, seed=SAMPLING_SEED)
-            entry = bench_gas(f"patents@{rate}", graph, args.gas_budget)
-            report["gas"][f"patents@{rate}"] = entry
-            print(
-                f"patents@{rate:<4}  {entry['speedup']:>6.2f}x  "
-                f"({entry['reference_s']}s -> {entry['kernel_s']}s)"
-            )
-
-    report["engine"] = run_engine_section(
-        engine_gas_graphs, engine_base_graphs, args.base_budget, args.gas_budget
-    )
-    report["engine_v2"] = run_engine_v2_section(
-        engine_gas_graphs,
-        exact_graphs,
-        args.gas_v2_budget,
-        args.base_budget,
-        args.exact_budget,
-    )
-    report["service"] = run_service_section(
-        service_graphs,
-        exact_graphs["facebook-ego"],
-        paper_dataset,
-        paper_budget,
-    )
-    report["api"] = run_api_section(
-        api_executor_graphs,
-        api_warm_graphs,
-        exact_graphs["facebook-ego"],
-        api_executor_budget,
-        api_warm_budget,
-        args.api_workers,
-    )
-    report["kernel_v2"] = run_kernel_v2_section(
-        kernel_v2_datasets,
-        kernel_v2_gas_graphs,
-        args.gas_budget,
-        kernel_v2_gas_repeats,
-    )
-    report["world"] = run_world_section(
-        world_points,
-        SAMPLING_SEED,
-        world_budget,
-        world_n,
-    )
-    report["obs"] = run_obs_section(
-        "college",
-        obs_batches,
-        obs_per_batch,
-        obs_budget,
-    )
-    report["cluster"] = run_cluster_section(
-        cluster_graphs,
-        cluster_repeats,
-        cluster_budget,
-        cluster_size,
-        api_executor_graphs,
-        api_executor_budget,
-        args.api_workers,
-    )
-
-    decomposition_speedup = min(
-        entry["anchored_sequence"]["speedup"] for entry in report["decomposition"].values()
-    )
-    gas_speedup = min(entry["speedup"] for entry in report["gas"].values())
-    report["summary"] = {
-        "decomposition_anchored_speedup_min": decomposition_speedup,
-        "decomposition_cold_speedup_min": min(
-            entry["cold"]["speedup"] for entry in report["decomposition"].values()
-        ),
-        "follower_speedup_min": min(
-            entry["speedup"] for entry in report["followers"].values()
-        ),
-        "gas_speedup_min": gas_speedup,
-        "meets_decomposition_target": decomposition_speedup >= 5.0,
-        "meets_gas_target": gas_speedup >= 3.0,
-    }
-    merge_engine_summary(report)
-    merge_engine_v2_summary(report)
-    merge_service_summary(report)
-    merge_api_summary(report)
-    merge_kernel_v2_summary(report)
-    merge_world_summary(report)
-    merge_obs_summary(report)
-    merge_cluster_summary(report)
-
+    names = [args.section] if args.section else list(SECTIONS)
+    arguments = section_args(args.smoke, args.full, args.paper_budget, args.api_workers)
+    report: Dict[str, object] = {}
+    for name in names:
+        run, merge = SECTIONS[name]
+        report[name] = run(*arguments[name])
+        merge(report)
     try:
         report = write_report(args.output, report, args.force)
     except SectionExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"\nwrote {args.output}")
-    print(json.dumps(report["summary"], indent=2))
+    print(f"\nwrote {args.output} ({', '.join(names)})")
+    for name in names:
+        print(f"{name}: {json.dumps(report[name]['summary'], indent=2)}")
     return 0
 
 

@@ -24,6 +24,7 @@ from typing import List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import oracles  # noqa: E402
 from repro.api import resolve as api_resolve  # noqa: E402
 from repro.api import session as api_session  # noqa: E402
 from repro.api import spec as api_spec  # noqa: E402
@@ -121,6 +122,19 @@ API_SURFACE = [
         None,
         [],
     ),
+    (
+        "Oracles (`repro.oracles`)",
+        oracles,
+        [
+            "truss_decomposition_reference",
+            "dense_peel_reference",
+            "triangle_connected_components_reference",
+            "component_tree_reference",
+            "compute_reuse_decision_reference",
+            "base_greedy_reference",
+            "exact_atr_reference",
+        ],
+    ),
 ]
 
 #: The scenario world: parameter space, sweep runner and invariant rig.
@@ -142,22 +156,12 @@ WORLD_SURFACE = [
 #: Extra entries drawn from several modules for the multi-module sections.
 GRAPH_SURFACE = [
     (graph_module, ["Graph"]),
-    (index_module, ["GraphIndex", "peel_trussness"]),
+    (index_module, ["GraphIndex"]),
     (
         csr_module,
         ["CSRArrays", "build_csr_arrays", "csr_payload", "csr_from_payload"],
     ),
-    (
-        peel_module,
-        [
-            "peel_trussness_fast",
-            "peel_trussness_arrays",
-            "set_peel_backend",
-            "get_peel_backend",
-            "resolve_peel_backend",
-            "numba_available",
-        ],
-    ),
+    (peel_module, ["peel_trussness_fast", "peel_trussness_arrays"]),
     (state_module, ["TrussState"]),
 ]
 
@@ -320,7 +324,6 @@ METHOD_ALLOWLIST = {
     ],
     "TrussComponentTree": [
         "build",
-        "build_reference",
         "apply_commit",
         "node_of",
         "sla",

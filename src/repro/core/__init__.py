@@ -29,7 +29,7 @@ from repro.core.engine import (
     register_solver,
     solver_table,
 )
-from repro.core.exact import exact_atr, exact_atr_reference
+from repro.core.exact import exact_atr
 from repro.core.followers import (
     FollowerMethod,
     compute_followers,
@@ -38,17 +38,8 @@ from repro.core.followers import (
     followers_support_check,
     trussness_gain_of_anchor,
 )
-from repro.core.followers_reference import (
-    followers_candidate_peel_reference,
-    followers_support_check_reference,
-)
-from repro.core.gas import gas, gas_reference
-from repro.core.greedy import (
-    base_greedy,
-    base_greedy_reference,
-    base_plus_greedy,
-    base_plus_greedy_reference,
-)
+from repro.core.gas import gas
+from repro.core.greedy import base_greedy, base_plus_greedy
 from repro.core.heuristics import random_baseline, support_baseline, upward_route_baseline
 from repro.core.reduction import MaxCoverageInstance, build_atr_instance_from_coverage
 from repro.core.result import AnchorResult, evaluate_anchor_set
@@ -59,9 +50,7 @@ __all__ = [
     "compute_followers",
     "followers_by_recompute",
     "followers_candidate_peel",
-    "followers_candidate_peel_reference",
     "followers_support_check",
-    "followers_support_check_reference",
     "trussness_gain_of_anchor",
     "TrussComponentTree",
     "TreeNode",
@@ -73,13 +62,9 @@ __all__ = [
     "register_solver",
     "solver_table",
     "gas",
-    "gas_reference",
     "base_greedy",
-    "base_greedy_reference",
     "base_plus_greedy",
-    "base_plus_greedy_reference",
     "exact_atr",
-    "exact_atr_reference",
     "random_baseline",
     "support_baseline",
     "upward_route_baseline",

@@ -20,8 +20,7 @@ Construction runs in the integer domain of the shared
 union-find over the precomputed triangle triples yields the components, and
 one additional pass over the triples precomputes ``sla`` for *every* edge at
 once (the GAS loop queries ``sla`` for each candidate in each round).  The
-seed implementation is preserved as :meth:`TrussComponentTree.build_reference`
-for the equivalence tests and the before/after benchmark.
+from-scratch oracle is :func:`repro.oracles.component_tree_reference`.
 
 Since PR 3 the tree is also **incrementally maintainable**: after an
 incrementally re-peeled commit, :meth:`TrussComponentTree.apply_commit`
@@ -39,7 +38,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.index import GraphIndex
-from repro.graph.triangles import triangle_connected_components_reference
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 
@@ -81,8 +79,7 @@ class TreeNode:
     Attributes map one-to-one onto the paper's notation (Table II):
     ``node_id`` is ``TN.I``, ``k`` is ``TN.K``, ``edges`` is ``TN.E``,
     ``parent`` is ``TN.P`` (as a node id) and ``children`` is ``TN.C``.
-    ``edge_ids`` carries the same edge set as dense kernel ids (empty for
-    trees built by :meth:`TrussComponentTree.build_reference`).
+    ``edge_ids`` carries the same edge set as dense kernel ids.
     """
 
     node_id: int
@@ -102,9 +99,9 @@ class TrussComponentTree:
     Built once per state with :meth:`build` (single union-find pass in the
     dense-id domain, ``sla`` precomputed for every edge) and — new in PR 3 —
     advanced **in place** across committed anchors with :meth:`apply_commit`,
-    which touches only the nodes whose trussness levels changed.  The seed
-    construction survives as :meth:`build_reference`; patched trees are
-    asserted structurally identical to rebuilt ones by the test-suite.
+    which touches only the nodes whose trussness levels changed.  Patched
+    trees are asserted structurally identical to rebuilt ones by the
+    test-suite.
     """
 
     def __init__(
@@ -120,8 +117,8 @@ class TrussComponentTree:
         self.node_of_edge = node_of_edge
         self.roots = roots
         self.state = state
-        # Per-dense-edge-id precomputed sla sets (None for reference trees,
-        # which fall back to the per-edge computation).
+        # Per-dense-edge-id precomputed sla sets (None for oracle-built
+        # trees, which fall back to the per-edge computation).
         self._sla_sets = sla_sets
         # Dense eid -> node id (-1 for anchors), kernel-built trees only.
         self._node_of_eid = node_of_eid
@@ -300,58 +297,6 @@ class TrussComponentTree:
                 if not a2 and t3 >= t2:
                     add(e2, n3)
         return sla_sets
-
-    @classmethod
-    def build_reference(cls, state: TrussState) -> "TrussComponentTree":
-        """Seed (tuple-domain) implementation of Algorithm 4.
-
-        Kept verbatim — including the per-level calls to the reference
-        triangle connectivity — as ground truth for the kernel equivalence
-        tests and as the "before" bar of ``benchmarks/bench_kernel.py``.
-        Trees built this way compute ``sla`` per edge on demand.
-        """
-        graph = state.graph
-        trussness = state.decomposition.trussness
-        anchors = state.anchors
-        eid_of = state.index.eid_of  # only used to fill TreeNode.edge_ids
-
-        nodes: Dict[int, TreeNode] = {}
-        node_of_edge: Dict[Edge, int] = {}
-        roots: List[int] = []
-        enclosing: Dict[Edge, Optional[int]] = {e: None for e in graph.edges()}
-
-        levels = sorted(set(trussness.values()))
-        for k in levels:
-            member_edges = [e for e, t in trussness.items() if t >= k]
-            member_edges.extend(anchors)
-            if not member_edges:
-                continue
-            components = triangle_connected_components_reference(graph, member_edges)
-            for component in components:
-                level_edges = frozenset(
-                    e for e in component if e not in anchors and trussness[e] == k
-                )
-                if not level_edges:
-                    continue
-                node_id = min(graph.edge_id(e) for e in level_edges)
-                parent_id = enclosing[next(iter(level_edges))]
-                node = TreeNode(
-                    node_id=node_id,
-                    k=k,
-                    edges=level_edges,
-                    parent=parent_id,
-                    edge_ids=frozenset(eid_of[e] for e in level_edges),
-                )
-                nodes[node_id] = node
-                if parent_id is None:
-                    roots.append(node_id)
-                else:
-                    nodes[parent_id].children.append(node_id)
-                for edge in level_edges:
-                    node_of_edge[edge] = node_id
-                for edge in component:
-                    enclosing[edge] = node_id
-        return cls(nodes=nodes, node_of_edge=node_of_edge, roots=roots, state=state)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the PR 3 tentpole)
@@ -973,13 +918,13 @@ class TrussComponentTree:
     @property
     def node_of_eid(self) -> Optional[List[int]]:
         """Dense eid -> node id list (``-1`` for anchored edges), or ``None``
-        for reference-built trees.  Treat as read-only."""
+        for oracle-built trees.  Treat as read-only."""
         return self._node_of_eid
 
     @property
     def sla_sets(self) -> Optional[List[Optional[Set[int]]]]:
         """Precomputed per-eid ``sla`` sets (``None`` entries for edges in no
-        triangle), or ``None`` for reference-built trees.  Treat as
+        triangle), or ``None`` for oracle-built trees.  Treat as
         read-only; :meth:`sla` is the per-edge public view."""
         return self._sla_sets
 

@@ -249,10 +249,10 @@ def _repeel_hull_layers(
 
     ``members`` are the eids with (new) trussness exactly ``k``; support is
     counted against the phase-``k`` graph ``{t >= k}`` (anchors hold ``inf``).
-    The wave rule mirrors :func:`repro.graph.index.peel_trussness`: waves are
-    processed in ascending eid order, removals take effect immediately within
-    a wave, and an edge whose support drops to the threshold mid-wave joins
-    the *next* wave.
+    The wave rule mirrors :func:`repro.truss.peel.peel_trussness_arrays`:
+    waves are processed in ascending eid order, removals take effect
+    immediately within a wave, and an edge whose support drops to the
+    threshold mid-wave joins the *next* wave.
     """
     tri = index.edge_triangles
     threshold = k - 2
@@ -321,13 +321,23 @@ class SolverEngine:
             raise InvalidParameterError(
                 f"unknown tree_mode {tree_mode!r}; expected one of {TREE_MODES}"
             )
+        if (
+            isinstance(full_peel_threshold, bool)
+            or not isinstance(full_peel_threshold, (int, float))
+            or math.isnan(full_peel_threshold)
+            or full_peel_threshold < 0
+        ):
+            raise InvalidParameterError(
+                f"full_peel_threshold must be a number >= 0 (math.inf allowed), "
+                f"got {full_peel_threshold!r}"
+            )
         self.graph = graph
         self.index = GraphIndex.of(graph)
         self.full_peel_threshold = full_peel_threshold
         #: ``"patch"`` (default) maintains the component tree incrementally
         #: after each commit; ``"rebuild"`` forces the PR 2 behaviour (a full
-        #: :meth:`TrussComponentTree.build` per state) — the reference twin
-        #: the equivalence tests and benchmarks pin the patched path against.
+        #: :meth:`TrussComponentTree.build` per state) — the rebuild oracle
+        #: the equivalence tests and the world rig pin the patched path against.
         self.tree_mode = tree_mode
         self._original_state = baseline_state
         # Committed anchor chain + the prefix of it already materialised as a

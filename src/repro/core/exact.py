@@ -15,13 +15,12 @@ so that a mistyped benchmark configuration fails fast instead of hanging.
 Through the :class:`~repro.core.engine.SolverEngine` each subset is scored
 by chaining the incremental re-peel one anchor at a time from the original
 state (with the usual full-peel fallback) instead of running a whole-graph
-anchored decomposition per subset; the pre-engine implementation is kept as
-:func:`exact_atr_reference` for the equivalence tests.
+anchored decomposition per subset; the one-decomposition-per-subset oracle
+is :func:`repro.oracles.exact_atr_reference`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -30,7 +29,6 @@ from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.graph.graph import Edge, Graph
-from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
 
 DEFAULT_MAX_COMBINATIONS = 2_000_000
@@ -156,39 +154,3 @@ def exact_atr(
     return engine.solve(
         "exact", budget, candidates=candidates, max_combinations=max_combinations
     )
-
-
-def exact_atr_reference(
-    graph: Graph,
-    budget: int,
-    candidates: Optional[Sequence[Edge]] = None,
-    max_combinations: int = DEFAULT_MAX_COMBINATIONS,
-) -> AnchorResult:
-    """Pre-engine exact solver: one full anchored decomposition per subset.
-
-    Kept as the ground truth for the engine equivalence tests.
-    """
-    start = time.perf_counter()
-    pool = _candidate_pool(graph, candidates)
-    effective_budget, total = _check_enumeration(pool, budget, max_combinations)
-
-    baseline = TrussState.compute(graph)
-    best_gain = -1
-    best_set: Tuple[Edge, ...] = ()
-    for subset in itertools.combinations(pool, effective_budget):
-        anchored = baseline.with_anchors(subset)
-        gain = anchored.trussness_gain_from(baseline)
-        if gain > best_gain:
-            best_gain = gain
-            best_set = subset
-
-    elapsed = time.perf_counter() - start
-    result = evaluate_anchor_set(
-        graph,
-        best_set,
-        algorithm="Exact",
-        elapsed_seconds=elapsed,
-        baseline_state=baseline,
-    )
-    result.extra["evaluated_subsets"] = total
-    return result

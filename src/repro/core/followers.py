@@ -30,9 +30,8 @@ on hundreds of random graphs.
 The local methods run in the *integer domain* of the shared
 :class:`~repro.graph.index.GraphIndex`: candidates, heaps and status flags
 are keyed by dense edge ids, trussness/layer lookups are list indexing, and
-triangle queries read the precomputed per-edge triple lists.  The original
-tuple-domain implementations are preserved verbatim in
-:mod:`repro.core.followers_reference` and the test-suite asserts both agree.
+triangle queries read the precomputed per-edge triple lists.  ``recompute``
+is the oracle the test-suite checks both local methods against.
 """
 
 from __future__ import annotations

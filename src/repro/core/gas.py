@@ -35,16 +35,15 @@ with a **lazily-invalidated max-heap** keyed by the cached gains:
   the smallest edge id among the maximal gains wins.
 
 ``candidates="scan"`` forces the previous full-scan behaviour (the
-reference twin); both strategies share the per-candidate refresh helper, so
+full-scan oracle); both strategies share the per-candidate refresh helper, so
 anchors, gains, reuse statistics and recompute counts are byte-identical —
 asserted by the test-suite on randomized anchored graphs.
 
 The public :func:`gas` is a thin wrapper over the solver registry: the round
 loop runs against a :class:`~repro.core.engine.SolverEngine`, which owns the
 state (advanced by incremental re-peeling after each committed anchor), the
-component tree and the follower caches.  The pre-engine implementation is
-preserved verbatim as :func:`gas_reference` for the equivalence tests and
-the before/after benchmarks.
+component tree and the follower caches.  The equivalence suite pins its
+anchors and gains to :func:`repro.oracles.base_greedy_reference` (Lemma 1).
 """
 
 from __future__ import annotations
@@ -63,10 +62,8 @@ from repro.core.reuse import (
     ReuseInvalidation,
     ReuseStats,
     classify_reuse,
-    compute_reuse_decision,
 )
 from repro.graph.graph import Edge, Graph
-from repro.graph.index import GraphIndex
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
 
@@ -396,11 +393,11 @@ def gas(
     candidates:
         Candidate-selection strategy: ``"heap"`` (default, lazily-invalidated
         max-heap — only the dirty closure of each commit is re-examined) or
-        ``"scan"`` (the previous full scan per round; reference twin).
+        ``"scan"`` (the previous full scan per round; full-scan oracle).
     tree_mode:
         Component-tree maintenance of the underlying engine: ``"patch"``
         (default, incremental) or ``"rebuild"`` (full rebuild per round;
-        reference twin).  Both knobs change timings only — never results.
+        rebuild oracle).  Both knobs change timings only — never results.
     """
     engine = SolverEngine(graph, tree_mode=tree_mode)
     return engine.solve(
@@ -411,146 +408,3 @@ def gas(
         collect_reuse_stats=collect_reuse_stats,
         candidates=candidates,
     )
-
-
-def gas_reference(
-    graph: Graph,
-    budget: int,
-    initial_anchors: Iterable[Edge] = (),
-    method: FollowerMethod | str = FollowerMethod.SUPPORT_CHECK,
-    collect_reuse_stats: bool = True,
-) -> AnchorResult:
-    """Pre-engine GAS: full re-decomposition and tree rebuild per round.
-
-    Kept verbatim as the ground truth for the engine equivalence tests and
-    as the "PR 1" bar of the engine benchmarks (and, under the benchmark's
-    ``legacy_mode``, as the carrier of the seed tuple-domain stack).
-    """
-    method = _validate(graph, budget, method)
-
-    start = time.perf_counter()
-    # One frozen kernel snapshot is shared by every decomposition, follower
-    # recomputation and tree rebuild below (anchors are overlay sets, so the
-    # graph — and therefore the index — never changes during the run).
-    GraphIndex.of(graph)
-    anchors: List[Edge] = [graph.require_edge(e) for e in initial_anchors]
-    original_state = TrussState.compute(graph)
-    state = (
-        TrussState.compute(graph, anchors) if anchors else original_state
-    )
-    tree = TrussComponentTree.build(state)
-
-    cache: Dict[int, CacheEntry] = {}
-    totals: Dict[int, int] = {}
-    decision: Optional[ReuseDecision] = None
-    per_round_gain: List[int] = []
-    reuse_rounds: List[Dict[str, float]] = []
-    recompute_counts: List[int] = []
-    cumulative_seconds: List[float] = []
-
-    for _round in range(budget):
-        stats = ReuseStats()
-        recomputed_entries = 0
-        best_eid = -1
-        best_count = -1
-        index, current_trussness, _ly, anchor_mask = state.kernel_views()
-        original_trussness = original_state.kernel_views()[1]
-        edge_of = index.edge_of
-        sla_sets = tree.sla_sets  # None only for reference-built trees
-        invalid_eids: Optional[Set[int]] = None
-        if decision is not None:
-            eid_of = index.eid_of
-            invalid_eids = {eid_of[e] for e in decision.invalid_edges}
-
-        for eid in range(index.num_edges):
-            if anchor_mask[eid]:
-                continue
-            edge = edge_of[eid]
-            if sla_sets is not None:
-                sla_ids = sla_sets[eid] or _EMPTY_SLA  # precomputed, read-only
-            else:
-                sla_ids = tree.sla(edge)
-            entry = cache.get(eid)
-            dirty = False
-            if invalid_eids is None or entry is None or eid in invalid_eids:
-                entry = {}
-                cache[eid] = entry
-                needed = set(sla_ids)
-                dirty = True
-                if decision is not None:
-                    stats.non_reusable += 1
-            else:
-                for node_id in list(entry):
-                    if node_id not in sla_ids:
-                        del entry[node_id]
-                        dirty = True
-                invalid_node_ids = decision.invalid_node_ids
-                needed = {
-                    node_id
-                    for node_id in sla_ids
-                    if node_id not in entry or node_id in invalid_node_ids
-                }
-                category = classify_reuse(sla_ids, decision, edge)
-                if category == "FR" and not needed:
-                    stats.fully_reusable += 1
-                elif needed and len(needed) != len(sla_ids):
-                    stats.partially_reusable += 1
-                elif needed:
-                    stats.non_reusable += 1
-                else:
-                    stats.fully_reusable += 1
-
-            if needed:
-                recomputed_entries += 1
-                candidate_filter_ids: Set[int] = set()
-                for node_id in needed:
-                    candidate_filter_ids |= tree.nodes[node_id].edge_ids
-                followers = compute_followers(
-                    state, edge, method=method, candidate_filter_ids=candidate_filter_ids
-                )
-                buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
-                for follower in followers:
-                    buckets[tree.node_of_edge[follower]].add(follower)
-                for node_id, bucket in buckets.items():
-                    entry[node_id] = frozenset(bucket)
-                dirty = True
-
-            if dirty:
-                totals[eid] = sum(len(bucket) for bucket in entry.values())
-            accumulated = current_trussness[eid] - original_trussness[eid]
-            total = totals[eid] - accumulated
-            if total > best_count:
-                best_eid, best_count = eid, total
-
-        if best_eid < 0:
-            break
-        best_edge = edge_of[best_eid]
-
-        followers_of_best: Set[Edge] = set()
-        for bucket in cache[best_eid].values():
-            followers_of_best |= bucket
-
-        anchors.append(best_edge)
-        cache.pop(best_eid, None)
-        totals.pop(best_eid, None)
-        per_round_gain.append(best_count)
-        recompute_counts.append(recomputed_entries)
-        if collect_reuse_stats and decision is not None:
-            reuse_rounds.append(stats.fractions())
-
-        if _round + 1 < budget:
-            old_tree = tree
-            state = TrussState.compute(graph, anchors)
-            tree = TrussComponentTree.build(state)
-            decision = compute_reuse_decision(old_tree, tree, best_edge, followers_of_best)
-        cumulative_seconds.append(time.perf_counter() - start)
-
-    elapsed = time.perf_counter() - start
-    result = evaluate_anchor_set(graph, anchors, algorithm="GAS", elapsed_seconds=elapsed)
-    result.per_round_gain = per_round_gain
-    result.extra["follower_method"] = method.value
-    result.extra["recomputed_entries_per_round"] = recompute_counts
-    result.extra["cumulative_seconds_per_round"] = cumulative_seconds
-    if collect_reuse_stats:
-        result.extra["reuse_stats"] = reuse_rounds
-    return result

@@ -9,8 +9,8 @@ the per-edge gain is computed:
   (the paper's Algorithm 2).  Through the :class:`~repro.core.engine.SolverEngine`
   that diff comes from an *incremental re-peel* restricted to the
   candidate's dirty region (with a full-peel fallback), which is what makes
-  BASE feasible beyond tiny graphs; the seed full-decomposition-per-candidate
-  loop is preserved as :func:`base_greedy_reference`.
+  BASE feasible beyond tiny graphs; the full-decomposition-per-candidate
+  loop is the oracle :func:`repro.oracles.base_greedy_reference`.
 * ``BASE+`` computes followers with the upward-route + support-check
   machinery of Section III-B (Algorithm 3), avoiding whole-graph
   decompositions for the candidates, but still re-evaluates every candidate
@@ -21,9 +21,7 @@ id, and the same rule is used by GAS so that the three solvers return
 identical anchor sets (a property the test-suite checks).
 
 Both public functions are thin wrappers over the solver registry
-(``engine.solve("base", ...)`` / ``engine.solve("base+", ...)``); the
-pre-engine implementations are kept verbatim as ``*_reference`` twins for
-the equivalence tests and the before/after benchmarks.
+(``engine.solve("base", ...)`` / ``engine.solve("base+", ...)``).
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ from repro.core.engine import SolverEngine, register_solver
 from repro.core.followers import FollowerMethod, compute_followers
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.graph.graph import Edge, Graph
-from repro.graph.index import GraphIndex
-from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
 
 
@@ -97,7 +93,7 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     # :meth:`take_reuse_decision` yields exactly that set when the tree was
     # patched incrementally, so every round after the first re-peels only
     # the dirty candidates and keeps all other cached gains.  ``"scan"``
-    # forces the previous evaluate-everything behaviour (the reference twin;
+    # forces the previous evaluate-everything behaviour (the full-scan oracle;
     # both produce identical anchors and gains — asserted by the tests).
     score_of: dict = {}
     invalidation = None
@@ -230,14 +226,15 @@ def base_greedy(
 ) -> AnchorResult:
     """The paper's BASE algorithm (Algorithm 2), run through the engine.
 
-    Selects exactly the same anchors as :func:`base_greedy_reference` (the
-    equivalence suite asserts this); the per-candidate evaluation is an
-    incremental re-peel instead of a whole-graph decomposition, and with
+    Selects exactly the same anchors as the oracle
+    :func:`repro.oracles.base_greedy_reference` (the equivalence suite
+    asserts this); the per-candidate evaluation is an incremental re-peel
+    instead of a whole-graph decomposition, and with
     ``candidate_pool="reuse"`` (the default) every round after the first
     re-evaluates only the candidates the reuse rule marks dirty — the dirty
     closure of the committed anchor plus the candidates whose ``sla``
     references a touched tree node (via the reverse ``sla`` index).
-    ``candidate_pool="scan"`` forces the evaluate-everything reference twin.
+    ``candidate_pool="scan"`` forces the evaluate-everything full-scan oracle.
     """
     engine = SolverEngine(graph)
     return engine.solve(
@@ -262,91 +259,3 @@ def base_plus_greedy(
     """
     engine = SolverEngine(graph)
     return engine.solve("base+", budget, initial_anchors=initial_anchors, method=method)
-
-
-# ---------------------------------------------------------------------------
-# Pre-engine reference implementations (seed behaviour, kept verbatim)
-# ---------------------------------------------------------------------------
-def base_greedy_reference(
-    graph: Graph,
-    budget: int,
-    initial_anchors: Iterable[Edge] = (),
-) -> AnchorResult:
-    """Pre-engine BASE: one full anchored truss decomposition per candidate.
-
-    Kept as the ground truth for the engine equivalence tests and as the
-    "before" bar of the engine benchmarks.  This is intentionally the
-    slowest solver.
-    """
-    _check_budget(graph, budget)
-    start = time.perf_counter()
-    # One frozen kernel snapshot serves every candidate decomposition of
-    # every round (anchors are overlays; the graph itself never changes).
-    GraphIndex.of(graph)
-    anchors: List[Edge] = [graph.require_edge(e) for e in initial_anchors]
-    per_round_gain: List[int] = []
-    cumulative_seconds: List[float] = []
-    original_state = TrussState.compute(graph)
-
-    for _ in range(budget):
-        state = TrussState.compute(graph, anchors)
-        current_objective = state.trussness_gain_from(original_state)
-        scored = []
-        for edge in state.non_anchor_edges():
-            anchored = state.with_anchor(edge)
-            scored.append(
-                (edge, anchored.trussness_gain_from(original_state) - current_objective)
-            )
-        best_edge, best_score = _pick_best(graph, scored)
-        if best_edge is None:
-            break
-        anchors.append(best_edge)
-        per_round_gain.append(best_score)
-        cumulative_seconds.append(time.perf_counter() - start)
-
-    elapsed = time.perf_counter() - start
-    result = evaluate_anchor_set(graph, anchors, algorithm="BASE", elapsed_seconds=elapsed)
-    result.per_round_gain = per_round_gain
-    result.extra["cumulative_seconds_per_round"] = cumulative_seconds
-    return result
-
-
-def base_plus_greedy_reference(
-    graph: Graph,
-    budget: int,
-    initial_anchors: Iterable[Edge] = (),
-    method: FollowerMethod | str = FollowerMethod.SUPPORT_CHECK,
-) -> AnchorResult:
-    """Pre-engine BASE+: full re-decomposition per round (no incremental peel)."""
-    _check_budget(graph, budget)
-    start = time.perf_counter()
-    # Shared kernel snapshot: the follower search of every candidate in every
-    # round reads the same precomputed triangle lists.
-    GraphIndex.of(graph)
-    anchors: List[Edge] = [graph.require_edge(e) for e in initial_anchors]
-    per_round_gain: List[int] = []
-    cumulative_seconds: List[float] = []
-    original_state = TrussState.compute(graph)
-
-    for _ in range(budget):
-        state = TrussState.compute(graph, anchors)
-        current_trussness = state.decomposition.trussness
-        original_trussness = original_state.decomposition.trussness
-        scored = []
-        for edge in state.non_anchor_edges():
-            followers = compute_followers(state, edge, method=method)
-            accumulated = current_trussness[edge] - original_trussness[edge]
-            scored.append((edge, len(followers) - accumulated))
-        best_edge, best_score = _pick_best(graph, scored)
-        if best_edge is None:
-            break
-        anchors.append(best_edge)
-        per_round_gain.append(best_score)
-        cumulative_seconds.append(time.perf_counter() - start)
-
-    elapsed = time.perf_counter() - start
-    result = evaluate_anchor_set(graph, anchors, algorithm="BASE+", elapsed_seconds=elapsed)
-    result.per_round_gain = per_round_gain
-    result.extra["follower_method"] = str(FollowerMethod(method).value)
-    result.extra["cumulative_seconds_per_round"] = cumulative_seconds
-    return result

@@ -205,72 +205,3 @@ def classify_reuse(
     if invalid == len(cached_ids):
         return "NR"
     return "PR"
-
-
-# ---------------------------------------------------------------------------
-# Seed reference implementation (benchmark "before" bar)
-# ---------------------------------------------------------------------------
-def _signatures_reference(tree: TrussComponentTree):
-    """Seed per-call signature computation (no caching, state-API lookups)."""
-    state = tree.state
-    result = {}
-    for node_id, node in tree.nodes.items():
-        detail = tuple(
-            sorted(
-                (edge, float(state.trussness(edge)), float(state.layer(edge)))
-                for edge in node.edges
-            )
-        )
-        result[node_id] = (node.edges, detail)
-    return result
-
-
-def compute_reuse_decision_reference(
-    old_tree: TrussComponentTree,
-    new_tree: TrussComponentTree,
-    committed_anchor: Edge,
-    committed_followers: Set[Edge],
-) -> ReuseDecision:
-    """Seed implementation of the invalidation analysis.
-
-    Kept verbatim — fresh per-call signatures, per-edge state-API t/l
-    comparisons — as the "before" bar of ``benchmarks/bench_kernel.py``.
-    Returns exactly the same decision as :func:`compute_reuse_decision`.
-    """
-    decision = ReuseDecision()
-
-    old_signatures = _signatures_reference(old_tree)
-    new_signatures = _signatures_reference(new_tree)
-
-    for node_id, signature in old_signatures.items():
-        if new_signatures.get(node_id) != signature:
-            decision.invalid_node_ids.add(node_id)
-    for node_id in new_signatures:
-        if node_id not in old_signatures:
-            decision.invalid_node_ids.add(node_id)
-
-    old_state = old_tree.state
-    decision.invalid_node_ids |= old_tree.sla(committed_anchor)
-    if not new_tree.state.is_anchor(committed_anchor):  # pragma: no cover - defensive
-        decision.invalid_node_ids |= new_tree.sla(committed_anchor)
-    if committed_anchor in old_tree.node_of_edge:
-        decision.invalid_node_ids.add(old_tree.node_of_edge[committed_anchor])
-
-    for follower in committed_followers:
-        if follower in old_tree.node_of_edge:
-            decision.invalid_node_ids.add(old_tree.node_of_edge[follower])
-        if follower in new_tree.node_of_edge:
-            decision.invalid_node_ids.add(new_tree.node_of_edge[follower])
-
-    new_state = new_tree.state
-    for edge in old_state.non_anchor_edges():
-        if new_state.is_anchor(edge):
-            decision.invalid_edges.add(edge)
-            continue
-        if (
-            old_state.trussness(edge) != new_state.trussness(edge)
-            or old_state.layer(edge) != new_state.layer(edge)
-        ):
-            decision.invalid_edges.add(edge)
-
-    return decision

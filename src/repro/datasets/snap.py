@@ -14,14 +14,14 @@ the benchmarks:
   on real SNAP-scale files where parsing dominates.  The cache is
   validated against the
   source file's size and mtime and is rebuilt transparently when the source
-  changes.  NumPy is optional: without it (or with ``use_cache=False``) the
-  loader degrades to a plain text parse.
+  changes.  With ``use_cache=False`` the loader is a plain text parse.
 * The same ``.npz`` also persists the :class:`~repro.graph.csr.CSRArrays`
   of the graph (adjacency, hit table, per-edge support), so a warm load
   restores the full :class:`~repro.graph.index.GraphIndex` without
   re-enumerating triangles.  The payload is validated by the CSR format
   version and the graph fingerprint before it is attached; any mismatch
-  (older cache, changed layout) silently falls back to a fresh build.
+  (older cache, changed layout, no CSR arrays at all) silently falls back
+  to a fresh build.
 * :func:`graph_fingerprint` derives a stable content hash of a graph
   (vertex count, edge count and every edge in id order).  The serving
   layer's engine-session cache is keyed by this fingerprint, so two
@@ -45,17 +45,14 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+import numpy as _np
+
 from repro.datasets.registry import DatasetSpec, register_dataset
 from repro.graph.csr import csr_from_payload, csr_payload
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.utils.errors import ReproError
-
-try:  # NumPy is an optional accelerator: the pipeline works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
 
 PathLike = Union[str, Path]
 
@@ -119,7 +116,7 @@ def _try_load_cache(
     ``"absent"`` when it did not (older cache, format-version bump, or a
     fingerprint mismatch).
     """
-    if _np is None or not cache_path.exists():
+    if not cache_path.exists():
         return None
     try:
         with _np.load(cache_path) as payload:
@@ -148,32 +145,24 @@ def _try_load_cache(
 
 def _write_cache(
     cache_path: Path, graph: Graph, signature: Tuple[int, int]
-) -> Optional[str]:
-    """Write the canonical edge array atomically; ``None`` if not cacheable.
+) -> bool:
+    """Write the canonical edge array atomically; ``False`` if not cacheable.
 
     Only pure-integer vertex labels are cached (SNAP files in the wild are
     integer-labelled; anything else keeps working through the text path).
-    When the array kernel is available the payload also carries the graph's
-    :class:`CSRArrays` plus its fingerprint, so warm loads skip triangle
-    enumeration entirely; the return value is ``"edges+csr"`` then,
-    ``"edges"`` otherwise.  The write goes through a temporary file +
-    :func:`os.replace` so a concurrent reader never observes a half-written
-    cache.
+    The payload also carries the graph's :class:`CSRArrays` plus its
+    fingerprint, so warm loads skip triangle enumeration entirely.  The
+    write goes through a temporary file + :func:`os.replace` so a
+    concurrent reader never observes a half-written cache.
     """
-    if _np is None:
-        return None
     edges = graph.edge_list()
     if not all(isinstance(u, int) and isinstance(v, int) for u, v in edges):
-        return None
+        return False
     array = _np.array(edges, dtype=_np.int64).reshape(len(edges), 2)
     meta = _np.array(signature, dtype=_np.int64)
     payload: Dict[str, object] = {"edges": array, "meta": meta}
-    written = "edges"
-    csr = GraphIndex.of(graph).csr
-    if csr is not None:
-        payload.update(csr_payload(csr))
-        payload["csr_fingerprint"] = _np.array(graph_fingerprint(graph))
-        written = "edges+csr"
+    payload.update(csr_payload(GraphIndex.of(graph).csr))
+    payload["csr_fingerprint"] = _np.array(graph_fingerprint(graph))
     fd, tmp_name = tempfile.mkstemp(
         dir=str(cache_path.parent), prefix=cache_path.name, suffix=".tmp"
     )
@@ -186,8 +175,8 @@ def _write_cache(
             os.unlink(tmp_name)
         except OSError:
             pass
-        return None
-    return written
+        return False
+    return True
 
 
 def load_snap_report(
@@ -211,7 +200,7 @@ def load_snap_report(
     signature = _source_signature(path)
     cache_path = snap_cache_path(path, cache_dir)
     report: Dict[str, object] = {"cache_path": str(cache_path)}
-    if use_cache and _np is not None:
+    if use_cache:
         cached = _try_load_cache(cache_path, signature)
         if cached is not None:
             graph, csr_status = cached
@@ -221,7 +210,7 @@ def load_snap_report(
         graph = read_edge_list(path)
         written = _write_cache(cache_path, graph, signature)
         report["cache"] = "rebuilt" if written else "uncacheable"
-        report["csr"] = "cached" if written == "edges+csr" else "absent"
+        report["csr"] = "cached" if written else "absent"
         return graph, report
     report["cache"] = "disabled"
     report["csr"] = "absent"

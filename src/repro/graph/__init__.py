@@ -8,14 +8,13 @@ here rather than an afterthought).
 """
 
 from repro.graph.graph import Edge, Graph, normalize_edge
-from repro.graph.index import GraphIndex, peel_trussness
+from repro.graph.index import GraphIndex
 from repro.graph.triangles import (
     common_neighbors,
     edge_support,
     neighbor_edges,
     support_map,
     triangle_connected_components,
-    triangle_connected_components_reference,
     triangles_of_edge,
     triangles_of_graph,
 )
@@ -41,9 +40,7 @@ __all__ = [
     "Graph",
     "GraphIndex",
     "normalize_edge",
-    "peel_trussness",
     "common_neighbors",
-    "triangle_connected_components_reference",
     "edge_support",
     "neighbor_edges",
     "support_map",

@@ -1,12 +1,11 @@
 """Array-native CSR adjacency and triangle enumeration (NumPy kernel).
 
-This module is the array twin of the integer kernel in
-:mod:`repro.graph.index`: the same dense vertex/edge-id domain, but every
-structure is a NumPy array instead of a Python list, and the triangle
-enumeration is a single batched ``searchsorted`` pass instead of per-pair
-set intersections.  :class:`GraphIndex` builds itself *from* these arrays
-when NumPy is available, so the engine, follower and component-tree layers
-see the exact same public surface either way.
+This module is the array substrate of the integer kernel in
+:mod:`repro.graph.index`: the same dense vertex/edge-id domain, with every
+structure a NumPy array and the triangle enumeration a single batched
+``searchsorted`` pass instead of per-pair set intersections.
+:class:`GraphIndex` builds itself *from* these arrays and exposes the
+Python-list views the engine, follower and component-tree layers read.
 
 Representation
 --------------
@@ -40,14 +39,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Mapping, Optional
 
-__all__ = ["HAVE_NUMPY", "CSRArrays", "build_csr_arrays", "csr_payload", "csr_from_payload"]
+import numpy as _np
 
-try:  # NumPy is a declared dependency, but the pure-Python kernel survives without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
+__all__ = ["CSRArrays", "build_csr_arrays", "csr_payload", "csr_from_payload"]
 
 #: Bump when the array layout changes: persisted caches with a different
 #: version are rebuilt instead of misread.
@@ -143,10 +137,8 @@ def build_csr_arrays(endpoints, num_vertices: int) -> "CSRArrays":
     ``endpoints[e]`` holds the dense vertex ids of edge ``e`` — the caller
     (``GraphIndex``) guarantees dense edge-id order == public stable-id
     order, no self loops, no duplicates.  Endpoint order within a row does
-    not matter.  Requires NumPy.
+    not matter.
     """
-    if _np is None:  # pragma: no cover - guarded by HAVE_NUMPY at call sites
-        raise RuntimeError("build_csr_arrays requires numpy")
     n = int(num_vertices)
     m = int(len(endpoints))
     empty = _np.zeros(0, dtype=_np.int64)
@@ -300,8 +292,6 @@ def csr_payload(csr: "CSRArrays") -> Dict[str, object]:
 def csr_from_payload(payload: Mapping[str, object]) -> Optional["CSRArrays"]:
     """Restore :class:`CSRArrays` from a persisted payload, or ``None`` when
     the payload predates the CSR cache or uses a different format version."""
-    if _np is None:
-        return None
     try:
         version = payload["csr_version"]
     except KeyError:

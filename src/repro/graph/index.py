@@ -11,22 +11,16 @@ dense integer domain:
   smallest-edge-id tie-breaking used by the solvers carries over unchanged;
 * the adjacency is stored CSR-style (``adj_offsets`` / ``adj_vertices`` /
   ``adj_edges``, neighbour lists sorted by vertex id);
-* every triangle of the graph is enumerated exactly once at build time;
-  the flat edge-id triples (``triangles``, used by the union-find of
+* every triangle of the graph is enumerated exactly once at build time by
+  the batched ``searchsorted`` intersection of :mod:`repro.graph.csr`; the
+  arrays stay on ``index.csr`` for the vectorised peel in
+  :mod:`repro.truss.peel` and the dataset cache;
+* the flat edge-id triples (``triangles``, used by the union-find of
   triangle connectivity) and the per-edge lists of
   ``(other_edge, other_edge, apex_vertex)`` entries (``edge_triangles``,
-  used by the scalar peeling kernel and the follower machinery) are
-  *lazy views* over that enumeration, built on first access so cold
-  decompositions never pay for them;
+  used by the follower machinery) are *lazy views* over that enumeration,
+  built on first access so cold decompositions never pay for them;
 * ``support[e]`` is the triangle count of edge ``e`` — an O(1) lookup.
-
-When NumPy is importable the build is array-native: the adjacency and the
-triangle enumeration come from :mod:`repro.graph.csr`
-(``searchsorted``-based batched intersection instead of per-pair Python
-set intersections) and the arrays are kept on ``index.csr`` for the
-vectorised peel in :mod:`repro.truss.peel`.  Without NumPy the original
-pure-Python build runs instead (``index.csr is None``) and every consumer
-sees the exact same object-domain surface.
 
 Immutability / overlay contract
 -------------------------------
@@ -40,15 +34,15 @@ mutation bumps, so holding ``GraphIndex.of(graph)`` is always safe.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.csr import HAVE_NUMPY, CSRArrays, build_csr_arrays
+import numpy as _np
+
+from repro.graph.csr import CSRArrays, build_csr_arrays
 from repro.graph.graph import Edge, Graph, Vertex
 
-if HAVE_NUMPY:
-    import numpy as _np
-
-__all__ = ["GraphIndex", "peel_trussness"]
+__all__ = ["GraphIndex"]
 
 
 class GraphIndex:
@@ -67,12 +61,10 @@ class GraphIndex:
         "adj_vertices",
         "adj_edges",
         "_support",
-        "_max_support",
         "_eid_of",
         "_triangles",
         "_edge_triangles",
         "_tuple_triangles",
-        "_support_buckets",
     )
 
     def __init__(self, graph: Graph, csr: Optional[CSRArrays] = None) -> None:
@@ -96,77 +88,24 @@ class GraphIndex:
         n = self.num_vertices = len(self.vertex_of)
         m = self.num_edges = len(edge_of)
 
-        if HAVE_NUMPY:
-            if csr is None or csr.num_edges != m or csr.num_vertices != n:
-                from itertools import chain
-
-                endpoints = _np.fromiter(
-                    map(vid_of.__getitem__, chain.from_iterable(edge_of)),
-                    dtype=_np.int64,
-                    count=2 * m,
-                ).reshape(m, 2)
-                csr = build_csr_arrays(endpoints, n)
-            #: The array form (None without NumPy); the vectorised peel and
-            #: the dataset cache read it directly.
-            self.csr: Optional[CSRArrays] = csr
-            self.adj_offsets = csr.indptr
-            self.adj_vertices = csr.indices
-            self.adj_edges = csr.slot_eids
-            self._support: Optional[List[int]] = None
-            self._triangles: Optional[List[Tuple[int, int, int]]] = None
-            self._edge_triangles: Optional[List[List[Tuple[int, int, Vertex]]]] = None
-        else:
-            self.csr = None
-            self._build_python(graph, vid_of, edge_of, n, m)
-        self._max_support: Optional[int] = None
+        if csr is None or csr.num_edges != m or csr.num_vertices != n:
+            endpoints = _np.fromiter(
+                map(vid_of.__getitem__, chain.from_iterable(edge_of)),
+                dtype=_np.int64,
+                count=2 * m,
+            ).reshape(m, 2)
+            csr = build_csr_arrays(endpoints, n)
+        #: The array form; the vectorised peel and the dataset cache read it
+        #: directly.
+        self.csr: CSRArrays = csr
+        self.adj_offsets = csr.indptr
+        self.adj_vertices = csr.indices
+        self.adj_edges = csr.slot_eids
+        self._support: Optional[List[int]] = None
+        self._triangles: Optional[List[Tuple[int, int, int]]] = None
+        self._edge_triangles: Optional[List[List[Tuple[int, int, Vertex]]]] = None
         self._eid_of: Optional[Dict[Edge, int]] = None
         self._tuple_triangles: Optional[List[Optional[List[Tuple[Edge, Edge, Vertex]]]]] = None
-        self._support_buckets: Optional[List[List[int]]] = None
-
-    def _build_python(self, graph: Graph, vid_of, edge_of, n: int, m: int) -> None:
-        """Pure-Python fallback build (no NumPy): the original eager
-        CSR-list construction and set-intersection triangle enumeration."""
-        incident: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(edge_of):
-            a, b = vid_of[u], vid_of[v]
-            incident[a].append((b, eid))
-            incident[b].append((a, eid))
-        adj_offsets: List[int] = [0] * (n + 1)
-        adj_vertices: List[int] = []
-        adj_edges: List[int] = []
-        for vid, pairs in enumerate(incident):
-            pairs.sort()
-            for w, eid in pairs:
-                adj_vertices.append(w)
-                adj_edges.append(eid)
-            adj_offsets[vid + 1] = len(adj_vertices)
-        self.adj_offsets = adj_offsets
-        self.adj_vertices = adj_vertices
-        self.adj_edges = adj_edges
-
-        # Each triangle {u < v < w} (vertex order) is discovered exactly
-        # once, at its lowest edge (u, v) with apex w, straight off the
-        # graph's own adjacency sets.
-        adj = graph._adj
-        eid_of = {e: i for i, e in enumerate(edge_of)}
-        self._eid_of = eid_of
-        triangles: List[Tuple[int, int, int]] = []
-        edge_triangles: List[List[Tuple[int, int, Vertex]]] = [[] for _ in range(m)]
-        for e_uv, (u, v) in enumerate(edge_of):
-            common = adj[u] & adj[v]
-            if common:
-                tri_uv = edge_triangles[e_uv]
-                for w in common:
-                    if w > v:  # u < v < w: (u, w) and (v, w) are canonical
-                        e_uw = eid_of[(u, w)]
-                        e_vw = eid_of[(v, w)]
-                        triangles.append((e_uv, e_uw, e_vw))
-                        tri_uv.append((e_uw, e_vw, w))
-                        edge_triangles[e_uw].append((e_uv, e_vw, v))
-                        edge_triangles[e_vw].append((e_uv, e_uw, u))
-        self._triangles = triangles
-        self._edge_triangles = edge_triangles
-        self._support = [len(entry) for entry in edge_triangles]
 
     # ------------------------------------------------------------------
     # Cache management
@@ -203,22 +142,14 @@ class GraphIndex:
     @property
     def support(self) -> List[int]:
         """``support[e]`` == number of triangles through edge ``e``
-        (Definition 1).  A Python list of Python ints — the scalar kernels
-        copy it and the values flow into JSON-serialised responses.  On the
-        array build it materialises from ``csr.support`` on first access
-        (cold vectorised decompositions never touch the list form)."""
+        (Definition 1).  A Python list of Python ints — the values flow into
+        JSON-serialised responses.  It materialises from ``csr.support`` on
+        first access (cold vectorised decompositions never touch the list
+        form)."""
         support = self._support
         if support is None:
             support = self._support = self.csr.support.tolist()
         return support
-
-    @property
-    def max_support(self) -> int:
-        """Largest initial support value (bucket count of the scalar peel)."""
-        value = self._max_support
-        if value is None:
-            value = self._max_support = max(self.support, default=0)
-        return value
 
     @property
     def eid_of(self) -> Dict[Edge, int]:
@@ -256,9 +187,9 @@ class GraphIndex:
     def edge_triangles(self) -> List[List[Tuple[int, int, Vertex]]]:
         """Per-edge ``(other_edge, other_edge, apex_vertex)`` lists (lazy).
 
-        The scalar kernels and the follower machinery iterate these heavily;
-        the list form is built once from the array-domain hit table on first
-        access and cached for the lifetime of the index.
+        The follower machinery iterates these heavily; the list form is built
+        once from the array-domain hit table on first access and cached for
+        the lifetime of the index.
         """
         edge_triangles = self._edge_triangles
         if edge_triangles is None:
@@ -310,121 +241,8 @@ class GraphIndex:
         lo, hi = self.adj_offsets[vid], self.adj_offsets[vid + 1]
         return self.adj_vertices[lo:hi], self.adj_edges[lo:hi]
 
-    def support_buckets(self) -> List[List[int]]:
-        """Edge ids grouped by initial support (``buckets[s]`` = edges with
-        support exactly ``s``).  Built once and shared by every peeling run —
-        the buckets are read-only there; per-run state (aliveness, dynamic
-        re-bucketing) lives in the peeling overlay.  Do not mutate."""
-        buckets = self._support_buckets
-        if buckets is None:
-            buckets = [[] for _ in range(self.max_support + 1)]
-            for eid, value in enumerate(self.support):
-                buckets[value].append(eid)
-            self._support_buckets = buckets
-        return buckets
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        if self.csr is not None:
-            count = self.csr.num_triangles
-        else:
-            count = len(self._triangles or ())
         return (
             f"GraphIndex(n={self.num_vertices}, m={self.num_edges}, "
-            f"triangles={count})"
+            f"triangles={self.csr.num_triangles})"
         )
-
-
-def peel_trussness(
-    index: GraphIndex, anchor_eids: Sequence[int] = ()
-) -> Tuple[List[int], List[int], int]:
-    """Bucket-queue truss peeling over dense edge ids (Algorithm 1).
-
-    This is the pure-Python scalar kernel; :mod:`repro.truss.peel` provides
-    byte-identical vectorised and numba backends and a dispatcher
-    (``peel_trussness_fast``) that every decomposition call site routes
-    through.
-
-    Returns ``(trussness, layer, k_max)`` where the two lists are indexed by
-    dense edge id (anchored edges keep the sentinel value 0) and the layer is
-    the synchronous peeling round within the phase, exactly matching the
-    semantics of the reference implementation in
-    :func:`repro.truss.decomposition.truss_decomposition_reference`.
-
-    The peeling never touches adjacency sets: triangle updates come from the
-    precomputed per-edge triple lists, with a bytearray of aliveness flags as
-    the removal overlay.  Edges whose support drops (but stays above the
-    current threshold) are appended lazily to the dynamic bucket of their new
-    support value; phase ``k`` then drains exactly the static and dynamic
-    buckets at ``k - 2`` — an entry there is either live with support
-    ``<= k - 2`` (supports only decrease after being recorded) or stale and
-    skipped via the ``scheduled`` / ``alive`` flags.
-    """
-    m = index.num_edges
-    support = list(index.support)
-    tri = index.edge_triangles
-
-    alive = bytearray(b"\x01") * m
-    is_anchor = bytearray(m)
-    anchor_count = 0
-    for eid in anchor_eids:
-        if not is_anchor[eid]:
-            is_anchor[eid] = 1
-            anchor_count += 1
-    remaining = m - anchor_count
-
-    trussness = [0] * m
-    layer = [0] * m
-    scheduled = bytearray(m)
-
-    max_support = index.max_support
-    static_buckets = index.support_buckets()
-    buckets: List[List[int]] = [[] for _ in range(max_support + 1)]
-
-    k = 2
-    k_max = 1
-    while remaining:
-        threshold = k - 2
-        frontier: List[int] = []
-        if threshold <= max_support:
-            for bucket in (static_buckets[threshold], buckets[threshold]):
-                for eid in bucket:
-                    if alive[eid] and not scheduled[eid] and not is_anchor[eid]:
-                        scheduled[eid] = 1
-                        frontier.append(eid)
-            buckets[threshold] = []
-        frontier.sort()
-
-        layer_index = 0
-        while frontier:
-            layer_index += 1
-            next_frontier: List[int] = []
-            for eid in frontier:
-                trussness[eid] = k
-                layer[eid] = layer_index
-                alive[eid] = 0
-                remaining -= 1
-                for a, b, _w in tri[eid]:
-                    if alive[a] and alive[b]:
-                        sa = support[a] - 1
-                        support[a] = sa
-                        sb = support[b] - 1
-                        support[b] = sb
-                        if not is_anchor[a] and not scheduled[a]:
-                            if sa <= threshold:
-                                scheduled[a] = 1
-                                next_frontier.append(a)
-                            else:
-                                buckets[sa].append(a)
-                        if not is_anchor[b] and not scheduled[b]:
-                            if sb <= threshold:
-                                scheduled[b] = 1
-                                next_frontier.append(b)
-                            else:
-                                buckets[sb].append(b)
-            next_frontier.sort()
-            frontier = next_frontier
-        if layer_index:
-            k_max = k
-        k += 1
-
-    return trussness, layer, k_max

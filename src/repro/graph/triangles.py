@@ -131,45 +131,3 @@ def triangle_connected_components(
     for eid in member_ids:
         groups_by_root.setdefault(find_id(eid), set()).add(edge_of[eid])
     return list(groups_by_root.values())
-
-
-def triangle_connected_components_reference(
-    graph: Graph, edges: Optional[Iterable[Edge]] = None
-) -> List[Set[Edge]]:
-    """Tuple-domain reference implementation of Definition 6.
-
-    Kept as ground truth for the kernel equivalence tests and as the
-    "before" timing of ``benchmarks/bench_kernel.py``.
-    """
-    if edges is None:
-        edge_set: Set[Edge] = set(graph.edges())
-    else:
-        edge_set = {graph.require_edge(e) for e in edges}
-
-    parent: Dict[Edge, Edge] = {e: e for e in edge_set}
-
-    def find(e: Edge) -> Edge:
-        root = e
-        while parent[root] != root:
-            root = parent[root]
-        while parent[e] != root:
-            parent[e], e = root, parent[e]
-        return root
-
-    def union(a: Edge, b: Edge) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for u, v, w in triangles_of_graph(graph):
-        e1 = normalize_edge(u, v)
-        e2 = normalize_edge(u, w)
-        e3 = normalize_edge(v, w)
-        if e1 in edge_set and e2 in edge_set and e3 in edge_set:
-            union(e1, e2)
-            union(e1, e3)
-
-    groups: Dict[Edge, Set[Edge]] = {}
-    for e in edge_set:
-        groups.setdefault(find(e), set()).add(e)
-    return list(groups.values())

@@ -10,11 +10,7 @@ two extensions needed by the ATR algorithms:
   ``e1 ≺ e2`` used by the upward-route machinery.
 """
 
-from repro.truss.decomposition import (
-    TrussDecomposition,
-    truss_decomposition,
-    truss_decomposition_reference,
-)
+from repro.truss.decomposition import TrussDecomposition, truss_decomposition
 from repro.truss.ktruss import (
     k_hull,
     k_truss,
@@ -28,7 +24,6 @@ from repro.truss.state import ANCHOR_TRUSSNESS, TrussState
 __all__ = [
     "TrussDecomposition",
     "truss_decomposition",
-    "truss_decomposition_reference",
     "TrussState",
     "ANCHOR_TRUSSNESS",
     "k_truss",

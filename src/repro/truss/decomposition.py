@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.index import GraphIndex
@@ -74,7 +74,7 @@ class TrussDecomposition:
         self.k_max = k_max
         #: Dense per-edge-id views ``(index, trussness, layer, anchor_mask)``
         #: attached by the kernel decomposition (``None`` when constructed by
-        #: the reference implementation or by hand).  Anchored edges hold
+        #: the oracle or by hand).  Anchored edges hold
         #: ``inf`` in the arrays.  A cache, not data: excluded from equality.
         self.dense_views = dense_views
         self._edge_of: Optional[Sequence[Edge]] = None
@@ -200,8 +200,8 @@ def truss_decomposition(
     shared by every subsequent decomposition of the same graph, so anchored
     re-decompositions — the inner loop of BASE and of every greedy round —
     only pay for the bucket peeling itself.  The result is identical to
-    :func:`truss_decomposition_reference` (the test-suite asserts this on
-    random graphs, including anchored cases).
+    the from-scratch oracle :func:`repro.oracles.truss_decomposition_reference`
+    (the test-suite asserts this on random graphs, including anchored cases).
     """
     anchor_set: FrozenSet[Edge] = frozenset(graph.require_edge(e) for e in anchors)
     index = GraphIndex.of(graph)
@@ -228,79 +228,6 @@ def truss_decomposition(
         anchor_set,
         k_max,
         (index, trussness_arr, layer_arr, anchor_mask),
-    )
-
-
-def truss_decomposition_reference(
-    graph: Graph, anchors: Iterable[Edge] = ()
-) -> TrussDecomposition:
-    """Tuple-domain reference implementation of Algorithm 1.
-
-    This is the original (pre-kernel) implementation, kept as the ground
-    truth for the equivalence tests in ``tests/test_graph_index.py`` and as
-    the "before" timing of ``benchmarks/bench_kernel.py``.  It is
-    deliberately untouched: live adjacency sets, per-removal set
-    intersections and per-phase scans over the remaining edges.
-    """
-    anchor_set: FrozenSet[Edge] = frozenset(graph.require_edge(e) for e in anchors)
-
-    # Live adjacency copy; edges are removed from it as they are peeled.
-    adjacency: Dict[object, Set[object]] = {u: set(graph.neighbors(u)) for u in graph.vertices()}
-
-    support: Dict[Edge, int] = {}
-    for u, v in graph.edges():
-        edge = normalize_edge(u, v)
-        small, large = (u, v) if len(adjacency[u]) <= len(adjacency[v]) else (v, u)
-        support[edge] = sum(1 for w in adjacency[small] if w in adjacency[large])
-
-    remaining: Set[Edge] = set(support)
-    non_anchor_remaining: Set[Edge] = remaining - anchor_set
-
-    trussness: Dict[Edge, int] = {}
-    layer: Dict[Edge, int] = {}
-
-    def remove_edge(edge: Edge) -> List[Edge]:
-        """Remove ``edge`` from the live structures; return edges whose support dropped."""
-        u, v = edge
-        affected: List[Edge] = []
-        common = adjacency[u] & adjacency[v]
-        for w in common:
-            for other in (normalize_edge(u, w), normalize_edge(v, w)):
-                if other in remaining:
-                    support[other] -= 1
-                    affected.append(other)
-        adjacency[u].discard(v)
-        adjacency[v].discard(u)
-        remaining.discard(edge)
-        non_anchor_remaining.discard(edge)
-        return affected
-
-    k = 2
-    while non_anchor_remaining:
-        threshold = k - 2
-        frontier = sorted(e for e in non_anchor_remaining if support[e] <= threshold)
-        layer_index = 0
-        scheduled: Set[Edge] = set(frontier)
-        while frontier:
-            layer_index += 1
-            next_frontier: List[Edge] = []
-            for edge in frontier:
-                trussness[edge] = k
-                layer[edge] = layer_index
-                for other in remove_edge(edge):
-                    if (
-                        other not in scheduled
-                        and other in non_anchor_remaining
-                        and support[other] <= threshold
-                    ):
-                        scheduled.add(other)
-                        next_frontier.append(other)
-            frontier = sorted(next_frontier)
-        k += 1
-
-    k_max = max(trussness.values(), default=1)
-    return TrussDecomposition(
-        trussness=trussness, layer=layer, anchors=anchor_set, k_max=k_max
     )
 
 

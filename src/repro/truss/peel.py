@@ -1,134 +1,51 @@
-"""Vectorised (and optionally numba-compiled) truss peeling backends.
+"""Vectorised truss peeling (Algorithm 1) over the CSR hit table.
 
-:func:`repro.graph.index.peel_trussness` is the pure-Python scalar kernel:
-one Python iteration per removed edge and per incident triangle.  This
-module provides array-domain twins with *byte-identical* results:
-
-* :func:`peel_trussness_arrays` — NumPy wave peeling over
-  :class:`~repro.graph.csr.CSRArrays`.  Each synchronous wave is a handful
-  of array operations: mask the frontier, gather the frontier's hit-table
-  rows, scatter-subtract the support decrements with ``bincount``, and
-  re-threshold only the touched edges.  Python-level iteration is per
-  *wave*, never per edge.
-* an optional ``numba`` ``@njit`` twin of the scalar loop, compiled lazily
-  on first use.  numba is an optional extra (``pip install .[fast]``); when
-  it is missing the backend falls back cleanly.
+:func:`peel_trussness_arrays` is NumPy wave peeling over
+:class:`~repro.graph.csr.CSRArrays`.  Each synchronous wave is a handful of
+array operations: mask the frontier, gather the frontier's hit-table rows,
+scatter-subtract the support decrements, and re-threshold only the touched
+edges.  Python-level iteration is per *wave*, never per edge.
+:func:`peel_trussness_fast` is the entry point every decomposition call
+site routes through; it adds the optional timing metric.
 
 Wave equivalence
 ----------------
-The scalar kernel processes a wave's frontier in ascending dense-edge-id
+A sequential peel processes a wave's frontier in ascending dense-edge-id
 order and checks ``alive[a] and alive[b]`` *at processing time*, so edges
 removed earlier in the same wave no longer decrement.  The vectorised peel
 reproduces this without sequential processing via the order-independent
 rule: the hit-table row ``(base; a, b)`` of a frontier edge ``base``
 applies its decrements iff neither ``a`` nor ``b`` died in an earlier wave
 and, for each of them that is in the *current* wave, its id is greater
-than ``base`` — i.e. exactly the rows the scalar loop executes.  Supports
-of edges removed in the same wave may transiently differ, but those edges
-are dead either way; every surviving edge sees identical decrements, so
-frontiers, layers, trussness and ``k_max`` all match byte for byte (the
-generator-sweep equivalence suite asserts this).
-
-Backend selection
------------------
-``REPRO_PEEL_BACKEND`` (or :func:`set_peel_backend`) picks the backend:
-``auto`` (default: vectorised when NumPy is importable, else the scalar
-kernel), ``vectorized``, ``numba`` or ``python``.  Unavailable backends
-degrade: ``numba`` → ``vectorized`` → ``python``.
+than ``base`` — i.e. exactly the rows the sequential loop executes.
+Supports of edges removed in the same wave may transiently differ, but
+those edges are dead either way; every surviving edge sees identical
+decrements, so frontiers, layers, trussness and ``k_max`` all match the
+from-scratch oracle :func:`repro.oracles.truss_decomposition_reference`
+(the generator-sweep equivalence suite and the ``peel_backends`` invariant
+of :mod:`repro.world` assert this).
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.graph.csr import HAVE_NUMPY, CSRArrays
-from repro.graph.index import GraphIndex, peel_trussness
+import numpy as _np
+
+from repro.graph.csr import CSRArrays
+from repro.graph.index import GraphIndex
 from repro.obs.metrics import default_registry, now
-from repro.utils.errors import InvalidParameterError
 
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the test image ships numpy
-    _np = None
-
-__all__ = [
-    "peel_trussness_fast",
-    "peel_trussness_arrays",
-    "set_peel_backend",
-    "get_peel_backend",
-    "resolve_peel_backend",
-    "numba_available",
-]
-
-PEEL_BACKENDS = ("auto", "vectorized", "numba", "python")
-
-_backend: str = "auto"
-_env = os.environ.get("REPRO_PEEL_BACKEND", "").strip().lower()
-if _env in PEEL_BACKENDS:
-    _backend = _env
+__all__ = ["peel_trussness_fast", "peel_trussness_arrays"]
 
 
-def set_peel_backend(name: str) -> str:
-    """Select the peeling backend; returns the previous setting.
-
-    ``auto`` resolves per call (see :func:`resolve_peel_backend`); naming an
-    unavailable backend is allowed and degrades cleanly at call time, so a
-    deployment can pin ``numba`` and still run where it is not installed.
-    """
-    global _backend
-    name = name.strip().lower()
-    if name not in PEEL_BACKENDS:
-        raise InvalidParameterError(
-            f"unknown peel backend {name!r}; choose one of {', '.join(PEEL_BACKENDS)}"
-        )
-    previous = _backend
-    _backend = name
-    return previous
-
-
-def get_peel_backend() -> str:
-    """The configured backend name (possibly ``auto``)."""
-    return _backend
-
-
-def numba_available() -> bool:
-    """True when the optional numba extra is importable."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def resolve_peel_backend() -> str:
-    """The backend :func:`peel_trussness_fast` will actually run.
-
-    Degradation chain: ``numba`` needs both numba and NumPy and falls back
-    to ``vectorized``; ``vectorized`` needs NumPy and falls back to
-    ``python``; ``auto`` is ``vectorized`` with the same fallback.
-    """
-    backend = _backend
-    if backend == "numba":
-        if HAVE_NUMPY and numba_available():
-            return "numba"
-        backend = "vectorized"
-    if backend in ("auto", "vectorized"):
-        return "vectorized" if HAVE_NUMPY else "python"
-    return backend
-
-
-# ---------------------------------------------------------------------------
-# NumPy wave peel
-# ---------------------------------------------------------------------------
 def peel_trussness_arrays(
     csr: CSRArrays, anchor_eids: Sequence[int] = ()
 ) -> Tuple[List[int], List[int], int]:
     """Vectorised bucketed peel over :class:`CSRArrays` (Algorithm 1).
 
-    Same contract as :func:`repro.graph.index.peel_trussness`: returns
-    ``(trussness, layer, k_max)`` as plain Python lists indexed by dense
-    edge id, with anchored edges keeping the sentinel value 0.
+    Returns ``(trussness, layer, k_max)`` as plain Python lists indexed by
+    dense edge id, with anchored edges keeping the sentinel value 0.
     """
     m = csr.num_edges
     if m == 0:
@@ -209,162 +126,21 @@ def peel_trussness_arrays(
     return trussness.tolist(), layer.tolist(), int(k_max)
 
 
-# ---------------------------------------------------------------------------
-# Optional numba twin (compiled lazily; absence degrades cleanly)
-# ---------------------------------------------------------------------------
-def _scalar_peel_on_arrays(m, support, hit_offsets, hit_e1, hit_e2, is_anchor):
-    """The scalar peel loop over flat arrays — the function numba compiles.
-
-    Written in the numba nopython subset (plain loops, preallocated int64
-    work arrays, no Python containers) but also runnable uncompiled, which
-    is how the equivalence suite validates this exact code path on images
-    without numba.  Semantics match :func:`repro.graph.index.peel_trussness`
-    statement for statement: ascending frontier order, aliveness checked at
-    processing time, threshold re-checks at decrement time.
-    """
-    trussness = _np.zeros(m, dtype=_np.int64)
-    layer = _np.zeros(m, dtype=_np.int64)
-    alive = _np.ones(m, dtype=_np.bool_)
-    scheduled = _np.zeros(m, dtype=_np.bool_)
-    remaining = 0
-    for e in range(m):
-        if not is_anchor[e]:
-            remaining += 1
-    frontier = _np.empty(m, dtype=_np.int64)
-    nxt = _np.empty(m, dtype=_np.int64)
-    k = 2
-    k_max = 1
-    while remaining > 0:
-        threshold = k - 2
-        fn = 0
-        for e in range(m):
-            if alive[e] and not scheduled[e] and not is_anchor[e] and support[e] <= threshold:
-                scheduled[e] = True
-                frontier[fn] = e
-                fn += 1
-        layer_index = 0
-        while fn > 0:
-            layer_index += 1
-            nn = 0
-            for idx in range(fn):
-                eid = frontier[idx]
-                trussness[eid] = k
-                layer[eid] = layer_index
-                alive[eid] = False
-                remaining -= 1
-                for row in range(hit_offsets[eid], hit_offsets[eid + 1]):
-                    a = hit_e1[row]
-                    b = hit_e2[row]
-                    if alive[a] and alive[b]:
-                        support[a] -= 1
-                        support[b] -= 1
-                        if (
-                            not is_anchor[a]
-                            and not scheduled[a]
-                            and support[a] <= threshold
-                        ):
-                            scheduled[a] = True
-                            nxt[nn] = a
-                            nn += 1
-                        if (
-                            not is_anchor[b]
-                            and not scheduled[b]
-                            and support[b] <= threshold
-                        ):
-                            scheduled[b] = True
-                            nxt[nn] = b
-                            nn += 1
-            frontier[:nn] = _np.sort(nxt[:nn])
-            fn = nn
-        if layer_index:
-            k_max = k
-        k += 1
-    return trussness, layer, k_max
-
-
-_numba_kernel = None
-_numba_failed = False
-
-
-def _get_numba_kernel():
-    """Compile (once) and return the ``@njit`` scalar peel, or ``None``."""
-    global _numba_kernel, _numba_failed
-    if _numba_kernel is not None:
-        return _numba_kernel
-    if _numba_failed:
-        return None
-    try:
-        import numba
-    except ImportError:
-        _numba_failed = True
-        return None
-    _numba_kernel = numba.njit(cache=True)(_scalar_peel_on_arrays)
-    return _numba_kernel
-
-
-def _peel_numba(
-    csr: CSRArrays, anchor_eids: Sequence[int]
-) -> Optional[Tuple[List[int], List[int], int]]:
-    kernel = _get_numba_kernel()
-    if kernel is None:
-        return None
-    m = csr.num_edges
-    if m == 0:
-        return [], [], 1
-    is_anchor = _np.zeros(m, dtype=_np.bool_)
-    anchor_list = list(anchor_eids)
-    if anchor_list:
-        is_anchor[anchor_list] = True
-    trussness, layer, k_max = kernel(
-        m,
-        csr.support.copy(),
-        csr.hit_offsets,
-        csr.hit_e1,
-        csr.hit_e2,
-        is_anchor,
-    )
-    return trussness.tolist(), layer.tolist(), int(k_max)
-
-
-# ---------------------------------------------------------------------------
-# Dispatcher
-# ---------------------------------------------------------------------------
 def peel_trussness_fast(
     index: GraphIndex, anchor_eids: Sequence[int] = ()
 ) -> Tuple[List[int], List[int], int]:
-    """Peel ``index`` with the best available backend (see module docs).
+    """Peel ``index`` with the vectorised kernel.
 
-    Drop-in replacement for :func:`repro.graph.index.peel_trussness` — same
-    arguments, same ``(trussness, layer, k_max)`` result, byte-identical
-    values.  Indexes built without NumPy carry no array form and always run
-    the scalar kernel.
-
-    When a process-global metrics registry is armed
+    Returns :func:`peel_trussness_arrays`'s ``(trussness, layer, k_max)``
+    for ``index.csr``.  When a process-global metrics registry is armed
     (:func:`repro.obs.metrics.set_default_registry`) each peel's wall time
-    is observed into a per-backend ``kernel.peel_s.<backend>`` histogram;
-    unarmed, the cost is one module-global read and a ``None`` check.
+    is observed into the ``kernel.peel_s.vectorized`` histogram; unarmed,
+    the cost is one module-global read and a ``None`` check.
     """
     registry = default_registry()
     if registry is None:
-        return _peel_dispatch(index, anchor_eids)
+        return peel_trussness_arrays(index.csr, anchor_eids)
     start = now()
-    result = _peel_dispatch(index, anchor_eids)
-    backend = resolve_peel_backend() if index.csr is not None else "python"
-    registry.histogram(f"kernel.peel_s.{backend}").observe(now() - start)
+    result = peel_trussness_arrays(index.csr, anchor_eids)
+    registry.histogram("kernel.peel_s.vectorized").observe(now() - start)
     return result
-
-
-def _peel_dispatch(
-    index: GraphIndex, anchor_eids: Sequence[int] = ()
-) -> Tuple[List[int], List[int], int]:
-    csr = index.csr
-    if csr is None:
-        return peel_trussness(index, anchor_eids)
-    backend = resolve_peel_backend()
-    if backend == "python":
-        return peel_trussness(index, anchor_eids)
-    if backend == "numba":
-        result = _peel_numba(csr, anchor_eids)
-        if result is not None:
-            return result
-    return peel_trussness_arrays(csr, anchor_eids)

@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 from repro.graph.graph import Edge, Graph, Vertex, normalize_edge
 from repro.graph.index import GraphIndex
-from repro.graph.triangles import common_neighbors
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 
@@ -163,13 +162,6 @@ class TrussState:
     def triangles(self, edge: Edge) -> Iterator[Tuple[Edge, Edge, Vertex]]:
         """Yield ``(edge_uw, edge_vw, w)`` for every triangle through ``edge``."""
         return iter(self.triangle_list(edge))
-
-    def _triangles_reference(self, edge: Edge) -> Iterator[Tuple[Edge, Edge, Vertex]]:
-        """Pre-kernel triangle query (per-call set intersection); kept for the
-        equivalence tests and the before/after benchmark harness."""
-        u, v = self.graph.require_edge(edge)
-        for w in common_neighbors(self.graph, u, v):
-            yield (normalize_edge(u, w), normalize_edge(v, w), w)
 
     def neighbor_edges(self, edge: Edge) -> Set[Edge]:
         """All edges sharing at least one triangle with ``edge``."""

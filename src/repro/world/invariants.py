@@ -17,9 +17,11 @@ bundle against a point's graph and anchor schedule:
     GAS with the candidate heap must return byte-identical anchors, gains
     and followers to the full-scan reference across tree modes.
 ``peel_backends``
-    Every peel backend — the scalar reference, the vectorised wave peel,
-    the uncompiled numba twin and (when installed) the compiled twin — must
-    produce identical ``(trussness, layer, k_max)`` triples.
+    The vectorised wave peel must produce the ``(trussness, layer, k_max)``
+    triple of the from-scratch oracle
+    :func:`repro.oracles.truss_decomposition_reference`, mapped to dense
+    edge ids (:func:`repro.oracles.dense_peel_reference`), with and without
+    the anchor schedule.
 
 A failed check raises :class:`InvariantViolation`, whose message embeds the
 single self-contained replay line::
@@ -38,7 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import engine as engine_module
 from repro.core.component_tree import TrussComponentTree
 from repro.graph.graph import Graph
-from repro.graph.index import GraphIndex, peel_trussness
+from repro.graph.index import GraphIndex
+from repro.oracles import dense_peel_reference
 from repro.truss import peel as peel_module
 from repro.truss.state import TrussState
 from repro.utils.errors import ReproError
@@ -222,49 +225,18 @@ def _check_candidate_heap(point: WorldPoint, graph: Graph) -> None:
             )
 
 
-def _numba_twin(csr, anchors: Sequence[int]):
-    """The uncompiled numba twin under the shared peel contract."""
-    import numpy as np
-
-    m = csr.num_edges
-    if m == 0:
-        return [], [], 1
-    is_anchor = np.zeros(m, dtype=np.bool_)
-    if anchors:
-        is_anchor[list(anchors)] = True
-    trussness, layer, k_max = peel_module._scalar_peel_on_arrays(
-        m, csr.support.copy(), csr.hit_offsets, csr.hit_e1, csr.hit_e2, is_anchor
-    )
-    return trussness.tolist(), layer.tolist(), int(k_max)
-
-
 def _check_peel_backends(point: WorldPoint, graph: Graph, schedule) -> None:
     index = GraphIndex.of(graph)
     anchor_eids = [index.eid_of[edge] for edge in schedule]
     for anchors in ([], anchor_eids):
-        expected = peel_trussness(index, anchors)
-        if index.csr is None:
-            continue  # no numpy: the scalar reference is the only backend
-        for backend, run in (
-            ("vectorized", lambda: peel_module.peel_trussness_arrays(index.csr, anchors)),
-            ("numba-twin", lambda: _numba_twin(index.csr, anchors)),
-        ):
-            got = run()
-            if got != expected:
-                raise InvariantViolation(
-                    point,
-                    "peel_backends",
-                    f"{backend} peel differs from the scalar reference "
-                    f"(anchors={anchors!r})",
-                )
-        if peel_module.numba_available():  # pragma: no cover - optional extra
-            if peel_module._peel_numba(index.csr, list(anchors)) != expected:
-                raise InvariantViolation(
-                    point,
-                    "peel_backends",
-                    f"compiled numba peel differs from the scalar reference "
-                    f"(anchors={anchors!r})",
-                )
+        expected = dense_peel_reference(graph, anchors)
+        if peel_module.peel_trussness_arrays(index.csr, anchors) != expected:
+            raise InvariantViolation(
+                point,
+                "peel_backends",
+                f"vectorized peel differs from the oracle decomposition "
+                f"(anchors={anchors!r})",
+            )
 
 
 def check_world_point(

@@ -214,26 +214,6 @@ class TestKernelV2Section:
         assert {"decomposition", "followers", "gas", "engine"} <= set(data)
         assert data["summary"]["kernel_v2_meets_cold_target"] is True
 
-    def test_merge_kernel_v2_summary(self):
-        report = {
-            "kernel_v2": {
-                "summary": {
-                    "cold_speedup_min": 5.0,
-                    "anchored_speedup_min": 20.0,
-                    "gas_speedup_min": 4.0,
-                    "meets_cold_target": True,
-                    "meets_gas_target": True,
-                    "resolved_backend": "vectorized",
-                }
-            },
-            "summary": {},
-        }
-        bench_kernel.merge_kernel_v2_summary(report)
-        summary = report["summary"]
-        assert summary["kernel_v2_cold_speedup_min"] == 5.0
-        assert summary["kernel_v2_meets_cold_target"] is True
-        assert summary["kernel_v2_resolved_backend"] == "vectorized"
-
     def test_cold_decomposition_guard(self):
         """Live guard: the array kernel must stay clearly ahead of the
         reference on a cold decomposition.  The margin (1.5x on the college
@@ -243,10 +223,8 @@ class TestKernelV2Section:
         import time
 
         from repro.datasets.registry import load_dataset
-        from repro.truss.decomposition import (
-            truss_decomposition,
-            truss_decomposition_reference,
-        )
+        from repro.oracles import truss_decomposition_reference
+        from repro.truss.decomposition import truss_decomposition
 
         graph = load_dataset("college")
         truss_decomposition(graph.copy())
@@ -487,3 +465,25 @@ class TestClusterSection:
         assert summary["cluster_three_vs_one_throughput"] == 1.1
         assert summary["cluster_cpu_count"] == 1
         assert summary["cluster_process_retry_attempted"] is False
+
+
+class TestSectionRegistry:
+    """``--section NAME`` runs one entry of the live-section table; the
+    retired sections are recorded history only."""
+
+    def test_live_sections_are_recorded_and_history_is_not_live(self):
+        data = json.loads(
+            (REPO_ROOT / "BENCH_kernel.json").read_text(encoding="utf-8")
+        )
+        assert list(bench_kernel.SECTIONS) == [
+            "service", "api", "resilience", "world", "obs", "cluster",
+        ]
+        assert set(bench_kernel.SECTIONS) <= set(data)
+        history = {"decomposition", "followers", "gas", "engine", "engine_v2", "kernel_v2"}
+        assert history <= set(data)
+        assert not history & set(bench_kernel.SECTIONS)
+
+    def test_retired_section_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            bench_kernel.main(["--section", "kernel_v2"])
+        assert "invalid choice" in capsys.readouterr().err

@@ -1,13 +1,10 @@
-"""The array-native kernel: CSR structure, backend selection and the
-generator-sweep equivalence suite.
+"""The array-native kernel: CSR structure and the generator-sweep
+equivalence suite.
 
-Every peeling backend must produce *byte-identical* ``(trussness, layer,
-k_max)`` triples: the pure-Python scalar kernel
-(:func:`repro.graph.index.peel_trussness`), the vectorised wave peel
-(:func:`repro.truss.peel.peel_trussness_arrays`), the uncompiled numba twin
-(:func:`repro.truss.peel._scalar_peel_on_arrays` — the exact function numba
-would compile) and, where the optional extra is installed, the ``@njit``
-compiled twin itself.
+The vectorised wave peel (:func:`repro.truss.peel.peel_trussness_arrays`)
+must produce the *byte-identical* ``(trussness, layer, k_max)`` triple of
+the from-scratch oracle (:func:`repro.oracles.truss_decomposition_reference`),
+mapped to dense edge ids.
 """
 
 from __future__ import annotations
@@ -15,58 +12,27 @@ from __future__ import annotations
 import random
 import zlib
 
-import pytest
+import numpy as np
 
+from repro.graph.csr import (
+    CSR_FORMAT_VERSION,
+    csr_from_payload,
+    csr_payload,
+)
 from repro.graph.generators import (
     barabasi_albert_graph,
     community_graph,
-    overlapping_cliques_graph,
     powerlaw_cluster_graph,
     watts_strogatz_graph,
 )
 from repro.graph.graph import Graph
-from repro.graph.index import GraphIndex, peel_trussness
-from repro.truss.decomposition import (
-    truss_decomposition,
-    truss_decomposition_reference,
-)
-from repro.truss.peel import (
-    PEEL_BACKENDS,
-    _scalar_peel_on_arrays,
-    get_peel_backend,
-    numba_available,
-    peel_trussness_arrays,
-    peel_trussness_fast,
-    resolve_peel_backend,
-    set_peel_backend,
-)
-from repro.utils.errors import InvalidParameterError
+from repro.graph.index import GraphIndex
+from repro.oracles import dense_peel_reference, truss_decomposition_reference
+from repro.truss.decomposition import truss_decomposition
+from repro.truss.peel import peel_trussness_arrays
 
 from tests.conftest import anchor_eid_sets as anchor_sets
 from tests.conftest import world_sweep_graphs as sweep_graphs
-
-np = pytest.importorskip("numpy")
-
-from repro.graph.csr import (  # noqa: E402 - guarded by the importorskip
-    CSR_FORMAT_VERSION,
-    build_csr_arrays,
-    csr_from_payload,
-    csr_payload,
-)
-
-
-def run_numba_twin(csr, anchors):
-    """Call the (uncompiled) numba twin with the same contract as the rest."""
-    m = csr.num_edges
-    if m == 0:
-        return [], [], 1
-    is_anchor = np.zeros(m, dtype=np.bool_)
-    if anchors:
-        is_anchor[anchors] = True
-    trussness, layer, k_max = _scalar_peel_on_arrays(
-        m, csr.support.copy(), csr.hit_offsets, csr.hit_e1, csr.hit_e2, is_anchor
-    )
-    return trussness.tolist(), layer.tolist(), int(k_max)
 
 
 def stable_seed(name: str) -> int:
@@ -162,50 +128,7 @@ class TestCSRStructure:
         csr = GraphIndex(path).csr
         assert csr.num_triangles == 0
         assert csr.support.tolist() == [0] * path.num_edges
-        assert peel_trussness_arrays(csr) == peel_trussness(GraphIndex(path))
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            set_peel_backend("turbo")
-
-    def test_set_and_restore(self):
-        previous = set_peel_backend("python")
-        try:
-            assert get_peel_backend() == "python"
-            assert resolve_peel_backend() == "python"
-        finally:
-            set_peel_backend(previous)
-
-    def test_auto_resolves_to_vectorized_with_numpy(self):
-        previous = set_peel_backend("auto")
-        try:
-            assert resolve_peel_backend() == "vectorized"
-        finally:
-            set_peel_backend(previous)
-
-    def test_numba_backend_degrades_cleanly(self):
-        previous = set_peel_backend("numba")
-        try:
-            resolved = resolve_peel_backend()
-            assert resolved == ("numba" if numba_available() else "vectorized")
-            graph = powerlaw_cluster_graph(50, 3, 0.3, seed=1)
-            index = GraphIndex(graph)
-            assert peel_trussness_fast(index) == peel_trussness(index)
-        finally:
-            set_peel_backend(previous)
-
-    def test_every_configured_backend_runs(self):
-        graph = overlapping_cliques_graph(4, 5, 2, seed=7)
-        index = GraphIndex(graph)
-        expected = peel_trussness(index)
-        for backend in PEEL_BACKENDS:
-            previous = set_peel_backend(backend)
-            try:
-                assert peel_trussness_fast(index) == expected, backend
-            finally:
-                set_peel_backend(previous)
+        assert peel_trussness_arrays(csr) == dense_peel_reference(path)
 
 
 class TestEquivalenceSweep:
@@ -214,31 +137,10 @@ class TestEquivalenceSweep:
             index = GraphIndex(graph)
             m = index.num_edges
             for i, anchors in enumerate(anchor_sets(m, seed=stable_seed(name))):
-                expected = peel_trussness(index, anchors)
+                expected = dense_peel_reference(graph, anchors)
                 assert peel_trussness_arrays(index.csr, anchors) == expected, (
                     name, i,
                 )
-
-    def test_numba_twin_matches_scalar_uncompiled(self):
-        # The exact function handed to numba.njit, run as plain Python —
-        # validates the twin's semantics even on images without numba.
-        for name, graph in sweep_graphs():
-            index = GraphIndex(graph)
-            m = index.num_edges
-            for i, anchors in enumerate(anchor_sets(m, seed=stable_seed(name))):
-                expected = peel_trussness(index, anchors)
-                assert run_numba_twin(index.csr, anchors) == expected, (name, i)
-
-    def test_compiled_numba_matches_scalar(self):
-        pytest.importorskip("numba")
-        from repro.truss.peel import _peel_numba
-
-        for name, graph in sweep_graphs():
-            index = GraphIndex(graph)
-            m = index.num_edges
-            for i, anchors in enumerate(anchor_sets(m, seed=stable_seed(name))):
-                expected = peel_trussness(index, anchors)
-                assert _peel_numba(index.csr, list(anchors)) == expected, (name, i)
 
     def test_full_decomposition_object_equality(self):
         for name, graph in sweep_graphs():

@@ -1,5 +1,6 @@
 """Tests for the SolverEngine layer: registry, incremental re-peeling and
-byte-identical equivalence of every solver with its pre-engine implementation.
+byte-identical equivalence of every greedy solver with the from-scratch
+BASE oracle (and of the exact solver with the exact oracle).
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from repro.core.engine import (
     solve,
     solver_table,
 )
-from repro.core.exact import exact_atr, exact_atr_reference
-from repro.core.gas import gas, gas_reference
-from repro.core.greedy import (
-    base_greedy,
-    base_greedy_reference,
-    base_plus_greedy,
-    base_plus_greedy_reference,
-)
+from repro.core.exact import exact_atr
+from repro.core.gas import gas
+from repro.core.greedy import base_greedy, base_plus_greedy
 from repro.core.heuristics import random_baseline, support_baseline, upward_route_baseline
 from repro.core.result import evaluate_anchor_set
 from repro.graph.generators import paper_figure1_graph
+from repro.oracles import base_greedy_reference, exact_atr_reference
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
@@ -193,14 +190,16 @@ class TestIncrementalRePeeling:
 
 
 class TestSolverEquivalence:
-    """Every solver through the engine returns byte-identical anchor sets to
-    its pre-engine implementation, on seeded random graphs with and without
-    initial anchors, on both sides of the fallback threshold."""
+    """Every greedy solver through the engine returns byte-identical anchor
+    sets to the from-scratch BASE oracle (Lemma 1: the gain of anchoring x
+    is |F(x)|, so BASE, BASE+ and GAS pick the same anchors), on seeded
+    random graphs with and without initial anchors, on both sides of the
+    fallback threshold."""
 
     PAIRS = [
         (base_greedy, base_greedy_reference),
-        (base_plus_greedy, base_plus_greedy_reference),
-        (gas, gas_reference),
+        (base_plus_greedy, base_greedy_reference),
+        (gas, base_greedy_reference),
     ]
 
     @pytest.mark.parametrize("seed", range(8))
@@ -243,7 +242,7 @@ class TestSolverEquivalence:
     def test_gas_both_peel_paths(self, threshold):
         graph = random_test_graph(4812, min_n=12, max_n=16)
         fast = get_solver("gas")(graph, 3, full_peel_threshold=threshold)
-        reference = gas_reference(graph, 3)
+        reference = base_greedy_reference(graph, 3)
         assert fast.anchors == reference.anchors
         assert fast.gain == reference.gain
 
@@ -267,11 +266,11 @@ class TestSolverEquivalence:
         assert fast.extra["evaluated_subsets"] == reference.extra["evaluated_subsets"]
 
     def test_duplicate_initial_anchors_deduplicated(self, fig3_graph):
-        """The pre-engine wrappers deduplicated via frozenset; the engine
-        chain must not choke on the same edge listed twice."""
+        """The oracle deduplicates via frozenset; the engine chain must not
+        choke on the same edge listed twice."""
         edge = fig3_graph.edge_list()[0]
         result = gas(fig3_graph, 1, initial_anchors=[edge, edge])
-        reference = gas_reference(fig3_graph, 1, initial_anchors=[edge, edge])
+        reference = base_greedy_reference(fig3_graph, 1, initial_anchors=[edge, edge])
         assert result.anchors[-1] == reference.anchors[-1]
         assert result.gain == reference.gain
         assert result.anchors.count(edge) == 1

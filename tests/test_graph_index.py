@@ -1,14 +1,15 @@
 """Equivalence tests for the integer-indexed kernel (repro.graph.index).
 
-Every hot path that was rewired onto :class:`GraphIndex` keeps its original
-(tuple-domain) implementation importable as a ``*_reference`` twin.  These
-tests assert, on the paper's worked examples and on random graphs (including
-anchored states), that the kernel and the references agree bit-for-bit:
+Every hot path that runs on :class:`GraphIndex` is checked against the
+from-scratch oracle of its invariant (:mod:`repro.oracles`, or the
+recompute-and-diff follower set).  These tests assert, on the paper's
+worked examples and on random graphs (including anchored states), that the
+kernel and the oracles agree bit-for-bit:
 
 * index structure: supports, triangle lists, CSR adjacency;
 * truss decomposition (trussness, layers, k_max);
 * triangle connectivity (union-find over precomputed triples);
-* follower sets (support-check and peel vs their references vs recompute);
+* follower sets (support-check and peel vs recompute);
 * component tree shape, sla sets and the reuse decision.
 """
 
@@ -23,16 +24,13 @@ from hypothesis import strategies as st
 from repro.core.component_tree import TrussComponentTree
 from repro.core.followers import (
     compute_followers,
+    followers_by_recompute,
     followers_candidate_peel,
     followers_support_check,
 )
-from repro.core.followers_reference import (
-    followers_candidate_peel_reference,
-    followers_support_check_reference,
-)
 from repro.core.gas import gas
 from repro.core.greedy import base_plus_greedy
-from repro.core.reuse import compute_reuse_decision, compute_reuse_decision_reference
+from repro.core.reuse import compute_reuse_decision
 from repro.graph.generators import (
     erdos_renyi_graph,
     paper_figure1_graph,
@@ -40,17 +38,20 @@ from repro.graph.generators import (
     powerlaw_cluster_graph,
 )
 from repro.graph.graph import Graph
-from repro.graph.index import GraphIndex, peel_trussness
+from repro.graph.index import GraphIndex
 from repro.graph.triangles import (
     support_map,
     triangle_connected_components,
-    triangle_connected_components_reference,
     triangles_of_graph,
 )
-from repro.truss.decomposition import (
-    truss_decomposition,
+from repro.oracles import (
+    component_tree_reference,
+    compute_reuse_decision_reference,
+    triangle_connected_components_reference,
     truss_decomposition_reference,
 )
+from repro.truss.decomposition import truss_decomposition
+from repro.truss.peel import peel_trussness_fast
 from repro.truss.state import TrussState
 
 from tests.conftest import graph_seeds, random_test_graph
@@ -159,7 +160,7 @@ class TestDecompositionEquivalence:
 
     def test_peel_kernel_direct(self, fig3_graph):
         index = GraphIndex.of(fig3_graph)
-        trussness, layer, k_max = peel_trussness(index)
+        trussness, layer, k_max = peel_trussness_fast(index)
         reference = truss_decomposition_reference(fig3_graph)
         for edge, value in reference.trussness.items():
             eid = index.eid_of[edge]
@@ -193,9 +194,8 @@ class TestFollowerEquivalence:
     def test_fig3_worked_example(self, fig3_state):
         expected = {(8, 9), (7, 8), (5, 8)}
         assert followers_support_check(fig3_state, (9, 10)) == expected
-        assert followers_support_check_reference(fig3_state, (9, 10)) == expected
         assert followers_candidate_peel(fig3_state, (9, 10)) == expected
-        assert followers_candidate_peel_reference(fig3_state, (9, 10)) == expected
+        assert followers_by_recompute(fig3_state, (9, 10)) == expected
 
     @given(seed=graph_seeds)
     @settings(max_examples=25, deadline=None)
@@ -208,8 +208,6 @@ class TestFollowerEquivalence:
             truth = compute_followers(state, anchor, method="recompute")
             assert followers_support_check(state, anchor) == truth
             assert followers_candidate_peel(state, anchor) == truth
-            assert followers_support_check_reference(state, anchor) == truth
-            assert followers_candidate_peel_reference(state, anchor) == truth
 
     @given(seed=graph_seeds)
     @settings(max_examples=25, deadline=None)
@@ -223,11 +221,11 @@ class TestFollowerEquivalence:
         for anchor in candidates:
             truth = compute_followers(state, anchor, method="recompute")
             assert followers_support_check(state, anchor) == truth
-            assert followers_support_check_reference(state, anchor) == truth
 
     def test_candidate_filter_ids_matches_tuple_filter(self, fig3_state):
         tree = TrussComponentTree.build(fig3_state)
         index = fig3_state.index
+        truth = followers_by_recompute(fig3_state, (9, 10))
         for node in tree.nodes.values():
             tuple_result = followers_support_check(
                 fig3_state, (9, 10), candidate_filter=set(node.edges)
@@ -236,10 +234,7 @@ class TestFollowerEquivalence:
                 fig3_state, (9, 10), candidate_filter_ids=set(node.edge_ids)
             )
             assert tuple_result == id_result
-            reference = followers_support_check_reference(
-                fig3_state, (9, 10), candidate_filter=set(node.edges)
-            )
-            assert tuple_result == reference
+            assert tuple_result == truth & node.edges
             assert index.eid_of  # sanity: index shared
 
 
@@ -257,7 +252,7 @@ def _tree_shape(tree: TrussComponentTree):
 class TestComponentTreeEquivalence:
     def test_fig3_tree(self, fig3_state):
         kernel = TrussComponentTree.build(fig3_state)
-        reference = TrussComponentTree.build_reference(fig3_state)
+        reference = component_tree_reference(fig3_state)
         assert _tree_shape(kernel) == _tree_shape(reference)
         for edge in fig3_state.non_anchor_edges():
             assert kernel.sla(edge) == reference.sla(edge)
@@ -268,7 +263,7 @@ class TestComponentTreeEquivalence:
         graph = random_test_graph(seed)
         state = TrussState.compute(graph)
         kernel = TrussComponentTree.build(state)
-        reference = TrussComponentTree.build_reference(state)
+        reference = component_tree_reference(state)
         assert _tree_shape(kernel) == _tree_shape(reference)
         for edge in state.non_anchor_edges():
             assert kernel.sla(edge) == reference.sla(edge)
@@ -282,7 +277,7 @@ class TestComponentTreeEquivalence:
             return
         state = TrussState.compute(graph, anchors)
         kernel = TrussComponentTree.build(state)
-        reference = TrussComponentTree.build_reference(state)
+        reference = component_tree_reference(state)
         assert _tree_shape(kernel) == _tree_shape(reference)
         for edge in state.non_anchor_edges():
             assert kernel.sla(edge) == reference.sla(edge)
@@ -307,8 +302,8 @@ class TestReuseDecisionEquivalence:
             followers,
         )
         reference = compute_reuse_decision_reference(
-            TrussComponentTree.build_reference(state),
-            TrussComponentTree.build_reference(new_state),
+            component_tree_reference(state),
+            component_tree_reference(new_state),
             anchor,
             followers,
         )

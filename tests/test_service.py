@@ -281,6 +281,23 @@ class TestSolveService:
         assert all(r.error for r in responses)
         assert service.stats()["errors"] == 4
 
+    def test_invalid_full_peel_threshold_is_rejected(self):
+        """A non-numeric, boolean, negative or NaN ``full_peel_threshold`` is
+        a bad request, rejected before any solve runs."""
+        bad = [
+            SolveSpec(
+                request_id=f"threshold-{i}", dataset="college", algorithm="gas",
+                budget=3, engine={"full_peel_threshold": value},
+            )
+            for i, value in enumerate(["abc", True, -5, float("nan")])
+        ]
+        with SolveService(workers=1) as service:
+            responses = service.solve_many(bad)
+        for response in responses:
+            assert not response.ok, response.request_id
+            assert response.error_kind == "invalid", (response.request_id, response.error)
+            assert "full_peel_threshold" in response.error, response.error
+
     def test_unexpected_exceptions_become_responses_too(self):
         """The serving boundary must never let an exception kill the loop."""
         # A list is not a hashable vertex label: Graph.add_edge raises

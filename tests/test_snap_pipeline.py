@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.datasets import (
@@ -80,9 +81,10 @@ class TestLoadSnap:
         assert graph.has_edge(3, 4)
 
     def test_use_cache_false_never_touches_disk_cache(self, snap_file):
-        _graph, report = load_snap_report(snap_file, use_cache=False)
+        graph, report = load_snap_report(snap_file, use_cache=False)
         assert report["cache"] == "disabled"
         assert not snap_cache_path(snap_file).exists()
+        assert graph == read_edge_list(snap_file)
 
     def test_cache_dir_redirects_the_npz(self, snap_file, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -99,6 +101,20 @@ class TestLoadSnap:
         assert graph.num_edges == 3
         assert not snap_cache_path(path).exists()
 
+    def test_cache_without_csr_arrays_reports_absent(self, snap_file):
+        """An edges-only cache file (written by an older build) still loads
+        its edges, and its missing CSR payload is rejected, not attached."""
+        load_snap(snap_file)
+        cache = snap_cache_path(snap_file)
+        with np.load(cache) as payload:
+            edges_only = {"edges": payload["edges"], "meta": payload["meta"]}
+        with open(cache, "wb") as handle:
+            np.savez(handle, **edges_only)
+        graph, report = load_snap_report(snap_file)
+        assert report["cache"] == "hit"
+        assert report["csr"] == "absent"
+        assert graph == read_edge_list(snap_file)
+
     def test_corrupt_cache_falls_back_to_parse(self, snap_file):
         load_snap(snap_file)
         snap_cache_path(snap_file).write_bytes(b"not an npz file")
@@ -109,12 +125,6 @@ class TestLoadSnap:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError):
             load_snap(tmp_path / "nope.txt")
-
-    def test_works_without_numpy(self, snap_file, monkeypatch):
-        monkeypatch.setattr(snap_module, "_np", None)
-        graph, report = load_snap_report(snap_file)
-        assert report["cache"] == "disabled" or not snap_cache_path(snap_file).exists()
-        assert graph == read_edge_list(snap_file)
 
 
 class TestGraphFingerprint:

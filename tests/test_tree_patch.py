@@ -16,6 +16,7 @@ import pytest
 from repro.core.component_tree import TrussComponentTree
 from repro.core.engine import SolverEngine, get_solver
 from repro.graph.graph import Graph
+from repro.oracles import component_tree_reference
 from repro.utils.errors import InvalidParameterError
 from repro.world.invariants import tree_signature
 
@@ -103,7 +104,7 @@ class TestTreePatchEquivalence:
 
     def test_patch_requires_kernel_tree(self, fig3_graph):
         engine = SolverEngine(fig3_graph, full_peel_threshold=ALWAYS_INCREMENTAL)
-        reference = TrussComponentTree.build_reference(engine.state)
+        reference = component_tree_reference(engine.state)
         engine.commit_anchor(fig3_graph.edge_list()[0])
         delta = engine._deltas[0] if engine.state else None
         assert delta is not None
