@@ -91,7 +91,7 @@ def _timed(fn: Callable[[], object], repeats: int = 1) -> float:
 # ---------------------------------------------------------------------------
 #: Per-stand-in serving workload: (algorithm, budget, params).  Each template
 #: repeats SERVICE_REPEAT times in the batch — the repeated-request pattern an
-#: engine-session cache (and the memo) is built for.
+#: engine-session cache (and the result store) is built for.
 SERVICE_WORKLOAD = (
     ("gas", 2, {}),
     ("sup", 5, {"seed": 7, "repetitions": 5}),
@@ -136,7 +136,7 @@ def bench_service_workload(name: str, graph: Graph, repeat: int) -> Dict[str, ob
     a fresh engine (index + baseline peel) per request, i.e. the
     ``repro-atr solve`` cost paid N times.  *Warm* runs the identical batch
     through a caching service: one session per graph, repeats answered from
-    the memo.  Both sides must agree canonically on every response — the
+    the result store.  Both sides must agree canonically on every response — the
     speedup only counts if the answers are byte-identical.
     """
     from repro.service import SolveService, run_batch
@@ -166,7 +166,7 @@ def bench_service_workload(name: str, graph: Graph, repeat: int) -> Dict[str, ob
         "cold_throughput_rps": round(len(requests) / cold_s, 2),
         "warm_throughput_rps": round(len(requests) / warm_s, 2),
         "speedup": round(cold_s / warm_s, 2),
-        "memo_hits": warm_stats["memo_hits"],
+        "store_hits": warm_stats["store_hits"],
         "session_hits": warm_stats["sessions"]["hits"],  # type: ignore[index]
     }
 
@@ -177,7 +177,7 @@ def bench_service_determinism(exact_graph: Graph) -> Dict[str, object]:
     Covers **every** solver in the registry (a newly registered solver that
     is not given a determinism row fails the run, on purpose).  Each request
     is submitted to the warm service twice — the second answer comes from
-    the session/memo — and both must match the canonical single-shot result.
+    the result store — and both must match the canonical single-shot result.
     """
     from repro.api import SolveSpec
     from repro.core.engine import available_solvers, get_solver
@@ -209,7 +209,7 @@ def bench_service_determinism(exact_graph: Graph) -> Dict[str, object]:
                 budget=budget,
                 params=params,
             )
-            for attempt in ("fresh", "memo"):
+            for attempt in ("fresh", "stored"):
                 response = service.solve(request)
                 got = json.dumps(canonical_result(response.result), sort_keys=True)
                 if got != expected:  # pragma: no cover
@@ -291,7 +291,7 @@ def run_service_section(
         print(
             f"{name:>14}  {entry['speedup']:>7.2f}x  "
             f"({entry['cold_s']}s -> {entry['warm_s']}s, "
-            f"{entry['requests']} requests, {entry['memo_hits']} memo hits)"
+            f"{entry['requests']} requests, {entry['store_hits']} store hits)"
         )
     print("== service: determinism across the registry ==")
     section["determinism"] = bench_service_determinism(exact_graph)

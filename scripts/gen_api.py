@@ -173,7 +173,7 @@ API_MODULE_SURFACE = [
 
 SERVICE_SURFACE = [
     (service_scheduler, ["SolveService"]),
-    (service_session_cache, ["EngineSessionCache", "EngineSession"]),
+    (service_session_cache, ["EngineSessionCache", "EngineSession", "Served"]),
     (service_result_store, ["ResultStore"]),
     (
         service_resilience,
@@ -185,6 +185,7 @@ SERVICE_SURFACE = [
             "Overloaded",
             "WorkerCrashed",
             "classify_exception",
+            "failure_message",
             "remaining_deadline",
         ],
     ),
@@ -215,8 +216,7 @@ CLUSTER_SURFACE = [
     (cluster_router, ["RouterService"]),
     (
         cluster_telemetry,
-        ["merge_metrics_snapshots", "merge_histogram_snapshots",
-         "quantile_from_snapshot"],
+        ["merge_metrics_snapshots", "merge_histogram_snapshots"],
     ),
 ]
 
@@ -233,6 +233,7 @@ OBS_SURFACE = [
             "set_default_registry",
             "default_registry",
             "prometheus_from_snapshot",
+            "quantile_from_snapshot",
         ],
     ),
     (
@@ -372,8 +373,7 @@ METHOD_ALLOWLIST = {
     "TraceBuffer": ["add", "traces", "get", "clear"],
     "AdmissionControl": ["try_admit", "start", "finish", "wait_idle", "snapshot"],
     "RetryPolicy": ["delay", "schedule"],
-    "EngineSessionCache": ["acquire", "stats"],
-    "EngineSession": ["memo_get", "memo_put"],
+    "EngineSessionCache": ["acquire", "serve", "stats"],
     "ResultStore": ["get", "put", "stats"],
     "StdioTransport": ["serve"],
     "TcpTransport": ["serve", "start", "close"],

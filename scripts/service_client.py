@@ -20,7 +20,7 @@ place), so the same script scrapes a live server's telemetry::
         --host 127.0.0.1 --port 7711 --op metrics
 
 ``--repeat K`` sends the request file K times over (repeats exercise the
-warm-session / memo / result-store path), and ``--concurrency C`` spreads
+warm-session / result-store path), and ``--concurrency C`` spreads
 those K copies across C parallel connections — a quick multi-request
 probe without the full bench harness.  A one-line summary (requests, ok
 count, elapsed, req/s) goes to stderr.

@@ -546,8 +546,9 @@ class SolveOutcome:
     ``retryable`` — so clients can distinguish a shed or timed-out request
     (safe to retry) from a malformed one (never retry); ``cache`` records
     how the caches served the request (``session`` is ``"hit"``, ``"miss"``
-    or ``"bypass"``, ``memo`` flags a per-session memo answer, ``store`` a
-    shared result-store answer); ``timings`` splits queueing from solving.
+    or ``"bypass"``, ``store`` flags a serving-layer result-store answer,
+    ``memo`` a :class:`~repro.api.session.Session` memo answer);
+    ``timings`` splits queueing from solving.
     Frozen and picklable, so process-executor workers can hand outcomes
     back across process boundaries unchanged.
     """

@@ -130,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--no-memo",
             action="store_true",
-            help="disable request-level memoisation of deterministic solves "
-            "(also disables the shared result store)",
+            help="disable the shared result store, which answers repeated "
+            "deterministic solves from cache",
         )
         command.add_argument(
             "--store-capacity",
@@ -469,12 +469,10 @@ def _run_batch(args: argparse.Namespace) -> int:
         f"({summary['errors']} error(s)) in {summary['elapsed_s']}s"
     )
     sessions = summary["service"]["sessions"]  # type: ignore[index]
-    store = summary["service"]["result_store"]  # type: ignore[index]
     print(
         f"sessions: {sessions['hits']} hit(s), {sessions['misses']} miss(es), "
         f"{sessions['evictions']} eviction(s); "
-        f"memo hits: {summary['service']['memo_hits']}; "  # type: ignore[index]
-        f"store hits: {store['hits']}"
+        f"store hits: {summary['service']['store_hits']}"  # type: ignore[index]
     )
     return 0 if summary["errors"] == 0 else 1
 

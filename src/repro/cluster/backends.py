@@ -38,6 +38,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import repro
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.service.resilience import RetryPolicy
 from repro.service.scheduler import SolveService
@@ -151,9 +152,10 @@ class SubprocessBackend:
 
     def _env(self) -> Dict[str, str]:
         env = dict(os.environ)
-        # Make ``repro`` importable in the child even when the parent was
-        # launched from an odd cwd: prepend the package's parent dir.
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        # Make ``repro`` importable in the child even when the parent found
+        # it through a hand-edited sys.path or an odd cwd: prepend the
+        # directory that holds the package.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (
             package_root if not existing else package_root + os.pathsep + existing

@@ -6,9 +6,10 @@ snapshots were designed (PR 9) to be mergeable across processes — fixed
 shared bucket bounds with per-bucket counts — so a cluster-wide view is
 pure arithmetic: sum counters, sum gauges (they are all occupancy-style),
 add histogram bucket counts position-wise, then recompute the quantile
-estimates from the merged buckets with the same cumulative-walk /
-linear-interpolation rule :meth:`repro.obs.metrics.Histogram.quantile`
-uses, clamped to the merged observed ``[min, max]``.
+estimates from the merged buckets with
+:func:`repro.obs.metrics.quantile_from_snapshot` — the estimator
+:meth:`repro.obs.metrics.Histogram.quantile` uses, clamped to the merged
+observed ``[min, max]``.
 
 The merged dict has the exact registry-snapshot shape
 (``counters`` / ``gauges`` / ``histograms``), so
@@ -20,45 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.metrics import quantile_from_snapshot
+
 __all__ = [
     "merge_histogram_snapshots",
     "merge_metrics_snapshots",
     "quantile_from_snapshot",
 ]
-
-
-def quantile_from_snapshot(snapshot: Dict[str, object], q: float) -> float:
-    """The ``q``-quantile of a histogram *snapshot* (merged or single).
-
-    Mirrors :meth:`repro.obs.metrics.Histogram.quantile` exactly, but
-    reads the JSON snapshot shape instead of live metric state: exact at
-    bucket boundaries, linear inside a bucket, clamped to the observed
-    ``[min, max]``, 0.0 when empty.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    count = int(snapshot.get("count", 0))
-    if count == 0:
-        return 0.0
-    buckets = list(snapshot["buckets"])  # type: ignore[index]
-    lo_seen = float(snapshot.get("min") or 0.0)
-    hi_seen = float(snapshot.get("max") or 0.0)
-    rank = q * count
-    cumulative = 0
-    for index, bucket in enumerate(buckets):
-        bucket_count = int(bucket["count"])
-        if bucket_count == 0:
-            continue
-        if cumulative + bucket_count >= rank:
-            lower = float(buckets[index - 1]["le"]) if index > 0 else 0.0
-            upper = (
-                hi_seen if bucket["le"] == "+Inf" else float(bucket["le"])
-            )
-            fraction = (rank - cumulative) / bucket_count
-            estimate = lower + (upper - lower) * max(0.0, min(1.0, fraction))
-            return max(lo_seen, min(hi_seen, estimate))
-        cumulative += bucket_count
-    return hi_seen
 
 
 def merge_histogram_snapshots(

@@ -53,7 +53,6 @@ decompositions on randomized anchored graphs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -70,6 +69,7 @@ from typing import (
 
 from repro.api.spec import SolveSpec
 from repro.core.component_tree import TreePatchInfo, TrussComponentTree
+from repro.core.followers import _followers_on_arrays
 from repro.core.result import AnchorResult
 from repro.core.reuse import ReuseDecision, ReuseInvalidation, compute_reuse_decision
 from repro.graph.graph import Edge, Graph
@@ -178,64 +178,6 @@ def _dirty_closure(
         if limit is not None and len(closure) > limit:
             return None
     return closure
-
-
-def _gfp_level(
-    index: GraphIndex,
-    truss: List[float],
-    anchor_eid: int,
-    k: int,
-    members: Set[int],
-) -> Set[int]:
-    """Level-``k`` followers: greatest fixed point of the support condition.
-
-    A member survives iff it closes at least ``k - 1`` triangles whose other
-    two edges are each *solid* (the new anchor, an existing anchor or an edge
-    of trussness ``>= k + 1`` — anchors hold ``inf`` in ``truss``) or another
-    surviving member.  ``members`` may be any superset of the level-k
-    followers drawn from the k-hull; extras are peeled away.
-    """
-    tri = index.edge_triangles
-    solid = k + 1
-    alive = set(members)
-    support: Dict[int, int] = {}
-    for eid in alive:
-        count = 0
-        for a, b, _w in tri[eid]:
-            if (a == anchor_eid or truss[a] >= solid or a in alive) and (
-                b == anchor_eid or truss[b] >= solid or b in alive
-            ):
-                count += 1
-        support[eid] = count
-    threshold = k - 1
-    queue = [eid for eid in alive if support[eid] < threshold]
-    removed = set(queue)
-    while queue:
-        eid = queue.pop()
-        alive.discard(eid)
-        for a, b, _w in tri[eid]:
-            for member, partner in ((a, b), (b, a)):
-                if member in alive and (
-                    partner == anchor_eid or truss[partner] >= solid or partner in alive
-                ):
-                    support[member] -= 1
-                    if support[member] < threshold and member not in removed:
-                        removed.add(member)
-                        queue.append(member)
-    return alive
-
-
-def _followers_on_arrays(
-    index: GraphIndex, truss: List[float], anchor_eid: int, dirty: Set[int]
-) -> List[int]:
-    """Exact follower eids of anchoring ``anchor_eid``, given the dirty closure."""
-    by_level: Dict[int, Set[int]] = {}
-    for eid in dirty:
-        by_level.setdefault(int(truss[eid]), set()).add(eid)
-    followers: List[int] = []
-    for k, members in by_level.items():
-        followers.extend(_gfp_level(index, truss, anchor_eid, k, members))
-    return followers
 
 
 def _repeel_hull_layers(
@@ -979,14 +921,6 @@ def _ensure_builtin_solvers() -> None:
     import repro.core.gas  # noqa: F401
     import repro.core.greedy  # noqa: F401
     import repro.core.heuristics  # noqa: F401
-    if os.environ.get("REPRO_FAULT_SOLVER") == "1":
-        # The chaos suite armed fault injection (see repro.service.faults).
-        # Registries are per-process, so a process-pool worker would not
-        # know the test-only solver its coordinator registered; the env
-        # flag survives the fork and re-registers it here.
-        import repro.service.faults
-
-        repro.service.faults.install_fault_solver()
 
 
 def register_solver(

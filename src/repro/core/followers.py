@@ -41,6 +41,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.graph import Edge
+from repro.graph.index import GraphIndex
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
 
@@ -194,55 +195,68 @@ def followers_candidate_peel(
         candidates &= filter_ids
     candidates.discard(anchor_id)
 
-    by_level: Dict[int, Set[int]] = {}
-    for eid in candidates:
-        by_level.setdefault(int(trussness[eid]), set()).add(eid)
-
     edge_of = index.edge_of
-    followers: Set[Edge] = set()
-    for k, level_candidates in by_level.items():
-        for eid in _peel_level_ids(state, anchor_id, k, level_candidates):
-            followers.add(edge_of[eid])
-    return followers
+    followers = _followers_on_arrays(index, trussness, anchor_id, candidates)
+    return {edge_of[eid] for eid in followers}
 
 
-def _peel_level_ids(
-    state: TrussState, anchor_id: int, k: int, members: Set[int]
+def _gfp_level(
+    index: GraphIndex,
+    truss: List[float],
+    anchor_eid: int,
+    k: int,
+    members: Set[int],
 ) -> Set[int]:
-    """Greatest fixed point of the level-k support condition over ``members``."""
-    index, trussness, _layer, anchor_mask = state.kernel_views()
-    edge_triangles = index.edge_triangles
-    solid_level = k + 1
+    """Level-``k`` followers: greatest fixed point of the support condition.
 
-    def is_solid(eid: int) -> bool:
-        # Edges guaranteed to be in the (k+1)-truss of the anchored graph:
-        # the new anchor, previously anchored edges, and edges whose
-        # trussness is already at least k + 1.
-        return eid == anchor_id or anchor_mask[eid] or trussness[eid] >= solid_level
-
-    alive: Set[int] = set(members)
+    A member survives iff it closes at least ``k - 1`` triangles whose other
+    two edges are each *solid* (the new anchor, an existing anchor or an edge
+    of trussness ``>= k + 1`` — anchors hold ``inf`` in ``truss``) or another
+    surviving member.  ``members`` may be any superset of the level-k
+    followers drawn from the k-hull; extras are peeled away.
+    """
+    tri = index.edge_triangles
+    solid = k + 1
+    alive = set(members)
     support: Dict[int, int] = {}
     for eid in alive:
         count = 0
-        for e1, e2, _w in edge_triangles[eid]:
-            if (is_solid(e1) or e1 in alive) and (is_solid(e2) or e2 in alive):
+        for a, b, _w in tri[eid]:
+            if (a == anchor_eid or truss[a] >= solid or a in alive) and (
+                b == anchor_eid or truss[b] >= solid or b in alive
+            ):
                 count += 1
         support[eid] = count
-
     threshold = k - 1
-    queue: List[int] = [eid for eid in alive if support[eid] < threshold]
-    removed: Set[int] = set(queue)
+    queue = [eid for eid in alive if support[eid] < threshold]
+    removed = set(queue)
     while queue:
         eid = queue.pop()
         alive.discard(eid)
-        for e1, e2, _w in edge_triangles[eid]:
-            for member, partner in ((e1, e2), (e2, e1)):
-                if member in alive and (is_solid(partner) or partner in alive):
+        for a, b, _w in tri[eid]:
+            for member, partner in ((a, b), (b, a)):
+                if member in alive and (
+                    partner == anchor_eid or truss[partner] >= solid or partner in alive
+                ):
                     support[member] -= 1
                     if support[member] < threshold and member not in removed:
                         removed.add(member)
                         queue.append(member)
     return alive
+
+
+def _followers_on_arrays(
+    index: GraphIndex, truss: List[float], anchor_eid: int, candidates: Set[int]
+) -> List[int]:
+    """Exact follower eids of anchoring ``anchor_eid``, given a superset of
+    them: the engine's dirty closure, or the upward-route candidates."""
+    by_level: Dict[int, Set[int]] = {}
+    for eid in candidates:
+        by_level.setdefault(int(truss[eid]), set()).add(eid)
+    followers: List[int] = []
+    for k, members in by_level.items():
+        followers.extend(_gfp_level(index, truss, anchor_eid, k, members))
+    return followers
 
 
 # ---------------------------------------------------------------------------

@@ -185,33 +185,16 @@ class Histogram:
         bucket boundaries and linear inside a bucket; it is always clamped
         to the observed ``[min, max]``.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            count = self._count
-            if count == 0:
-                return 0.0
-            counts = list(self._counts)
-            lo_seen = self._min if self._min is not None else 0.0
-            hi_seen = self._max if self._max is not None else 0.0
-        rank = q * count
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                # The overflow bucket has no upper bound: the observed max
-                # is the tightest honest cap.
-                upper = self.bounds[index] if index < len(self.bounds) else hi_seen
-                fraction = (rank - cumulative) / bucket_count
-                estimate = lower + (upper - lower) * max(0.0, min(1.0, fraction))
-                return max(lo_seen, min(hi_seen, estimate))
-            cumulative += bucket_count
-        return hi_seen
+        return quantile_from_snapshot(self._buckets(), q)
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-ready dict: count/sum/min/max, buckets, p50/p95/p99."""
+        snapshot = self._buckets()
+        for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            snapshot[name] = quantile_from_snapshot(snapshot, q)
+        return snapshot
+
+    def _buckets(self) -> Dict[str, object]:
         with self._lock:
             count = self._count
             total = self._sum
@@ -227,10 +210,40 @@ class Histogram:
                 {"le": bound, "count": counts[i]} for i, bound in enumerate(self.bounds)
             ]
             + [{"le": "+Inf", "count": counts[-1]}],
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
         }
+
+
+def quantile_from_snapshot(snapshot: Dict[str, object], q: float) -> float:
+    """The ``q``-quantile of a histogram snapshot — one histogram's, or
+    several merged — and the one estimator :meth:`Histogram.quantile` uses.
+
+    Exact at the bucket boundaries, linear inside a bucket, clamped to the
+    observed ``[min, max]``, 0.0 when empty.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    count = int(snapshot.get("count", 0))  # type: ignore[call-overload]
+    if count == 0:
+        return 0.0
+    buckets = list(snapshot["buckets"])  # type: ignore[call-overload]
+    lo_seen = float(snapshot.get("min") or 0.0)  # type: ignore[arg-type]
+    hi_seen = float(snapshot.get("max") or 0.0)  # type: ignore[arg-type]
+    rank = q * count
+    cumulative = 0
+    for index, bucket in enumerate(buckets):
+        bucket_count = int(bucket["count"])
+        if bucket_count == 0:
+            continue
+        if cumulative + bucket_count >= rank:
+            lower = float(buckets[index - 1]["le"]) if index > 0 else 0.0
+            # The overflow bucket has no upper bound: the observed max is
+            # the tightest honest cap.
+            upper = hi_seen if bucket["le"] == "+Inf" else float(bucket["le"])
+            fraction = (rank - cumulative) / bucket_count
+            estimate = lower + (upper - lower) * max(0.0, min(1.0, fraction))
+            return max(lo_seen, min(hi_seen, estimate))
+        cumulative += bucket_count
+    return hi_seen
 
 
 class _NullCounter:

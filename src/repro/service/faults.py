@@ -23,16 +23,16 @@ Because every fault is named in the spec, a chaos run is a pure function
 of its request file — same requests, same faults, same outcomes.
 
 The solver registers as ``randomized=True`` even though it is
-deterministic: that opts it out of memoisation and the shared result
-store, so a sleep or crash fault cannot be defeated by a cached answer
-from an earlier repeat of the same spec.
+deterministic: that opts it out of the shared result store, so a sleep or
+crash fault cannot be defeated by a cached answer from an earlier repeat
+of the same spec.
 
 Process-pool workers have their own registry (fresh interpreter state per
 process), so :func:`install_fault_solver` also sets
 :data:`FAULT_SOLVER_ENV` in ``os.environ`` — worker processes inherit the
-environment, and :func:`repro.core.engine._ensure_builtin_solvers`
-imports this module when the flag is set, re-registering the solver on
-the worker's side of the process boundary.
+environment, and the worker bootstrap
+(:func:`repro.service.process_pool.init_worker`) re-registers the solver
+on the worker's side of the process boundary when the flag is set.
 
 :func:`send_and_drop` is the transport-layer fault point: a client that
 aborts its connection (RST, via ``SO_LINGER``) mid-stream, for proving
@@ -133,8 +133,8 @@ def install_fault_solver() -> None:
         description="test-only fault-injection solver (resilience chaos suite)",
         replace=True,
         params=FAULT_PARAMS,
-        # Deterministic, but marked randomized to opt out of memoisation:
-        # a cached answer would defeat sleep/crash faults on repeats.
+        # Deterministic, but marked randomized to opt out of the result
+        # store: a cached answer would defeat sleep/crash faults on repeats.
         randomized=True,
     )
 

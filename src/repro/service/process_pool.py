@@ -1,141 +1,132 @@
-"""Process-executor workers: pickled :class:`SolveSpec`\\ s in, payloads out.
+"""Process-executor workers: the service's solve step in another process.
 
 The thread executor overlaps requests but cannot parallelise them — solves
 are CPU-bound pure Python, so the GIL serialises the actual work.  The
-process executor ships the (picklable, self-describing) canonical spec to a
-:class:`~concurrent.futures.ProcessPoolExecutor` worker, which **rebuilds
-and caches sessions from graph fingerprints** on its side of the process
-boundary: each worker owns a private
-:class:`~repro.api.resolve.GraphResolver` and
-:class:`~repro.service.session_cache.EngineSessionCache`, initialised once
-per process, so repeated requests against one graph stay warm inside the
-worker while requests against *different* graphs run truly in parallel
-across workers (given the cores).
+process executor runs the same solve step,
+:meth:`~repro.service.session_cache.EngineSessionCache.serve`, inside
+:class:`~concurrent.futures.ProcessPoolExecutor` workers: each worker owns
+a private :class:`~repro.api.resolve.GraphResolver` and
+:class:`~repro.service.session_cache.EngineSessionCache`, set up once per
+process by :func:`init_worker`, so repeated requests against one graph
+stay warm inside the worker while requests against *different* graphs run
+truly in parallel across workers (given the cores).
+
+A worker only solves.  The coordinating
+:class:`~repro.service.scheduler.SolveService` resolves every graph,
+answers what its result store holds, ships ``(spec, fingerprint)`` jobs
+and stores, counts and traces what comes back.
 
 Everything in this module must stay importable and picklable from a bare
 interpreter — no closures, no bound state — because worker processes
-import it by name.  Workers return plain dict payloads (JSON-typed), never
-rich objects, so the only pickled types on the result path are builtins.
+import it by name.  Replies hold only plain data, so nothing a solver
+raises can make a reply unpicklable.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.api.resolve import GraphResolver
-from repro.api.session import memoizable
-from repro.api.spec import SolveSpec, result_to_json
+from repro.api.spec import SolveSpec
 from repro.obs.tracing import recording, span
-from repro.service.session_cache import EngineSessionCache
+from repro.service.faults import FAULT_SOLVER_ENV, install_fault_solver
+from repro.service.resilience import (
+    ResilienceError,
+    classify_exception,
+    failure_message,
+)
+from repro.service.session_cache import EngineSessionCache, Served
 from repro.utils.errors import ReproError
 
-__all__ = ["init_worker", "solve_specs_in_worker"]
+__all__ = ["WorkerError", "init_worker", "solve_specs_in_worker"]
 
-#: One unit of worker work: the spec plus the coordinator's expected graph
-#: fingerprint (``None`` when the coordinator has no authoritative one).
-#: Dataset registrations are per-process state — a dataset re-registered
-#: after this worker forked would silently resolve to the *old* graph here,
-#: so the coordinator ships its current fingerprint and the worker refuses
-#: a mismatch loudly instead of serving stale results.
-WorkerJob = Tuple[SolveSpec, Optional[str]]
+#: One unit of worker work: the spec plus the graph fingerprint the
+#: coordinator resolved it to.  Registrations are per-process state — a
+#: dataset re-registered after this worker forked would silently resolve
+#: to the *old* graph here — so the worker refuses any source whose
+#: fingerprint differs instead of serving a different graph.
+WorkerJob = Tuple[SolveSpec, str]
+
+#: One job's reply: the answer or the failure, plus the worker's finished
+#: spans for a traced spec (``None`` otherwise).
+WorkerReply = Tuple[Union[Served, "WorkerError"], Optional[List[dict]]]
 
 #: Per-process serving state, created by :func:`init_worker` (the pool's
 #: ``initializer``) or lazily on first use.
 _RESOLVER: Optional[GraphResolver] = None
 _SESSIONS: Optional[EngineSessionCache] = None
-_MEMOIZE = True
 
 
-def init_worker(session_capacity: int = 4, memoize: bool = True) -> None:
-    """Initialise this worker process's resolver and session cache."""
-    global _RESOLVER, _SESSIONS, _MEMOIZE
+class WorkerError(ResilienceError):
+    """A failure raised in a worker, carried home with its taxonomy entry.
+
+    Any exception type may fail to pickle; this one always pickles, and
+    :func:`~repro.service.resilience.classify_exception` reads the
+    original's ``kind``/``retryable`` back off it.
+    """
+
+    def __init__(
+        self, message: str, kind: str = "internal", retryable: bool = False
+    ) -> None:
+        super().__init__(message)
+        self.kind = kind
+        self.retryable = retryable
+
+
+def init_worker(session_capacity: int = 4) -> None:
+    """Bootstrap this worker process: resolver, session cache and the
+    worker-only setup."""
+    global _RESOLVER, _SESSIONS
     _RESOLVER = GraphResolver()
     _SESSIONS = EngineSessionCache(session_capacity)
-    _MEMOIZE = memoize
+    if os.environ.get(FAULT_SOLVER_ENV) == "1":
+        # The chaos suite armed fault injection.  Registries are
+        # per-process, so a worker would not know the test-only solver its
+        # coordinator registered; the flag survives the fork or spawn.
+        install_fault_solver()
 
 
-def _solve_one(spec: SolveSpec, expected_fingerprint: Optional[str]) -> Dict[str, object]:
-    """Serve one spec on this worker's warm state; never raises.
-
-    A traced spec is recorded worker-side — spans cannot cross a process
-    boundary live, so the finished, relative-clock span list rides home in
-    the payload under ``"trace"`` and the coordinator grafts it into the
-    request's trace (or buffers it standalone).
-    """
-    if spec.trace_id is None:
-        return _serve_spec(spec, expected_fingerprint)
-    with recording(spec.trace_id) as trace:
-        with span("worker.solve", algorithm=spec.algorithm, pid=os.getpid()):
-            payload = _serve_spec(spec, expected_fingerprint)
-    payload["trace"] = trace.to_dict()["spans"]
-    return payload
-
-
-def _serve_spec(
-    spec: SolveSpec, expected_fingerprint: Optional[str]
-) -> Dict[str, object]:
+def _answer(spec: SolveSpec, fingerprint: str) -> Union[Served, WorkerError]:
+    """Serve one job on this worker's warm state; a failure is returned."""
     assert _RESOLVER is not None and _SESSIONS is not None
     try:
-        graph, fingerprint = _RESOLVER.resolve(spec)
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-            # The coordinator's registry disagrees with this worker's —
-            # the dataset was re-registered after the pool started.  Fail
-            # loudly rather than serve (and cache) results for the old graph.
-            return {
-                "ok": False,
-                "error": (
+        graph, resolved = _RESOLVER.resolve(spec)
+        if resolved != fingerprint:
+            if spec.dataset is not None:
+                raise ReproError(
                     f"stale dataset in worker: {spec.source_label()} resolves "
                     "to a different graph than the coordinator's registry "
                     "(re-registered after the process pool started); "
                     "re-create the service to pick up the new registration"
-                ),
-                "error_kind": "invalid",
-                "retryable": False,
-            }
-        key = (fingerprint, spec.engine_key())
-        session, status = _SESSIONS.acquire(key, graph, spec.engine_map)
-        memo_ok = _MEMOIZE and memoizable(spec)
-        signature = spec.signature() if memo_ok else None
-        with session.lock:  # workers are single-threaded; kept for symmetry
-            payload = session.memo_get(signature) if memo_ok else None
-            memo_hit = payload is not None
-            if payload is None:
-                result = session.engine.solve_spec(spec)
-                payload = result_to_json(result)
-                if memo_ok:
-                    session.memo_put(signature, payload)
-            solve_count = session.engine.solve_count
-        return {
-            "ok": True,
-            "result": payload,
-            "fingerprint": fingerprint,
-            "cache": {
-                "session": status,
-                "memo": memo_hit,
-                "engine_solve_count": solve_count,
-            },
-        }
-    except ReproError as exc:
-        return {
-            "ok": False,
-            "error": str(exc),
-            "error_kind": "invalid",
-            "retryable": False,
-        }
+                )
+            raise ReproError(
+                f"graph changed under the worker: {spec.source_label()} no "
+                "longer resolves to the graph the coordinator resolved"
+            )
+        return _SESSIONS.serve(spec, graph, fingerprint)
     except Exception as exc:  # noqa: BLE001 - serving boundary
-        # Same contract as the thread path: anything a hand-crafted spec can
-        # still trigger must come back as a failed payload, not poison the
-        # worker (or worse, kill the pool with an unpicklable exception).
-        return {
-            "ok": False,
-            "error": f"internal error: {type(exc).__name__}: {exc}",
-            "error_kind": "internal",
-            "retryable": False,
-        }
+        kind, retryable = classify_exception(exc)
+        return WorkerError(failure_message(exc), kind, retryable)
 
 
-def solve_specs_in_worker(jobs: List[WorkerJob]) -> List[Dict[str, object]]:
+def _solve_one(spec: SolveSpec, fingerprint: str) -> WorkerReply:
+    """One job's reply.
+
+    A traced spec is recorded worker-side — spans cannot cross a process
+    boundary live, so the finished, relative-clock span list rides home in
+    the reply and the coordinator grafts it into the request's trace (or
+    buffers it standalone).
+    """
+    if spec.trace_id is None:
+        return _answer(spec, fingerprint), None
+    with recording(spec.trace_id) as trace:
+        with span("worker.solve", algorithm=spec.algorithm, pid=os.getpid()):
+            answer = _answer(spec, fingerprint)
+    return answer, trace.to_dict()["spans"]
+
+
+def solve_specs_in_worker(jobs: List[WorkerJob]) -> List[WorkerReply]:
     """Serve a group of jobs sequentially on this worker's warm state.
 
     The batching layer's grouping survives the process boundary: a whole
@@ -146,4 +137,4 @@ def solve_specs_in_worker(jobs: List[WorkerJob]) -> List[Dict[str, object]]:
     """
     if _RESOLVER is None or _SESSIONS is None:
         init_worker()
-    return [_solve_one(spec, expected) for spec, expected in jobs]
+    return [_solve_one(spec, fingerprint) for spec, fingerprint in jobs]

@@ -20,7 +20,7 @@ Determinism is part of the contract: for a deterministic solver the
 ``result`` payload of a service response is **byte-identical** (after
 :func:`canonical_result` strips wall-clock timings and warmth-dependent
 work counters) to a single-shot ``repro-atr solve`` run of the same spec —
-regardless of batching, concurrency, session reuse, memoisation, executor
+regardless of batching, concurrency, session reuse, stored answers, executor
 (thread or process) or transport (stdio or TCP).  The test-suite and the
 benchmark's ``service`` / ``api`` sections both assert this for every
 solver in the registry.

@@ -51,6 +51,7 @@ __all__ = [
     "RetryPolicy",
     "WorkerCrashed",
     "classify_exception",
+    "failure_message",
     "remaining_deadline",
 ]
 
@@ -104,6 +105,14 @@ def classify_exception(exc: BaseException) -> Tuple[str, bool]:
     if isinstance(exc, ReproError):
         return "invalid", False
     return "internal", False
+
+
+def failure_message(exc: BaseException) -> str:
+    """The ``error`` text of a failed outcome: a request fault's own
+    message, or an ``internal error:`` line naming the exception type."""
+    if isinstance(exc, ReproError):
+        return str(exc)
+    return f"internal error: {type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
-"""The shared cross-graph result store: canonical payloads that outlive sessions.
+"""The shared cross-graph result store: the serving layer's one answer cache.
 
-Per-session memoisation (PR 4) dies with its session: once the LRU engine
-cache evicts a warm engine, every memoised answer goes with it, and the
-next identical request pays a full solve on a rebuilt session.  The
-:class:`ResultStore` fixes that asymmetry — a *service-wide* LRU keyed by
-``(graph_fingerprint, canonical spec signature)`` that keeps serving
-deterministic answers after eviction, across sessions, and (for the
-process executor) across worker processes, because it lives in the
-coordinating service, not in any engine.
+A :class:`~repro.service.scheduler.SolveService` answers every request
+either from this store or by solving on a warm session.  The store is a
+*service-wide* LRU keyed by ``(graph_fingerprint, canonical spec
+signature)``, so it keeps serving deterministic answers after the session
+cache evicts a warm engine, across sessions, and (for the process
+executor) across worker processes, because it lives in the coordinating
+service, not in any engine.  Under the thread executor a solved payload
+is stored before the session lock is released, so a same-graph repeat
+queued on that lock is answered from here.
 
-Gating is identical to the per-session memo (the
-:func:`repro.api.session.memoizable` rule): only deterministic requests —
-a non-``randomized`` solver, or a randomized one with an explicit ``seed``
-— are stored or served, so a stored answer is by construction equal to a
-re-run.
+Gating is the :func:`repro.api.session.memoizable` rule: only
+deterministic requests — a non-``randomized`` solver, or a randomized one
+with an explicit ``seed`` — are stored or served, so a stored answer is by
+construction equal to a re-run.
 
 Keys are full SHA-256 content fingerprints.  Unlike the session cache —
 which verifies the cached graph object against the requested one on every
@@ -21,10 +21,11 @@ hit — no structural verification is possible here once the original graph
 is gone; a SHA-256 content collision is the accepted (astronomically
 unlikely) risk.  The scheduler additionally refuses to read or write the
 store on a *detected* collision (a session-cache ``"bypass"`` while warm
-sessions are configured); with ``session_capacity=0`` every request is a
-by-design bypass with nothing to detect against, and the store stays live
-— it is exactly the configuration where answers would otherwise never be
-reused.  ``capacity=0`` disables the store entirely.
+sessions are configured), under either executor; with
+``session_capacity=0`` every request is a by-design bypass with nothing to
+detect against, and the store stays live — it is exactly the
+configuration where answers would otherwise never be reused.
+``capacity=0`` disables the store entirely.
 """
 
 from __future__ import annotations

@@ -6,24 +6,25 @@ canonical :class:`~repro.api.spec.SolveSpec` routed through
 third-party — is servable without the service knowing it exists.  On top of
 that it adds the serving concerns the bare engine does not have:
 
-* an **executor**: ``"thread"`` (the default — a
+* one way to answer a request: resolve its graph through one cached
+  :class:`~repro.api.resolve.GraphResolver` (dataset names via the
+  memoised registry, file paths via the ``.npz`` SNAP pipeline, inline
+  edge lists by value), then either read the answer from the shared
+  :class:`~repro.service.result_store.ResultStore` (deterministic
+  requests only: a non-``randomized`` solver, or an explicit ``seed``) or
+  solve on a warm session with
+  :meth:`~repro.service.session_cache.EngineSessionCache.serve`, so
+  requests against the *same* graph reuse one warm engine (index,
+  baseline state, baseline follower snapshot) and serialise on its lock
+  instead of racing;
+* an **executor**, which only decides where that solve step runs:
+  ``"thread"`` (the default — a
   :class:`~concurrent.futures.ThreadPoolExecutor`, overlapping requests
   against different graphs) or ``"process"`` (a
-  :class:`~concurrent.futures.ProcessPoolExecutor` fed pickled specs, whose
-  workers rebuild and cache sessions from graph fingerprints — true
+  :class:`~concurrent.futures.ProcessPoolExecutor` fed ``(spec,
+  fingerprint)`` jobs, whose workers keep their own warm sessions — true
   cross-graph parallelism past the GIL; see
   :mod:`repro.service.process_pool`);
-* the :class:`~repro.service.session_cache.EngineSessionCache`, so requests
-  against the *same* graph reuse one warm engine (index, baseline state,
-  baseline follower snapshot) and serialise on its lock instead of racing;
-* per-session **memoisation** of deterministic requests plus the shared
-  cross-graph :class:`~repro.service.result_store.ResultStore`, which keeps
-  serving deterministic answers after session eviction (same gating rule:
-  non-``randomized`` solver, or an explicit ``seed``);
-* graph resolution through one cached
-  :class:`~repro.api.resolve.GraphResolver` (dataset names via the memoised
-  registry, file paths via the ``.npz`` SNAP pipeline, inline edge lists by
-  value);
 * the **resilience layer** (:mod:`repro.service.resilience`): deadlines
   enforced queue-side for every executor and dispatch-side (worker
   kill-and-rebuild) for the process executor; worker-crash detection with
@@ -50,19 +51,12 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.resolve import GraphResolver
 from repro.api.session import memoizable
-from repro.api.spec import (
-    ERROR_KINDS,
-    SolveOutcome,
-    SolveSpec,
-    SpecError,
-    result_to_json,
-)
-from repro.datasets.registry import dataset_fingerprint
+from repro.api.spec import SolveOutcome, SolveSpec, SpecError
 from repro.graph.graph import Graph
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import (
@@ -84,11 +78,11 @@ from repro.service.resilience import (
     RetryPolicy,
     WorkerCrashed,
     classify_exception,
+    failure_message,
     remaining_deadline,
 )
 from repro.service.result_store import ResultStore
-from repro.service.session_cache import EngineSessionCache
-from repro.utils.errors import ReproError
+from repro.service.session_cache import EngineSessionCache, Served
 
 __all__ = ["SolveService", "EXECUTORS"]
 
@@ -105,7 +99,6 @@ EXECUTORS = ("thread", "process")
 _COUNTER_KEYS = (
     "requests",
     "errors",
-    "memo_hits",
     "store_hits",
     "shed",
     "expired",
@@ -119,6 +112,11 @@ _COUNTER_KEYS = (
 _log = get_logger("service")
 
 
+def _stored(payload: dict) -> Served:
+    """A store answer read by the coordinator: no session was touched."""
+    return Served(payload, {"session": "none", "store": True}, None)
+
+
 class SolveService:
     """Accepts :class:`~repro.api.spec.SolveSpec`\\ s concurrently and serves
     :class:`~repro.api.spec.SolveOutcome`\\ s.
@@ -128,14 +126,13 @@ class SolveService:
         with SolveService(workers=4, session_capacity=8) as service:
             outcomes = service.solve_many(specs)
 
-    ``executor`` selects the worker pool: ``"thread"`` (default) or
-    ``"process"`` (pickled specs, per-worker session caches — real
+    ``executor`` selects where solves run: ``"thread"`` (default) or
+    ``"process"`` (pickled jobs, per-worker session caches — real
     cross-graph parallelism).  ``session_capacity`` bounds the warm-engine
     cache (``0`` = a cold engine per request; for the process executor it
-    bounds each *worker's* cache); ``memoize=False`` disables request-level
-    memoisation **and** the shared result store (session reuse still
-    applies); ``store_capacity`` bounds the cross-graph result store
-    (``0`` disables just the store).
+    bounds each *worker's* cache); ``memoize=False`` disables the shared
+    result store, the one answer cache (session reuse still applies);
+    ``store_capacity`` bounds it (``0`` disables it too).
 
     Resilience knobs: ``max_inflight`` bounds concurrently-executing
     requests (default: the worker count) and ``max_queue_depth`` the
@@ -215,12 +212,6 @@ class SolveService:
         self._closed = False
         self._draining = False
         self._resolver = GraphResolver()
-        # Process-mode fingerprint bookkeeping: source identity -> content
-        # fingerprint, learned from worker responses so the coordinator can
-        # consult the result store *before* dispatch without ever loading
-        # the graph itself (workers own resolution in process mode).
-        self._fingerprints: Dict[object, str] = {}
-        self._fingerprints_lock = threading.Lock()
         self._counters = {
             key: self.metrics.counter(f"service.{key}") for key in _COUNTER_KEYS
         }
@@ -252,7 +243,7 @@ class SolveService:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=process_pool.init_worker,
-            initargs=(self.sessions.capacity, self.memoize),
+            initargs=(self.sessions.capacity,),
         )
 
     # ------------------------------------------------------------------
@@ -405,9 +396,7 @@ class SolveService:
     def _shed_outcome(self, request: object, submitted: float) -> SolveOutcome:
         """A fast structured ``overloaded`` rejection (no executor round-trip)."""
         self._count("requests")
-        self._count("errors")
         self._count("shed")
-        log_event(_log, "request_shed", level=logging.DEBUG, draining=self._draining)
         if self._draining:
             reason = "service is draining; not accepting new work"
         else:
@@ -416,15 +405,7 @@ class SolveService:
                 f"(max_inflight={self.admission.max_inflight}, "
                 f"max_queue_depth={self.admission.max_queue_depth}); retry later"
             )
-        return self._error_outcome(
-            None,
-            request,
-            reason,
-            submitted,
-            submitted,
-            kind="overloaded",
-            retryable=True,
-        )
+        return self._error_outcome(request, Overloaded(reason), submitted, submitted)
 
     def _run_admitted(self, request: SolveSpec, submitted: float) -> SolveOutcome:
         self.admission.start()
@@ -504,10 +485,42 @@ class SolveService:
     # ------------------------------------------------------------------
     def _resolve_graph(self, spec: SolveSpec) -> Tuple[Graph, str]:
         """The spec's graph plus its content fingerprint (both cached)."""
-        return self._resolver.resolve(spec)
+        with span("service.resolve_graph", source=spec.source_label()):
+            with self._resolve_hist.time():
+                return self._resolver.resolve(spec)
 
-    def _store_key(self, spec: SolveSpec, fingerprint: str):
+    # ------------------------------------------------------------------
+    # The result store
+    # ------------------------------------------------------------------
+    def _store_key(self, spec: SolveSpec, fingerprint: str) -> Optional[Hashable]:
+        """The spec's store key, or ``None`` when the store must not hold
+        its answer (store off, or a non-deterministic spec)."""
+        if not (self.store.enabled and memoizable(spec)):
+            return None
         return (fingerprint, spec.signature())
+
+    def _collided(self, status: Optional[str]) -> bool:
+        """Whether a session acquire detected a fingerprint collision.
+
+        A ``"bypass"`` while warm sessions are configured means the cached
+        graph differed from this one, so a stored payload could belong to
+        the other graph.  With ``session_capacity=0`` every acquire
+        bypasses by design (nothing cached, nothing to collide with) and
+        the store stays live — it is the only reuse left there.
+        """
+        return status == "bypass" and self.sessions.capacity > 0
+
+    def _store_get(
+        self, key: Optional[Hashable], status: Optional[str] = None
+    ) -> Optional[dict]:
+        if key is None or self._collided(status):
+            return None
+        return self.store.get(key)
+
+    def _store_put(self, key: Optional[Hashable], status: str, payload: dict) -> None:
+        """Store a solved payload — the collision rule for both executors."""
+        if key is not None and not self._collided(status):
+            self.store.put(key, payload)
 
     # ------------------------------------------------------------------
     # Deadlines
@@ -518,31 +531,34 @@ class SolveService:
             return spec.deadline_s
         return self.default_deadline_s
 
-    def _check_deadline(self, spec: SolveSpec, submitted: float) -> Optional[float]:
+    def _remaining(self, spec: SolveSpec, submitted: float) -> Optional[float]:
+        """Seconds left of the spec's deadline (``None`` = no deadline)."""
+        return remaining_deadline(self._effective_deadline(spec), submitted)
+
+    def _check_deadline(self, spec: SolveSpec, submitted: float) -> None:
         """Queue-side enforcement: expire a request *before* dispatching it.
 
         Deadlines anchor at submission, so time spent waiting behind the
         admission window counts; this runs on every executor (the thread
         executor cannot interrupt a running solve, so queue-side is its
         only enforcement point — dispatch-side enforcement is the process
-        executor's, via worker kill-and-rebuild).  Returns the remaining
-        budget for the dispatch-side timeout.
+        executor's, via worker kill-and-rebuild).
         """
-        deadline_s = self._effective_deadline(spec)
-        remaining = remaining_deadline(deadline_s, submitted)
+        remaining = self._remaining(spec, submitted)
         if remaining is not None and remaining <= 0:
             self._count("expired")
             raise DeadlineExceeded(
-                f"deadline_s={deadline_s} expired after "
+                f"deadline_s={self._effective_deadline(spec)} expired after "
                 f"{time.perf_counter() - submitted:.3f}s in queue (never dispatched)"
             )
-        return remaining
 
+    # ------------------------------------------------------------------
+    # Answering
+    # ------------------------------------------------------------------
     def _execute(self, request: SolveSpec, submitted: float) -> SolveOutcome:
         started = time.perf_counter()
         self._count("requests")
         self._queue_hist.observe(started - submitted)
-        spec: Optional[SolveSpec] = None
         try:
             spec = self._as_spec(request).require_source()
             if spec.trace_id is None:
@@ -563,56 +579,60 @@ class SolveService:
             # The contract is "never raises for a bad request": anything a
             # hand-crafted spec can still trigger past the validation
             # (wrong-typed field values, exotic vertex labels) must come
-            # back as a failed outcome, not kill the loop — classified by
-            # the resilience taxonomy so clients know what to do with it.
-            self._count("errors")
-            kind, retryable = classify_exception(exc)
-            message = (
-                str(exc)
-                if isinstance(exc, ReproError)
-                else f"internal error: {type(exc).__name__}: {exc}"
-            )
-            log_event(
-                _log, "request_failed", level=logging.DEBUG, kind=kind, error=message
-            )
-            return self._error_outcome(
-                spec, request, message, submitted, started, kind, retryable
-            )
+            # back as a failed outcome, not kill the loop.
+            return self._error_outcome(request, exc, submitted, started)
 
     def _execute_admitted(
         self, spec: SolveSpec, submitted: float, started: float
     ) -> SolveOutcome:
-        """Serve one validated spec (deadline check, dispatch, response)."""
+        """Serve one validated spec (deadline check, resolve, answer)."""
         self._check_deadline(spec, submitted)
-        if self.executor == "process":
-            # Workers own graph resolution in process mode — the
-            # coordinator never loads the graph, it only consults the
-            # store under fingerprints it already knows.
-            hit = self._process_store_lookup(spec, submitted, started)
-            if hit is not None:
-                return hit
-            with span("service.dispatch", executor="process"):
-                payloads = self._dispatch_with_retry(
-                    [(spec, self._expected_fingerprint(spec))],
-                    lambda: remaining_deadline(
-                        self._effective_deadline(spec), submitted
-                    ),
-                )
-            return self._finish_process_outcome(
-                spec, payloads[0], submitted, started
+        graph, fingerprint = self._resolve_graph(spec)
+        return self._answer(spec, graph, fingerprint, submitted, started)
+
+    def _answer(
+        self,
+        spec: SolveSpec,
+        graph: Graph,
+        fingerprint: str,
+        submitted: float,
+        started: float,
+    ) -> SolveOutcome:
+        """From the store, or from one solve on a warm session — which runs
+        on this thread or in a process worker; nothing else differs."""
+        key = self._store_key(spec, fingerprint)
+        if self.executor == "thread":
+            # Acquire the session, then read the store under its lock (unless
+            # the acquire detected a collision); a solved payload is stored
+            # before the lock is released, so a same-graph repeat queued on
+            # the lock finds it.
+            served = self.sessions.serve(
+                spec,
+                graph,
+                fingerprint,
+                lookup=partial(self._store_get, key),
+                keep=partial(self._store_put, key),
             )
-        with span("service.resolve_graph", source=spec.source_label()):
-            with self._resolve_hist.time():
-                graph, fingerprint = self._resolve_graph(spec)
-        return self._execute_in_thread(spec, graph, fingerprint, submitted, started)
+            return self._served_outcome(spec, fingerprint, served, submitted, started)
+        payload = self._store_get(key)
+        if payload is not None:
+            return self._served_outcome(
+                spec, fingerprint, _stored(payload), submitted, started
+            )
+        with span("service.dispatch", executor="process"):
+            replies = self._dispatch_with_retry(
+                [(spec, fingerprint)], partial(self._remaining, spec, submitted)
+            )
+        served = self._receive(spec, key, replies[0], started)
+        return self._served_outcome(spec, fingerprint, served, submitted, started)
 
     def _observe_engine(self, engine_stats: Dict[str, int], payload: dict) -> None:
         """Fold one solve's engine counters into the registry.
 
         Per-solve (not per-event) so the engine's hot loops carry no
         registry calls at all — the scheduler reads the ``stats`` dict the
-        engine already maintains and adds it up here, outside the session
-        lock.
+        engine already maintains (shipped home by process workers) and adds
+        it up here, outside the session lock.
         """
         self._engine_counters["solves"].inc()
         for key in (
@@ -640,79 +660,58 @@ class SolveService:
                 if total:
                     self._engine_counters["follower_recomputes"].inc(total)
 
-    def _execute_in_thread(
+    def _served_outcome(
         self,
         spec: SolveSpec,
-        graph: Graph,
         fingerprint: str,
+        served: Served,
         submitted: float,
         started: float,
     ) -> SolveOutcome:
-        key = (fingerprint, spec.engine_key())
-        session, status = self.sessions.acquire(key, graph, spec.engine_map)
-        memo_ok = self.memoize and memoizable(spec)
-        signature = spec.signature() if memo_ok else None
-        # The shared store is skipped on *detected* fingerprint collisions —
-        # a "bypass" while the cache holds entries means the cached graph
-        # differed from this one, so a stored payload could belong to the
-        # other graph.  With session_capacity=0 "bypass" is just the cold
-        # per-request mode (no collision detection possible, nothing
-        # cached); there the store stays live — it is exactly the
-        # configuration where answers would otherwise never be reused.
-        collision = status == "bypass" and self.sessions.capacity > 0
-        store_ok = memo_ok and self.store.enabled and not collision
-        store_hit = False
-        engine_stats: Optional[Dict[str, int]] = None
-        with session.lock:
-            payload = session.memo_get(signature) if memo_ok else None
-            memo_hit = payload is not None
-            if payload is None and store_ok:
-                payload = self.store.get(self._store_key(spec, fingerprint))
-                store_hit = payload is not None
-            if payload is None:
-                with span("service.session_solve", session=status):
-                    result = session.engine.solve_spec(spec)
-                # Snapshot this solve's re-peel counters while the session
-                # lock still guarantees they are ours; folded into the
-                # registry after release (_observe_engine).
-                engine_stats = dict(session.engine.stats)
-                payload = result_to_json(result)
-                if memo_ok:
-                    session.memo_put(signature, payload)
-            elif store_hit and memo_ok:
-                # Re-seed the (possibly rebuilt) session's memo so the next
-                # repeat short-circuits before even reaching the store.
-                session.memo_put(signature, payload)
-            session_info = session.engine.session_info()
-        if store_ok and not memo_hit and not store_hit:
-            self.store.put(self._store_key(spec, fingerprint), payload)
-        if memo_hit:
-            self._count("memo_hits")
-        if store_hit:
+        """The one success path: count, fold engine stats, respond."""
+        if served.cache["store"]:
             self._count("store_hits")
-        if engine_stats is not None:
-            self._observe_engine(engine_stats, payload)
+        if served.stats is not None:
+            self._observe_engine(served.stats, served.payload)
         finished = time.perf_counter()
         self._solve_hist.observe(finished - started)
         return SolveOutcome(
             request_id=spec.request_id,
             ok=True,
-            result=payload,
+            result=served.payload,
             fingerprint=fingerprint,
-            cache={
-                "session": status,
-                "memo": memo_hit,
-                "store": store_hit,
-                "engine_solve_count": session_info["solve_count"],
-            },
+            cache=served.cache,
             timings={
                 "queued_s": round(started - submitted, 6),
                 "solve_s": round(finished - started, 6),
             },
         )
 
+    def _error_outcome(
+        self, request: object, exc: BaseException, submitted: float, started: float
+    ) -> SolveOutcome:
+        """The one failure path: ``exc`` classified by the resilience
+        taxonomy (a shed request's :class:`Overloaded` included)."""
+        self._count("errors")
+        kind, retryable = classify_exception(exc)
+        message = failure_message(exc)
+        log_event(
+            _log, "request_failed", level=logging.DEBUG, kind=kind, error=message
+        )
+        return SolveOutcome(
+            request_id=request.request_id if isinstance(request, SolveSpec) else "",
+            ok=False,
+            error=message,
+            error_kind=kind,
+            retryable=retryable,
+            timings={
+                "queued_s": round(started - submitted, 6),
+                "solve_s": round(time.perf_counter() - started, 6),
+            },
+        )
+
     # ------------------------------------------------------------------
-    # Process-executor paths
+    # Process-executor dispatch
     # ------------------------------------------------------------------
     def _current_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -751,28 +750,34 @@ class SolveService:
         self,
         jobs: List[process_pool.WorkerJob],
         timeout_fn,
-    ):
+        in_flight: Optional[Tuple[ProcessPoolExecutor, Future]] = None,
+    ) -> List[process_pool.WorkerReply]:
         """Ship jobs to the process pool, surviving crashes and deadlines.
 
-        ``timeout_fn`` re-evaluates the remaining deadline budget before
-        every attempt (``None`` = no deadline).  A dispatch timeout kills
-        and rebuilds the pool — the only way to reclaim a worker stuck in
-        a solve — and raises :class:`DeadlineExceeded`; a worker crash
-        rebuilds the pool and re-dispatches on the retry policy's
-        deterministic backoff schedule until it is exhausted
-        (:class:`WorkerCrashed`).
+        The one retry loop.  ``timeout_fn`` re-evaluates the remaining
+        deadline budget before every attempt (``None`` = no deadline).  A
+        dispatch timeout kills and rebuilds the pool — the only way to
+        reclaim a worker stuck in a solve — and raises
+        :class:`DeadlineExceeded`; a worker crash rebuilds the pool and
+        re-dispatches on the retry policy's deterministic backoff schedule
+        until it is exhausted (:class:`WorkerCrashed`).  ``in_flight`` is a
+        ``(pool, future)`` first attempt the caller already submitted.
         """
         attempt = 0
         while True:
             timeout = timeout_fn()
-            if timeout is not None and timeout <= 0:
-                self._count("expired")
-                raise DeadlineExceeded(
-                    "deadline expired before re-dispatch "
-                    f"(after {attempt} crash retr{'y' if attempt == 1 else 'ies'})"
-                )
-            pool = self._current_pool()
-            future = pool.submit(process_pool.solve_specs_in_worker, jobs)
+            if in_flight is None:
+                if timeout is not None and timeout <= 0:
+                    self._count("expired")
+                    raise DeadlineExceeded(
+                        "deadline expired before re-dispatch "
+                        f"(after {attempt} crash retr{'y' if attempt == 1 else 'ies'})"
+                    )
+                pool = self._current_pool()
+                future = pool.submit(process_pool.solve_specs_in_worker, jobs)
+                in_flight = (pool, future)
+            pool, future = in_flight
+            in_flight = None
             try:
                 return future.result(timeout=timeout)
             except FuturesTimeoutError:
@@ -797,102 +802,32 @@ class SolveService:
                 if delay > 0:
                     time.sleep(delay)
 
-    def _source_key(self, spec: SolveSpec) -> Optional[object]:
-        """A hashable identity for a spec's graph source, or ``None``.
-
-        Keys the coordinator's learned fingerprint map in process mode.
-        Edge-list paths carry the file's ``(size, mtime)`` so an edited
-        file gets a fresh fingerprint; inline edge tuples key by value;
-        dataset names are handled by the memoised registry helper instead.
-        """
-        if spec.edge_list is not None:
-            path = Path(spec.edge_list)
-            try:
-                stat = path.stat()
-            except OSError:
-                return None  # missing file: let the worker report the error
-            return ("path", str(path.resolve()), stat.st_size, stat.st_mtime_ns)
-        if spec.edges is not None:
-            try:
-                hash(spec.edges)
-            except TypeError:
-                return None  # exotic vertex labels: not cacheable
-            return ("edges", spec.edges)
-        return None
-
-    def _expected_fingerprint(self, spec: SolveSpec) -> Optional[str]:
-        """The coordinator's authoritative fingerprint, for worker validation.
-
-        Dataset sources resolve through *this* process's registry — the one
-        ``register_dataset`` mutates — so shipping the current fingerprint
-        lets a forked worker detect that its own (frozen-at-fork) registry
-        has gone stale and refuse loudly.  Unknown dataset names raise here,
-        matching the thread executor's behaviour.  File and inline sources
-        need no validation: workers resolve them from the same bytes.
-        """
-        if spec.dataset is not None:
-            return dataset_fingerprint(spec.dataset)
-        return None
-
-    def _known_fingerprint(self, spec: SolveSpec) -> Optional[str]:
-        """The cheapest available content fingerprint — never loads a graph.
-
-        Dataset fingerprints come from the memoised registry helper
-        (:func:`repro.datasets.dataset_fingerprint`); file and inline
-        sources are answered from the map learned off earlier worker
-        responses.  ``None`` simply means "dispatch and learn".
-        """
-        if spec.dataset is not None:
-            try:
-                return dataset_fingerprint(spec.dataset)
-            except ReproError:
-                return None  # unknown dataset: the worker reports the error
-        key = self._source_key(spec)
-        if key is None:
-            return None
-        with self._fingerprints_lock:
-            return self._fingerprints.get(key)
-
-    def _learn_fingerprint(self, spec: SolveSpec, fingerprint: str) -> None:
-        if spec.dataset is not None:
-            return  # served by the memoised registry helper
-        key = self._source_key(spec)
-        if key is None:
-            return
-        with self._fingerprints_lock:
-            self._fingerprints[key] = fingerprint
-            while len(self._fingerprints) > 1024:
-                self._fingerprints.pop(next(iter(self._fingerprints)))
-
-    def _process_store_lookup(
-        self, spec: SolveSpec, submitted: float, started: float
-    ) -> Optional[SolveOutcome]:
-        """Answer a process-mode spec from the shared store, if possible."""
-        if not (self.memoize and self.store.enabled):
-            return None
-        try:
-            if not memoizable(spec):
-                return None
-        except ReproError:
-            return None  # unknown solver: the worker reports the error
-        fingerprint = self._known_fingerprint(spec)
-        if fingerprint is None:
-            return None
-        payload = self.store.get(self._store_key(spec, fingerprint))
-        if payload is None:
-            return None
-        self._count("store_hits")
-        return SolveOutcome(
-            request_id=spec.request_id,
-            ok=True,
-            result=payload,
-            fingerprint=fingerprint,
-            cache={"session": "none", "memo": False, "store": True},
-            timings={
-                "queued_s": round(started - submitted, 6),
-                "solve_s": round(time.perf_counter() - started, 6),
-            },
-        )
+    def _receive(
+        self,
+        spec: SolveSpec,
+        key: Optional[Hashable],
+        reply: object,
+        started: float,
+    ) -> Served:
+        """Unpack one job's reply: graft its spans, raise its failure, or
+        store its answer."""
+        if isinstance(reply, Exception):
+            raise reply  # the dispatch itself failed (deadline, crash)
+        answer, worker_spans = reply  # type: ignore[misc]
+        if worker_spans:
+            # The worker recorded its own spans (relative clock): splice them
+            # into the live trace when this thread is recording the same
+            # request, otherwise buffer them as a standalone trace (the
+            # grouped path delivers on a thread with no recording context).
+            trace = current_trace()
+            if trace is not None and trace.trace_id == spec.trace_id:
+                trace.graft(worker_spans, at=started)
+            elif spec.trace_id is not None:
+                record_foreign_trace(spec.trace_id, worker_spans)
+        if isinstance(answer, Exception):
+            raise answer
+        self._store_put(key, str(answer.cache["session"]), answer.payload)
+        return answer
 
     def _group_timeout(
         self, specs: Sequence[SolveSpec], submitted: float
@@ -908,267 +843,124 @@ class SolveService:
         """
         remainings: List[float] = []
         for spec in specs:
-            deadline_s = self._effective_deadline(spec)
-            if deadline_s is None:
+            remaining = self._remaining(spec, submitted)
+            if remaining is None:
                 return None
-            remaining = remaining_deadline(deadline_s, submitted)
-            assert remaining is not None
             remainings.append(remaining)
         return max(remainings) if remainings else None
 
-    def _redispatch_individually(
+    def _dispatch_group(
         self, jobs: List[process_pool.WorkerJob], submitted: float
-    ) -> List[Dict[str, object]]:
-        """Re-run a failed group's jobs as individual *concurrent* tasks.
+    ) -> List[object]:
+        """Run a group's jobs as one worker task; one reply or exception
+        per job.
 
-        One bad job (a crasher, an unpicklable parameter) must not poison
-        its group: every job becomes its own worker task, all submitted at
-        once so the good jobs re-run in parallel across workers.  Each job
-        keeps a private attempt counter — the retry policy bounds how often
-        *it* may be lost to a broken pool, and only the jobs that were lost
-        re-enter the next wave, so a repeat offender exhausts its own
-        retries without dragging finished jobs back in.
+        A group task that fails for any other reason than its deadline
+        (a crasher, an unpicklable parameter) must not take the good jobs
+        down with it: every job is submitted once more as its own task,
+        all at once so they run in parallel across workers, and each one
+        is collected through :meth:`_dispatch_with_retry` (counted in
+        ``stats()["group_retries"]``).
         """
-        payloads: List[Optional[Dict[str, object]]] = [None] * len(jobs)
-        attempts = [0] * len(jobs)
-        pending = list(range(len(jobs)))
-        while pending:
-            pool = self._current_pool()
-            futures = [
-                (index, pool.submit(process_pool.solve_specs_in_worker, [jobs[index]]))
-                for index in pending
-            ]
-            retry_next: List[int] = []
-            broken = False
-            kill = False
-            for index, future in futures:
-                spec = jobs[index][0]
-                timeout = remaining_deadline(
-                    self._effective_deadline(spec), submitted
+        pool = self._current_pool()
+        try:
+            return pool.submit(process_pool.solve_specs_in_worker, jobs).result(
+                timeout=self._group_timeout([spec for spec, _fp in jobs], submitted)
+            )
+        except FuturesTimeoutError:
+            # Every member carried a deadline and even the loosest one has
+            # expired: the whole group is a timeout.
+            self._count("dispatch_timeouts")
+            self._rebuild_pool(pool, kill=True)
+            expired = DeadlineExceeded(
+                "deadline expired during group dispatch; "
+                "worker killed and pool rebuilt"
+            )
+            return [expired] * len(jobs)
+        except Exception as exc:  # noqa: BLE001 - serving boundary
+            if isinstance(exc, BrokenProcessPool):
+                self._count("worker_crashes")
+                self._rebuild_pool(pool)
+            self._count("group_retries")
+        pool = self._current_pool()
+        in_flight = [
+            (pool, pool.submit(process_pool.solve_specs_in_worker, [job]))
+            for job in jobs
+        ]
+        replies: List[object] = []
+        for job, first in zip(jobs, in_flight):
+            try:
+                replies.extend(
+                    self._dispatch_with_retry(
+                        [job], partial(self._remaining, job[0], submitted), first
+                    )
                 )
-                try:
-                    payloads[index] = future.result(timeout=timeout)[0]
-                except FuturesTimeoutError:
-                    self._count("dispatch_timeouts")
-                    broken = kill = True
-                    payloads[index] = {
-                        "ok": False,
-                        "error": (
-                            "deadline expired during dispatch; "
-                            "worker killed and pool rebuilt"
-                        ),
-                        "error_kind": "timeout",
-                        "retryable": True,
-                    }
-                except BrokenProcessPool:
-                    broken = True
-                    attempts[index] += 1
-                    if attempts[index] >= self.retry_policy.max_attempts:
-                        payloads[index] = {
-                            "ok": False,
-                            "error": (
-                                f"worker crashed serving this request; "
-                                f"{attempts[index]} attempt(s) exhausted "
-                                f"(retry policy: {self.retry_policy})"
-                            ),
-                            "error_kind": "worker_crash",
-                            "retryable": True,
-                        }
-                    else:
-                        self._count("retries")
-                        retry_next.append(index)
-                except Exception as exc:  # noqa: BLE001 - serving boundary
-                    payloads[index] = {
-                        "ok": False,
-                        "error": f"internal error: {type(exc).__name__}: {exc}",
-                        "error_kind": "internal",
-                        "retryable": False,
-                    }
-            if broken:
-                if not kill:
-                    self._count("worker_crashes")
-                self._rebuild_pool(pool, kill=kill)
-            pending = retry_next
-            if pending:
-                delay = self.retry_policy.delay(max(attempts[i] for i in pending))
-                if delay > 0:
-                    time.sleep(delay)
-        assert all(payload is not None for payload in payloads)
-        return payloads  # type: ignore[return-value]
+            except Exception as exc:  # noqa: BLE001 - serving boundary
+                replies.append(exc)
+        return replies
 
     def _execute_group_in_process(
         self, requests: List[SolveSpec], submitted: float
     ) -> List[SolveOutcome]:
         """Run a same-session group as one process-pool task.
 
-        Specs the shared store can already answer never ship; the rest go
-        as one worker task so the group's warm-session semantics survive
-        the process boundary.  A group whose single task fails falls back
-        to concurrent per-job re-dispatch (counted in
-        ``stats()["group_retries"]``) so one bad member cannot take its
-        group down with it.
+        Members the store already answers never ship; the rest go as one
+        worker task so the group's warm-session semantics survive the
+        process boundary.  A member that repeats a shipped member's store
+        key is held back and answered once that member's reply is stored
+        (or, if it failed, dispatched on its own).
         """
         started = time.perf_counter()
         outcomes: List[Optional[SolveOutcome]] = [None] * len(requests)
-        shippable: List[Tuple[int, SolveSpec, Optional[str]]] = []
+        shipped: List[Tuple[int, SolveSpec, str, Optional[Hashable]]] = []
+        held: List[Tuple[int, SolveSpec, Graph, str]] = []
+        shipped_keys = set()
         for position, request in enumerate(requests):
             self._count("requests")
             try:
                 spec = self._as_spec(request).require_source()
                 self._check_deadline(spec, submitted)
-                hit = self._process_store_lookup(spec, submitted, started)
-                if hit is not None:
-                    outcomes[position] = hit
-                else:
-                    shippable.append(
-                        (position, spec, self._expected_fingerprint(spec))
+                graph, fingerprint = self._resolve_graph(spec)
+                key = self._store_key(spec, fingerprint)
+                if key is not None and key in shipped_keys:
+                    held.append((position, spec, graph, fingerprint))
+                    continue
+                payload = self._store_get(key)
+                if payload is not None:
+                    outcomes[position] = self._served_outcome(
+                        spec, fingerprint, _stored(payload), submitted, started
                     )
+                    continue
+                if key is not None:
+                    shipped_keys.add(key)
+                shipped.append((position, spec, fingerprint, key))
             except Exception as exc:  # noqa: BLE001 - serving boundary
-                self._count("errors")
-                kind, retryable = classify_exception(exc)
-                message = (
-                    str(exc)
-                    if isinstance(exc, ReproError)
-                    else f"internal error: {type(exc).__name__}: {exc}"
-                )
                 outcomes[position] = self._error_outcome(
-                    None, request, message, submitted, started, kind, retryable
+                    request, exc, submitted, started
                 )
-        if shippable:
-            jobs: List[process_pool.WorkerJob] = [
-                (spec, expected) for _pos, spec, expected in shippable
-            ]
-            specs = [spec for _pos, spec, _expected in shippable]
-            pool = self._current_pool()
+        if shipped:
+            replies = self._dispatch_group(
+                [(spec, fingerprint) for _pos, spec, fingerprint, _key in shipped],
+                submitted,
+            )
+            for (position, spec, fingerprint, key), reply in zip(shipped, replies):
+                try:
+                    served = self._receive(spec, key, reply, started)
+                    outcomes[position] = self._served_outcome(
+                        spec, fingerprint, served, submitted, started
+                    )
+                except Exception as exc:  # noqa: BLE001 - serving boundary
+                    outcomes[position] = self._error_outcome(
+                        spec, exc, submitted, started
+                    )
+        for position, spec, graph, fingerprint in held:
             try:
-                payloads = pool.submit(
-                    process_pool.solve_specs_in_worker, jobs
-                ).result(timeout=self._group_timeout(specs, submitted))
-            except FuturesTimeoutError:
-                # Every member carried a deadline and even the loosest one
-                # has expired: the whole group is a timeout.
-                self._count("dispatch_timeouts")
-                self._rebuild_pool(pool, kill=True)
-                payloads = [
-                    {
-                        "ok": False,
-                        "error": (
-                            "deadline expired during group dispatch; "
-                            "worker killed and pool rebuilt"
-                        ),
-                        "error_kind": "timeout",
-                        "retryable": True,
-                    }
-                    for _ in jobs
-                ]
+                outcomes[position] = self._answer(
+                    spec, graph, fingerprint, submitted, started
+                )
             except Exception as exc:  # noqa: BLE001 - serving boundary
-                # One bad job (a crasher, an unpicklable parameter) must
-                # not poison the group: re-dispatch each job as its own
-                # task — concurrently — so the good specs keep their
-                # results and only the offender fails.
-                if isinstance(exc, BrokenProcessPool):
-                    self._count("worker_crashes")
-                    self._rebuild_pool(pool)
-                self._count("group_retries")
-                payloads = self._redispatch_individually(jobs, submitted)
-            for (position, spec, _expected), payload in zip(shippable, payloads):
-                outcomes[position] = self._finish_process_outcome(
-                    spec, payload, submitted, started
+                outcomes[position] = self._error_outcome(
+                    spec, exc, submitted, started
                 )
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
-
-    def _finish_process_outcome(
-        self,
-        spec: SolveSpec,
-        payload: Dict[str, object],
-        submitted: float,
-        started: float,
-    ) -> SolveOutcome:
-        """Wrap a worker payload; learn its fingerprint and feed the store."""
-        finished = time.perf_counter()
-        self._solve_hist.observe(finished - started)
-        worker_spans = payload.pop("trace", None) if isinstance(payload, dict) else None
-        if worker_spans:
-            # The worker recorded its own spans (relative clock) and shipped
-            # them home in the payload: splice them into the live trace when
-            # this delivery thread is recording the same request, otherwise
-            # buffer them as a standalone trace (the grouped path delivers
-            # on a thread with no recording context).
-            trace = current_trace()
-            if trace is not None and trace.trace_id == spec.trace_id:
-                trace.graft(worker_spans, at=started)
-            elif spec.trace_id is not None:
-                record_foreign_trace(spec.trace_id, worker_spans)
-        timings = {
-            "queued_s": round(started - submitted, 6),
-            "solve_s": round(finished - started, 6),
-        }
-        if not payload.get("ok"):
-            self._count("errors")
-            kind = payload.get("error_kind")
-            return SolveOutcome(
-                request_id=spec.request_id,
-                ok=False,
-                error=str(payload.get("error") or "worker error"),
-                error_kind=kind if kind in ERROR_KINDS else "invalid",
-                retryable=bool(payload.get("retryable", False)),
-                timings=timings,
-            )
-        cache = dict(payload.get("cache") or {})
-        cache["store"] = False
-        result = payload["result"]
-        fingerprint = payload.get("fingerprint")
-        if isinstance(fingerprint, str):
-            self._learn_fingerprint(spec, fingerprint)
-            # Same collision rule as the thread path: a worker "bypass"
-            # with warm sessions configured means a detected collision —
-            # keep such payloads out of the store.  Capacity-0 workers
-            # bypass on every request by design; their answers are fine.
-            collision = (
-                cache.get("session") == "bypass" and self.sessions.capacity > 0
-            )
-            if (
-                self.memoize
-                and self.store.enabled
-                and not collision
-                and memoizable(spec)
-            ):
-                self.store.put(self._store_key(spec, fingerprint), result)
-        if cache.get("memo"):
-            self._count("memo_hits")
-        return SolveOutcome(
-            request_id=spec.request_id,
-            ok=True,
-            result=result,  # type: ignore[arg-type]
-            fingerprint=fingerprint,
-            cache=cache,
-            timings=timings,
-        )
-
-    def _error_outcome(
-        self,
-        spec: Optional[SolveSpec],
-        request: object,
-        error: str,
-        submitted: float,
-        started: float,
-        kind: str = "invalid",
-        retryable: bool = False,
-    ) -> SolveOutcome:
-        request_id = ""
-        if isinstance(spec, SolveSpec):
-            request_id = spec.request_id
-        elif isinstance(request, SolveSpec):
-            request_id = request.request_id
-        return SolveOutcome(
-            request_id=request_id,
-            ok=False,
-            error=error,
-            error_kind=kind,
-            retryable=retryable,
-            timings={
-                "queued_s": round(started - submitted, 6),
-                "solve_s": round(time.perf_counter() - started, 6),
-            },
-        )

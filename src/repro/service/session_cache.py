@@ -24,33 +24,40 @@ Concurrency
 -----------
 The cache itself is guarded by one lock held only for dictionary
 operations (graph/engine construction happens outside it).  Each session
-carries its own lock; :class:`~repro.service.scheduler.SolveService` holds
-it for the duration of a solve, so concurrent requests against the same
-graph serialise on the session while requests against different graphs
-proceed in parallel.  Eviction simply drops the cache's reference — an
-in-flight solve keeps its session alive until it finishes.
+carries its own lock; :meth:`EngineSessionCache.serve` holds it for the
+duration of a solve, so concurrent requests against the same graph
+serialise on the session while requests against different graphs proceed
+in parallel.  Eviction simply drops the cache's reference — an in-flight
+solve keeps its session alive until it finishes.
+
+Serving
+-------
+:meth:`EngineSessionCache.serve` is the serving layer's one solve step:
+:class:`~repro.service.scheduler.SolveService` runs it on a pool thread
+(thread executor) or a process worker runs it on its own cache (process
+executor).  Sessions hold no answers: repeats are answered by the
+service's :class:`~repro.service.result_store.ResultStore`, which the
+thread path reads and fills through ``serve``'s ``lookup``/``keep`` hooks
+under the session lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, NamedTuple, Optional, Tuple
 
+from repro.api.spec import SolveSpec, result_to_json
 from repro.core.engine import SolverEngine
 from repro.graph.graph import Graph
 from repro.obs.metrics import MetricsRegistry
-from repro.utils.lru import DEFAULT_MEMO_LIMIT, PayloadCache
+from repro.obs.tracing import span
 
-__all__ = ["EngineSession", "EngineSessionCache"]
-
-#: Entries kept in a session's memo (a memo is a per-session convenience,
-#: not a second cache layer to tune).  Alias of the shared default.
-MEMO_LIMIT = DEFAULT_MEMO_LIMIT
+__all__ = ["EngineSession", "EngineSessionCache", "Served"]
 
 
 class EngineSession:
-    """One warm engine bound to one graph, plus its serving bookkeeping."""
+    """One warm engine bound to one graph, plus the lock serialising it."""
 
     def __init__(self, key: Hashable, graph: Graph, engine: SolverEngine) -> None:
         self.key = key
@@ -58,21 +65,20 @@ class EngineSession:
         self.engine = engine
         #: Serialises solves on this session (the engine is not thread-safe).
         self.lock = threading.Lock()
-        #: Memoised canonical results of deterministic requests, keyed by the
-        #: scheduler's request signature.  Accessed under :attr:`lock`, so
-        #: the cache itself needs no lock of its own.
-        self.memo = PayloadCache(MEMO_LIMIT)
 
-    @property
-    def memo_hits(self) -> int:
-        return self.memo.hits
 
-    def memo_get(self, signature: Hashable) -> Optional[dict]:
-        """The memoised payload for ``signature`` (a deep copy), or ``None``."""
-        return self.memo.get(signature)
+class Served(NamedTuple):
+    """One answer from :meth:`EngineSessionCache.serve`.
 
-    def memo_put(self, signature: Hashable, payload: dict) -> None:
-        self.memo.put(signature, payload)
+    Plain data, so it pickles across the process-pool boundary.  ``cache``
+    is the response's cache route (``session``, ``store``,
+    ``engine_solve_count``); ``stats`` is the engine's per-solve counter
+    snapshot, ``None`` when a lookup answered instead of a solve.
+    """
+
+    payload: dict
+    cache: Dict[str, object]
+    stats: Optional[Dict[str, int]]
 
 
 class EngineSessionCache:
@@ -180,3 +186,45 @@ class EngineSessionCache:
                 self._sessions.popitem(last=False)
                 self._stats["evictions"].inc()
         return session, "miss"
+
+    def serve(
+        self,
+        spec: SolveSpec,
+        graph: Graph,
+        fingerprint: str,
+        lookup: Optional[Callable[[str], Optional[dict]]] = None,
+        keep: Optional[Callable[[str, dict], None]] = None,
+    ) -> Served:
+        """Answer ``spec`` on the warm session for its graph: the solve step.
+
+        Every solve the serving layer runs goes through here, on a pool
+        thread or in a process worker.  Under the session lock,
+        ``lookup(status)`` may answer first (it sees the acquire status, so
+        it can refuse on a detected collision); a fresh solve's payload goes
+        to ``keep(status, payload)`` before the lock is released, so a
+        same-graph request queued on the lock finds it.  Process workers
+        pass neither: the coordinating service reads and fills its store.
+        """
+        session, status = self.acquire(
+            (fingerprint, spec.engine_key()), graph, spec.engine_map
+        )
+        stats: Optional[Dict[str, int]] = None
+        with session.lock:
+            payload = lookup(status) if lookup is not None else None
+            answered = payload is not None
+            if payload is None:
+                with span("service.session_solve", session=status):
+                    result = session.engine.solve_spec(spec)
+                # Snapshot this solve's counters while the lock still
+                # guarantees they are ours.
+                stats = dict(session.engine.stats)
+                payload = result_to_json(result)
+                if keep is not None:
+                    keep(status, payload)
+            solve_count = session.engine.solve_count
+        cache = {
+            "session": status,
+            "store": answered,
+            "engine_solve_count": solve_count,
+        }
+        return Served(payload, cache, stats)

@@ -1,14 +1,13 @@
 """A bounded LRU of deep-copied payloads — the one memo primitive.
 
-Three cache layers of the serving stack share identical semantics: the
-per-session request memo (:class:`repro.service.session_cache.EngineSession`),
-the cross-graph result store (:class:`repro.service.result_store.ResultStore`)
-and the Python-API session memo (:class:`repro.api.session.Session`).  All
-of them hold *payload dicts* that consumers may mutate, so entries are
+Two answer caches share identical semantics: the serving layer's
+cross-graph result store (:class:`repro.service.result_store.ResultStore`)
+and the Python-API session memo (:class:`repro.api.session.Session`).
+Both hold *payload dicts* that consumers may mutate, so entries are
 deep-copied on the way in **and** on the way out (the cache must keep
 serving the pristine original), evict least-recently-used beyond a
 capacity, and count hits/misses.  This class is that behaviour, defined
-once; the layers differ only in locking (pass ``thread_safe=True``) and in
+once; the two differ only in locking (pass ``thread_safe=True``) and in
 how they build keys.
 """
 
@@ -22,8 +21,8 @@ from typing import ContextManager, Dict, Hashable, Optional
 
 __all__ = ["DEFAULT_MEMO_LIMIT", "PayloadCache"]
 
-#: Default entry bound for per-session memos (a memo is a convenience, not
-#: a second cache layer to tune).
+#: Default entry bound for a :class:`repro.api.session.Session` memo (a
+#: memo is a convenience, not a cache layer to tune).
 DEFAULT_MEMO_LIMIT = 128
 
 

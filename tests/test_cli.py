@@ -109,7 +109,7 @@ class TestServe:
     def test_serve_loop_responds_in_input_order(self, monkeypatch, capsys):
         request = {"dataset": "college", "algorithm": "gas", "budget": 1}
         # One worker: the identical requests run strictly in sequence, so
-        # the second is guaranteed to find the first's memo entry (with more
+        # the second is guaranteed to find the first's stored answer (with more
         # workers they may legitimately race past it).
         rc, responses = self._serve(
             monkeypatch,
@@ -124,8 +124,8 @@ class TestServe:
         assert rc == 0
         assert [r["id"] for r in responses] == ["a", "b"]
         assert all(r["ok"] for r in responses)
-        # the repeated request was answered from the warm session's memo
-        assert responses[1]["cache"]["memo"] is True
+        # the repeated request was answered from the result store
+        assert responses[1]["cache"]["store"] is True
         assert responses[0]["result"] == responses[1]["result"]
 
     def test_serve_reports_malformed_lines_in_place(self, monkeypatch, capsys):

@@ -16,6 +16,9 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -490,6 +493,24 @@ class TestServeStreamCompat:
             assert metrics["op"] == "metrics" and "histograms" in metrics
         finally:
             transport.close()
+
+
+class TestSubprocessBackendEnv:
+    def test_child_pythonpath_starts_at_the_package_parent(self, monkeypatch, tmp_path):
+        # A parent that found repro through sys.path alone (no PYTHONPATH)
+        # must still hand its backends a PYTHONPATH that imports repro.
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        env = SubprocessBackend()._env()
+        first = env["PYTHONPATH"].split(os.pathsep)[0]
+        assert os.path.isfile(os.path.join(first, "repro", "__init__.py"))
+        child = subprocess.run(
+            [sys.executable, "-c", "import repro.cli"],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 0, child.stderr
 
 
 @pytest.mark.slow

@@ -529,8 +529,8 @@ class TestWireExposition:
         spec = SolveSpec(
             request_id="memo", edges=CLIQUE_EDGES, algorithm="gas", budget=1
         )
-        # session_capacity=0 forces every request through the cross-session
-        # result store (warm sessions would answer from the per-session memo).
+        # session_capacity=0: every request runs on a cold session, so the
+        # repeat is the cross-session result store's alone.
         with SolveService(workers=1, session_capacity=0) as service:
             service.solve(spec)
             service.solve(spec)

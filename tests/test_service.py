@@ -213,7 +213,7 @@ class TestSolveService:
         with SolveService(workers=1) as service:
             responses = [service.solve(request) for _ in range(3)]
         assert [r.cache["session"] for r in responses] == ["miss", "hit", "hit"]
-        assert [r.cache["memo"] for r in responses] == [False, True, True]
+        assert [r.cache["store"] for r in responses] == [False, True, True]
         for response in responses:
             assert canonical_json(response.result) == expected
 
@@ -224,7 +224,7 @@ class TestSolveService:
         )
         with SolveService(workers=1, memoize=False) as service:
             responses = [service.solve(request) for _ in range(2)]
-        assert [r.cache["memo"] for r in responses] == [False, False]
+        assert [r.cache["store"] for r in responses] == [False, False]
         assert canonical_json(responses[0].result) == canonical_json(responses[1].result)
 
     def test_randomized_solver_without_seed_not_memoized(self):
@@ -239,11 +239,11 @@ class TestSolveService:
             params={"repetitions": 3, "seed": 5},
         )
         with SolveService(workers=1) as service:
-            assert [service.solve(unseeded).cache["memo"] for _ in range(2)] == [
+            assert [service.solve(unseeded).cache["store"] for _ in range(2)] == [
                 False,
                 False,
             ]
-            assert [service.solve(seeded).cache["memo"] for _ in range(2)] == [
+            assert [service.solve(seeded).cache["store"] for _ in range(2)] == [
                 False,
                 True,
             ]
@@ -504,3 +504,38 @@ class TestBatching:
         request, error = parsed[0]
         assert request is None
         assert isinstance(error, SolveOutcome) and not error.ok
+
+
+# ---------------------------------------------------------------------------
+# One serve path: the engine counters are the same under both executors
+# ---------------------------------------------------------------------------
+#: The request file CI's service smoke job serves: three identical GAS
+#: requests (two of them repeats), one BASE and one seeded SUP, all on
+#: ``college``.
+SMOKE_REQUESTS = [
+    {"id": f"gas-{i}", "dataset": "college", "algorithm": "gas", "budget": 2}
+    for i in range(3)
+] + [
+    {"id": "base", "dataset": "college", "algorithm": "base", "budget": 1},
+    {"id": "sup", "dataset": "college", "algorithm": "sup", "budget": 3,
+     "params": {"seed": 7, "repetitions": 10}},
+]
+
+
+class TestEngineCountersPerExecutor:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_smoke_batch_counts_every_solve(self, tmp_path, executor):
+        path = tmp_path / "requests.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in SMOKE_REQUESTS))
+        requests = [request for request, _error in read_request_file(path)]
+        with SolveService(workers=2, executor=executor) as service:
+            responses = run_batch(service, requests)
+            counters = service.metrics_snapshot()["counters"]
+        assert all(response.ok for response in responses)
+        # Three solves, their engine work counted wherever they ran; the
+        # two GAS repeats come from the result store.
+        assert counters["engine.solves"] == 3
+        assert counters["engine.incremental_peels"] == 1
+        assert counters["engine.tree_patches"] == 1
+        assert [r.cache["store"] for r in responses] == [False, True, True, False, False]
+        assert counters["service.store_hits"] == 2

@@ -339,7 +339,6 @@ class TestResultStore:
             stats = service.stats()
         repeats = outcomes[3:]
         assert all(o.cache["store"] for o in repeats)
-        assert all(not o.cache["memo"] for o in repeats)
         assert stats["store_hits"] == 3
         assert service.session_info()["result_store"]["hits"] == 3
         firsts = {o.request_id.split("-")[0]: o for o in outcomes[:3]}
@@ -355,7 +354,7 @@ class TestResultStore:
         )
         with SolveService(workers=1, session_capacity=1) as service:
             service.solve(unseeded)
-            # evict the session so the memo cannot mask the store
+            # evict the session: a repeat can only come from the store
             service.solve(
                 SolveSpec(request_id="other", edges=tuple(small_graph(98).edge_list()), budget=1)
             )
@@ -375,8 +374,7 @@ class TestResultStore:
         assert first.cache["session"] == "bypass"
         assert first.cache["store"] is False
         assert second.cache["session"] == "bypass"
-        assert second.cache["memo"] is False  # memo died with the session
-        assert second.cache["store"] is True  # the store did not
+        assert second.cache["store"] is True  # the store outlives the session
         assert canonical_json(first.result) == canonical_json(second.result)
 
     def test_collision_bypass_never_touches_the_store(self, monkeypatch):

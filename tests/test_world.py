@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import engine as engine_module
+from repro.core import followers as followers_module
 from repro.truss import peel as peel_module
 from repro.utils.errors import InvalidParameterError
 from repro.world import (
@@ -254,7 +255,7 @@ class TestMutationCaught:
             return set(members)
 
         violation = None
-        with mock.patch.object(engine_module, "_gfp_level", buggy_gfp):
+        with mock.patch.object(followers_module, "_gfp_level", buggy_gfp):
             for point in TIER1_POINTS[:10]:
                 try:
                     check_world_point(point, invariants=("incremental_repeel",))
@@ -266,7 +267,7 @@ class TestMutationCaught:
         assert replay_command(violation.point) in message
         assert 'python -m repro.cli world --replay "' in message
         # ... and the CLI surfaces exactly that line on a failing run
-        with mock.patch.object(engine_module, "_gfp_level", buggy_gfp):
+        with mock.patch.object(followers_module, "_gfp_level", buggy_gfp):
             code = cli_main(["world", "--replay", violation.point.spec()])
         assert code == 1
         assert replay_command(violation.point) in capsys.readouterr().err
