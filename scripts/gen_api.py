@@ -343,6 +343,7 @@ METHOD_ALLOWLIST = {
         "layer",
         "precedes",
         "kernel_views",
+        "tight_flags",
         "trussness_gain_from",
         "followers_relative_to",
     ],

@@ -108,6 +108,30 @@ def _thaw(value: object) -> object:
     return value
 
 
+def _params_text(params: Tuple[Tuple[str, object], ...]) -> str:
+    """The params as deterministic text for :meth:`SolveSpec.signature`.
+
+    JSON with sorted keys, except when a mapping has keys JSON cannot encode
+    (a tuple-keyed ``route_sizes`` from the Python API): then the ``repr`` of
+    an order-free form, which starts with ``(`` and so never equals JSON
+    text (which starts with ``[``).
+    """
+    try:
+        return json.dumps(_thaw(params), sort_keys=True, default=repr)
+    except TypeError:
+        return repr(_order_free(params))
+
+
+def _order_free(value: object) -> object:
+    """``value`` with every mapping as ``("mapping", items sorted by key repr)``."""
+    if isinstance(value, Mapping):
+        items = ((repr(key), _order_free(entry)) for key, entry in value.items())
+        return ("mapping", tuple(sorted(items, key=lambda item: item[0])))
+    if isinstance(value, (list, tuple)):
+        return tuple(_order_free(item) for item in value)
+    return value
+
+
 def _edge_pairs(value: object, field_name: str) -> Tuple[Tuple[object, object], ...]:
     if not isinstance(value, (list, tuple)):
         raise SpecError(f"{field_name} must be a list of [u, v] pairs")
@@ -329,7 +353,7 @@ class SolveSpec:
             self.schema_version,
             self.algorithm,
             self.budget,
-            json.dumps(_thaw(self.params), sort_keys=True, default=repr),
+            _params_text(self.params),
             self.initial_anchors,
             self.engine,
         )

@@ -22,7 +22,9 @@ Three interchangeable implementations are provided:
     A faithful implementation of the paper's Algorithm 3: per-hull min-heaps
     keyed by the peeling layer, optimistic *effective triangle* counting
     (Definition 8), and the ``Retract`` cascade that withdraws support when a
-    candidate is eliminated.
+    candidate is eliminated.  An exact *first-survivor screen* skips the
+    candidates that provably cannot survive (see
+    :func:`followers_support_check`); it changes no status the loop leaves.
 
 All three return exactly the same follower set; the test-suite asserts this
 on hundreds of random graphs.
@@ -30,15 +32,19 @@ on hundreds of random graphs.
 The local methods run in the *integer domain* of the shared
 :class:`~repro.graph.index.GraphIndex`: candidates, heaps and status flags
 are keyed by dense edge ids, trussness/layer lookups are list indexing, and
-triangle queries read the precomputed per-edge triple lists.  ``recompute``
-is the oracle the test-suite checks both local methods against.
+triangle queries read the precomputed per-edge triple lists.  Both take a
+candidate restriction, spelled as edge tuples (``candidate_filter``) or as
+component-tree nodes (``candidate_nodes``, the spelling GAS uses: a
+membership test on the tree's ``node_of_eid`` instead of a copied union of
+node edge sets).  ``recompute`` is the oracle the test-suite checks both
+local methods against.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.graph import Edge
 from repro.graph.index import GraphIndex
@@ -142,19 +148,35 @@ def _expand_candidates(state: TrussState, seeds: Set[Edge]) -> Set[Edge]:
     return {edge_of[eid] for eid in _expand_candidate_ids(state, seed_ids)}
 
 
-def _resolve_filter_ids(
+#: A candidate restriction ``(key_of, allowed)``: edge ``eid`` is in scope iff
+#: ``key_of[eid] in allowed``.  ``candidate_nodes`` passes a component tree's
+#: ``(node_of_eid, node_ids)``; an edge-tuple filter resolves to
+#: ``(range(m), eids)``.
+Scope = Tuple[Sequence[int], Set[int]]
+
+
+def _resolve_scope(
     state: TrussState,
     candidate_filter: Optional[Set[Edge]],
-    candidate_filter_ids: Optional[Set[int]],
-) -> Optional[Set[int]]:
-    """Normalise the two filter spellings to a dense-id set (or ``None``)."""
-    if candidate_filter_ids is not None:
-        return candidate_filter_ids
+    candidate_nodes: Optional[Scope],
+) -> Optional[Scope]:
+    """Normalise the two filter spellings to one :data:`Scope` (or ``None``)."""
+    if candidate_nodes is not None:
+        return candidate_nodes
     if candidate_filter is None:
         return None
-    eid_of = state.index.eid_of
+    index = state.index
+    eid_of = index.eid_of
     graph = state.graph
-    return {eid_of[graph.require_edge(e)] for e in candidate_filter}
+    return range(index.num_edges), {eid_of[graph.require_edge(e)] for e in candidate_filter}
+
+
+def _in_scope(eids: Set[int], scope: Optional[Scope]) -> Set[int]:
+    """The members of ``eids`` inside ``scope`` (all of them without one)."""
+    if scope is None:
+        return eids
+    key_of, allowed = scope
+    return {eid for eid in eids if key_of[eid] in allowed}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +186,7 @@ def followers_candidate_peel(
     state: TrussState,
     anchor: Edge,
     candidate_filter: Optional[Set[Edge]] = None,
-    candidate_filter_ids: Optional[Set[int]] = None,
+    candidate_nodes: Optional[Scope] = None,
 ) -> Set[Edge]:
     """Followers of ``anchor`` via candidate restriction + per-level peeling.
 
@@ -175,9 +197,9 @@ def followers_candidate_peel(
     trussness ``>= k + 1``, or another member of ``S``.  The maximal such set
     is computed by iterative peeling.
 
-    ``candidate_filter`` (edge tuples) or ``candidate_filter_ids`` (dense
-    edge ids, the hot-path spelling used by GAS) optionally restricts the
-    considered candidates to selected tree nodes.
+    ``candidate_filter`` (edge tuples) or ``candidate_nodes`` (a component
+    tree's ``(node_of_eid, node_ids)``, the spelling GAS uses) optionally
+    restricts the considered candidates to selected tree nodes.
     """
     anchor = state.graph.require_edge(anchor)
     if state.is_anchor(anchor):
@@ -185,14 +207,11 @@ def followers_candidate_peel(
 
     index, trussness, _layer, _anchor_mask = state.kernel_views()
     anchor_id = index.eid_of[anchor]
-    filter_ids = _resolve_filter_ids(state, candidate_filter, candidate_filter_ids)
+    scope = _resolve_scope(state, candidate_filter, candidate_nodes)
 
     seeds = _initial_candidate_ids(state, anchor_id, strict=False)
-    if filter_ids is not None:
-        seeds &= filter_ids
-    candidates = _expand_candidate_ids(state, seeds)
-    if filter_ids is not None:
-        candidates &= filter_ids
+    candidates = _expand_candidate_ids(state, _in_scope(seeds, scope))
+    candidates = _in_scope(candidates, scope)
     candidates.discard(anchor_id)
 
     edge_of = index.edge_of
@@ -271,7 +290,7 @@ def followers_support_check(
     state: TrussState,
     anchor: Edge,
     candidate_filter: Optional[Set[Edge]] = None,
-    candidate_filter_ids: Optional[Set[int]] = None,
+    candidate_nodes: Optional[Scope] = None,
 ) -> Set[Edge]:
     """Followers of ``anchor`` via the paper's Algorithm 3 (GetFollowers).
 
@@ -282,9 +301,26 @@ def followers_support_check(
     otherwise it is *eliminated* and the ``Retract`` cascade withdraws the
     support it had lent to previously surviving edges.
 
-    ``candidate_filter`` / ``candidate_filter_ids`` restrict both the initial
-    pushes and the route expansion to the given edge set (used by GAS for
-    per-tree-node reuse).
+    ``candidate_filter`` (edge tuples) / ``candidate_nodes`` (a component
+    tree's ``(node_of_eid, node_ids)``) restrict both the initial pushes and
+    the route expansion (used by GAS for per-tree-node reuse).
+
+    First-survivor screen.  While no edge of level ``k`` has survived, a
+    level-``k`` candidate ``e`` counts at most the triangles whose other
+    edges are each the anchor ``x``, an existing anchor, of trussness
+    ``> k``, or of trussness ``k`` with layer ``>= l(e)``.  Without ``x``
+    there are at most ``k - 2`` of them (the peel removed ``e`` in wave
+    ``l(e)``), and ``x`` lies in at most one triangle of ``e``.  So ``e``
+    can reach ``k - 1`` only if it is a *starter*: a strict initial
+    candidate (``x`` does not already hold), tight
+    (:meth:`~repro.truss.state.TrussState.tight_flags`), whose triangle
+    ``{x, e, c}`` has ``c`` an anchor, of trussness ``> k``, or of
+    trussness ``k`` with ``l(c) >= l(e)``.  Hence the search returns at once
+    when no candidate is a starter, skips levels without one, and, while
+    nothing has survived, eliminates a popped non-starter without counting
+    its triangles; ``Retract`` runs only once something has survived (before
+    that no status is ``survived``, so it would change nothing).  Every step
+    leaves exactly the statuses of the unscreened loop.
 
     Everything runs on dense edge ids: the heap holds ``(layer, eid)`` pairs
     (dense-id order equals public edge-id order, so the tie-breaking matches
@@ -298,21 +334,43 @@ def followers_support_check(
     index, trussness, layer, anchor_mask = state.kernel_views()
     edge_triangles = index.edge_triangles
     anchor_id = index.eid_of[anchor]
-    filter_ids = _resolve_filter_ids(state, candidate_filter, candidate_filter_ids)
+    scope = _resolve_scope(state, candidate_filter, candidate_nodes)
+    key_of, allowed = scope if scope is not None else (None, None)
 
-    initial = _initial_candidate_ids(state, anchor_id, strict=True)
-    if filter_ids is not None:
-        initial &= filter_ids
-    if not initial:
-        # Common on sparse graphs (no qualifying neighbour-edges): skip the
-        # per-call overlay allocations entirely.
+    # Strict Lemma-2 initial candidates (l(e) > l(x) on the anchor's level)
+    # and, among them, the starters.  Each neighbour-edge shares exactly one
+    # triangle with the anchor, whose third edge is ``other``.
+    tight = state.tight_flags()
+    t_anchor = trussness[anchor_id]
+    l_anchor = layer[anchor_id]
+    initial: List[int] = []
+    starters: Set[int] = set()
+    for e1, e2, _w in edge_triangles[anchor_id]:
+        for eid, other in ((e1, e2), (e2, e1)):
+            if anchor_mask[eid]:
+                continue
+            t_edge = trussness[eid]
+            if t_edge < t_anchor or (t_edge == t_anchor and layer[eid] <= l_anchor):
+                continue
+            if key_of is not None and key_of[eid] not in allowed:
+                continue
+            initial.append(eid)
+            if tight[eid]:
+                t_other = trussness[other]
+                if t_other > t_edge or (t_other == t_edge and layer[other] >= layer[eid]):
+                    starters.add(eid)
+    if not starters:
+        # Nothing can be the first survivor on any level.
         return set()
 
+    starter_levels = {int(trussness[eid]) for eid in starters}
     heaps: Dict[int, List[Tuple[float, int]]] = {}
     pushed = bytearray(index.num_edges)
     for eid in initial:
-        heaps.setdefault(int(trussness[eid]), []).append((layer[eid], eid))
-        pushed[eid] = 1
+        level = int(trussness[eid])
+        if level in starter_levels:
+            heaps.setdefault(level, []).append((layer[eid], eid))
+            pushed[eid] = 1
 
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -374,6 +432,10 @@ def followers_support_check(
             l_edge, eid = heappop(heap)
             if status[eid]:
                 continue
+            if not survived and eid not in starters:
+                # The screen: only a starter can be the first survivor.
+                status[eid] = _ELIMINATED
+                continue
             if effective_triangles(eid) >= needed:
                 status[eid] = _SURVIVED
                 survived.add(eid)
@@ -381,14 +443,15 @@ def followers_support_check(
                     for neighbour in (e1, e2):
                         if pushed[neighbour] or anchor_mask[neighbour]:
                             continue
-                        if filter_ids is not None and neighbour not in filter_ids:
+                        if key_of is not None and key_of[neighbour] not in allowed:
                             continue
                         if trussness[neighbour] == level and layer[neighbour] >= l_edge:
                             heappush(heap, (layer[neighbour], neighbour))
                             pushed[neighbour] = 1
             else:
                 status[eid] = _ELIMINATED
-                retract(eid)
+                if survived:
+                    retract(eid)
 
         followers_ids.extend(survived)
 
@@ -404,7 +467,7 @@ def compute_followers(
     anchor: Edge,
     method: FollowerMethod | str = FollowerMethod.SUPPORT_CHECK,
     candidate_filter: Optional[Set[Edge]] = None,
-    candidate_filter_ids: Optional[Set[int]] = None,
+    candidate_nodes: Optional[Scope] = None,
 ) -> Set[Edge]:
     """Compute ``F(anchor, G_A)`` with the selected method.
 
@@ -419,15 +482,17 @@ def compute_followers(
     candidate_filter:
         Optional restriction of the candidate edges (tree-node reuse); not
         supported by the ``recompute`` method.
-    candidate_filter_ids:
-        The same restriction spelled in dense edge ids (takes precedence;
-        used by the GAS hot loop to avoid tuple conversions).
+    candidate_nodes:
+        The same restriction spelled as component-tree nodes:
+        ``(tree.node_of_eid, node_ids)`` keeps the edges whose node is in
+        ``node_ids`` (takes precedence; the GAS hot loop uses it, so no
+        node's edge set is ever copied).
     """
     method = FollowerMethod(method)
     if method is FollowerMethod.RECOMPUTE:
-        if candidate_filter is not None or candidate_filter_ids is not None:
+        if candidate_filter is not None or candidate_nodes is not None:
             raise InvalidParameterError("candidate_filter is not supported by 'recompute'")
         return followers_by_recompute(state, anchor)
     if method is FollowerMethod.PEEL:
-        return followers_candidate_peel(state, anchor, candidate_filter, candidate_filter_ids)
-    return followers_support_check(state, anchor, candidate_filter, candidate_filter_ids)
+        return followers_candidate_peel(state, anchor, candidate_filter, candidate_nodes)
+    return followers_support_check(state, anchor, candidate_filter, candidate_nodes)

@@ -10,7 +10,9 @@ sets from scratch in every round:
    :mod:`repro.core.reuse` decides which cached entries are still valid;
 3. in the next round only the invalidated entries are recomputed, and the
    recomputation is restricted to the affected tree nodes (the
-   ``candidate_filter`` argument of the follower search).
+   ``candidate_nodes`` argument of the follower search: a membership test
+   on the tree's ``node_of_eid``, equivalent to filtering by the union of
+   those nodes' edge sets without ever building it).
 
 Because the reuse rule is conservative, GAS selects exactly the same anchors
 as BASE+ and BASE (under the shared smallest-edge-id tie-breaking); the
@@ -142,11 +144,8 @@ def _refresh_entry(
     recomputed = False
     if needed:
         recomputed = True
-        candidate_filter_ids: Set[int] = set()
-        for node_id in needed:
-            candidate_filter_ids |= tree.nodes[node_id].edge_ids
         followers = compute_followers(
-            state, edge, method=method, candidate_filter_ids=candidate_filter_ids
+            state, edge, method=method, candidate_nodes=(tree.node_of_eid, needed)
         )
         buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
         for follower in followers:

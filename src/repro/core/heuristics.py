@@ -17,18 +17,18 @@ the original decomposition per call.
 
 from __future__ import annotations
 
+import numbers
 import random
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.core.upward_route import upward_route_size
 from repro.graph.graph import Edge, Graph
-from repro.graph.triangles import support_map
 from repro.truss.state import TrussState
-from repro.utils.errors import InvalidParameterError
+from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 from repro.utils.rng import make_rng
 
 DEFAULT_TOP_FRACTION = 0.2
@@ -76,6 +76,38 @@ def _top_fraction(request: SolveSpec) -> float:
     return top_fraction
 
 
+def _checked_route_sizes(graph: Graph, route_sizes: object) -> Dict[Edge, int]:
+    """``route_sizes`` keyed by canonical edges, or :class:`InvalidParameterError`.
+
+    It must map ``(u, v)`` edges of the graph to ints ``>= 0``; edges it
+    leaves out rank with size 0.  A JSON request cannot spell such a
+    mapping (object keys are strings), so over the wire only the default
+    (sizes computed here) is usable.
+    """
+    if not isinstance(route_sizes, Mapping):
+        raise InvalidParameterError(
+            f"route_sizes must map (u, v) edges to sizes, got {type(route_sizes).__name__}"
+        )
+    checked: Dict[Edge, int] = {}
+    for key, size in route_sizes.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise InvalidParameterError(f"route_sizes key {key!r} is not a (u, v) edge")
+        try:
+            edge = graph.require_edge(key)
+        except InvalidEdgeError:
+            raise InvalidParameterError(
+                f"route_sizes key {key!r} is not an edge of the graph"
+            ) from None
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
+            raise InvalidParameterError(
+                f"route_sizes[{key!r}] must be an int >= 0, got {size!r}"
+            )
+        if edge in checked:
+            raise InvalidParameterError(f"route_sizes lists edge {edge!r} twice")
+        checked[edge] = int(size)
+    return checked
+
+
 @register_solver(
     "rand",
     description="best of N uniformly random anchor sets",
@@ -106,15 +138,18 @@ def _solve_rand(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
 )
 def _solve_sup(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     request.reject_initial_anchors("sup")
-    graph = engine.graph
     top_fraction = _top_fraction(request)
     rng = make_rng(request.param("seed"))
-    supports = support_map(graph)
-    ranked = sorted(graph.edge_list(), key=lambda e: (-supports[e], graph.edge_id(e)))
+    # The index's supports, ranked in dense edge ids: dense order is public
+    # edge-id order, so ``(-support, eid)`` is the smallest-id tie-break.
+    index = engine.index
+    support = index.support
+    ranked = sorted(range(index.num_edges), key=lambda eid: (-support[eid], eid))
     cutoff = max(1, int(len(ranked) * top_fraction))
+    edge_of = index.edge_of
     return _run_repetitions(
-        graph,
-        ranked[:cutoff],
+        engine.graph,
+        [edge_of[eid] for eid in ranked[:cutoff]],
         request.budget,
         int(request.param("repetitions", DEFAULT_REPETITIONS)),
         rng,
@@ -140,6 +175,8 @@ def _solve_tur(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         route_sizes = {
             edge: upward_route_size(baseline_state, edge) for edge in graph.edges()
         }
+    else:
+        route_sizes = _checked_route_sizes(graph, route_sizes)
     ranked = sorted(
         graph.edge_list(), key=lambda e: (-route_sizes.get(e, 0), graph.edge_id(e))
     )

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.graph.graph import Edge, Graph, Vertex, normalize_edge
 from repro.graph.index import GraphIndex
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
@@ -149,6 +151,41 @@ class TrussState:
         self._kernel_views = views
         return views
 
+    def tight_flags(self) -> bytearray:
+        """Per-edge-id 0/1 flags: which non-anchored edges are *tight*.
+
+        Edge ``e`` is tight when it closes exactly ``t(e) - 2`` triangles
+        whose two other edges are each an anchor, of trussness ``> t(e)``,
+        or of trussness ``t(e)`` with layer ``>= l(e)``.  Those are the
+        triangles ``e`` still had when the peel removed it in wave ``l(e)``
+        of phase ``t(e)``, so there are never more than ``t(e) - 2`` of them.
+        The follower search uses the flags to screen its first survivor (see
+        :func:`repro.core.followers.followers_support_check`).
+
+        One NumPy pass over the CSR hit table, computed once per state (the
+        decomposition is fixed) and cached.  Treat the result as read-only.
+        """
+        index, truss, layer, anchor_mask = self.kernel_views()
+        cached = getattr(self, "_tight_flags", None)
+        if cached is not None and cached[0] is index:
+            return cached[1]
+        csr = index.csr
+        truss_arr = _np.array(truss, dtype=_np.float64)
+        layer_arr = _np.array(layer, dtype=_np.float64)
+        base = csr.hit_bases()
+        t_base = truss_arr[base]
+        l_base = layer_arr[base]
+        held = _np.ones(len(base), dtype=bool)
+        for other in (csr.hit_e1, csr.hit_e2):
+            t_other = truss_arr[other]
+            held &= (t_other > t_base) | ((t_other == t_base) & (layer_arr[other] >= l_base))
+        counts = _np.bincount(base[held], minlength=index.num_edges)
+        # Anchors hold inf, so ``t - 2`` never matches their (finite) count.
+        tight = counts == truss_arr - 2
+        flags = bytearray(tight.astype(_np.uint8).tobytes())
+        self._tight_flags = (index, flags)
+        return flags
+
     def triangle_list(self, edge: Edge) -> List[Tuple[Edge, Edge, Vertex]]:
         """The triangles through ``edge`` as a cached list (do not mutate).
 
@@ -174,25 +211,34 @@ class TrussState:
     # ------------------------------------------------------------------
     # Gain bookkeeping
     # ------------------------------------------------------------------
+    def _trussness_deltas(self, baseline: "TrussState") -> Tuple[_np.ndarray, _np.ndarray]:
+        """Dense edge ids whose trussness differs from ``baseline``, with the
+        differences, over the edges anchored in neither state (one pass over
+        both states' :meth:`kernel_views`)."""
+        index, truss, _layer, mask = self.kernel_views()
+        base_index, base_truss, _base_layer, base_mask = baseline.kernel_views()
+        if base_index is not index and base_index.edge_of != index.edge_of:
+            raise InvalidParameterError("the two states describe different graphs")
+        new = _np.array(truss, dtype=_np.float64)
+        old = _np.array(base_truss, dtype=_np.float64)
+        counted = ~(_np.frombuffer(mask, dtype=bool) | _np.frombuffer(base_mask, dtype=bool))
+        changed = _np.flatnonzero(counted & (new != old))
+        return changed, new[changed] - old[changed]
+
     def trussness_gain_from(self, baseline: "TrussState") -> int:
         """Total trussness gain of this state relative to ``baseline``.
 
         The sum runs over edges that are not anchored in *this* state
-        (Definition 4: edges of ``E \\ A``).
+        (Definition 4: edges of ``E \\ A``) nor in ``baseline``.
         """
-        gain = 0
-        for edge, old_value in baseline.decomposition.trussness.items():
-            if edge in self.anchors:
-                continue
-            new_value = self.decomposition.trussness.get(edge)
-            if new_value is None:
-                raise InvalidEdgeError(edge)
-            if new_value < old_value:
-                raise InvalidParameterError(
-                    f"trussness of {edge!r} decreased; anchoring cannot do that"
-                )
-            gain += new_value - old_value
-        return gain
+        changed, deltas = self._trussness_deltas(baseline)
+        decreased = changed[deltas < 0]
+        if len(decreased):
+            edge = self.index.edge_of[int(decreased[0])]
+            raise InvalidParameterError(
+                f"trussness of {edge!r} decreased; anchoring cannot do that"
+            )
+        return int(deltas.sum())
 
     def followers_relative_to(self, baseline: "TrussState") -> Set[Edge]:
         """Edges whose trussness is strictly larger than in ``baseline``.
@@ -200,13 +246,9 @@ class TrussState:
         Used as the ground-truth follower computation: anchor an edge,
         recompute the decomposition, and diff.
         """
-        result: Set[Edge] = set()
-        for edge, old_value in baseline.decomposition.trussness.items():
-            if edge in self.anchors:
-                continue
-            if self.decomposition.trussness.get(edge, old_value) > old_value:
-                result.add(edge)
-        return result
+        changed, deltas = self._trussness_deltas(baseline)
+        edge_of = self.index.edge_of
+        return {edge_of[eid] for eid in changed[deltas > 0].tolist()}
 
     def trussness_values(self) -> Dict[Edge, int]:
         """A copy of the trussness mapping for non-anchored edges."""

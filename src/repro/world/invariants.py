@@ -22,6 +22,13 @@ bundle against a point's graph and anchor schedule:
     :func:`repro.oracles.truss_decomposition_reference`, mapped to dense
     edge ids (:func:`repro.oracles.dense_peel_reference`), with and without
     the anchor schedule.
+``follower_search``
+    On the engine state after the schedule's last commit (incremental
+    layers, patched tree), Algorithm 3 with its first-survivor screen
+    (:func:`repro.core.followers.followers_support_check`) must return, for
+    every non-anchored candidate, the engine's dirty-closure fixed point —
+    the follower set ``incremental_repeel`` pins to full decompositions —
+    unfiltered, and restricted to each of the candidate's ``sla`` nodes.
 
 A failed check raises :class:`InvariantViolation`, whose message embeds the
 single self-contained replay line::
@@ -39,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import engine as engine_module
 from repro.core.component_tree import TrussComponentTree
+from repro.core.followers import _followers_on_arrays, followers_support_check
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.oracles import dense_peel_reference
@@ -63,6 +71,7 @@ INVARIANTS: Tuple[str, ...] = (
     "reuse_decision",
     "candidate_heap",
     "peel_backends",
+    "follower_search",
 )
 
 _ALWAYS_INCREMENTAL = math.inf
@@ -239,6 +248,40 @@ def _check_peel_backends(point: WorldPoint, graph: Graph, schedule) -> None:
             )
 
 
+def _check_follower_search(point: WorldPoint, graph: Graph, schedule) -> None:
+    engine = engine_module.SolverEngine(
+        graph, full_peel_threshold=_ALWAYS_INCREMENTAL
+    )
+    engine.tree()
+    for edge in schedule:
+        engine.commit_anchor(edge)
+    state = engine.state
+    tree = engine.tree()
+    index, truss, _layer, mask = state.kernel_views()
+    edge_of = index.edge_of
+    node_of_eid = tree.node_of_eid
+    for eid in range(index.num_edges):
+        if mask[eid]:
+            continue
+        closure = engine_module._dirty_closure(index, truss, eid)
+        expected = {edge_of[f] for f in _followers_on_arrays(index, truss, eid, closure)}
+        searches = [(None, expected)]
+        for node_id in sorted(tree.sla_sets[eid] or ()):
+            searches.append((node_id, expected & tree.nodes[node_id].edges))
+        for node_id, want in searches:
+            nodes = None if node_id is None else (node_of_eid, {node_id})
+            got = followers_support_check(state, edge_of[eid], candidate_nodes=nodes)
+            if got != want:
+                where = "unfiltered" if node_id is None else f"restricted to node {node_id}"
+                raise InvariantViolation(
+                    point,
+                    "follower_search",
+                    f"after {len(schedule)} commit(s) the follower search of "
+                    f"{edge_of[eid]!r} ({where}) returned {sorted(got)!r}, "
+                    f"the dirty-closure fixed point {sorted(want)!r}",
+                )
+
+
 def check_world_point(
     point: WorldPoint,
     invariants: Sequence[str] = INVARIANTS,
@@ -261,6 +304,8 @@ def check_world_point(
         _check_candidate_heap(point, graph)
     if "peel_backends" in invariants:
         _check_peel_backends(point, graph, schedule)
+    if "follower_search" in invariants:
+        _check_follower_search(point, graph, schedule)
     return InvariantReport(
         point=point,
         num_vertices=graph.num_vertices,

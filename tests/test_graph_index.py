@@ -222,20 +222,21 @@ class TestFollowerEquivalence:
             truth = compute_followers(state, anchor, method="recompute")
             assert followers_support_check(state, anchor) == truth
 
-    def test_candidate_filter_ids_matches_tuple_filter(self, fig3_state):
+    def test_candidate_nodes_matches_tuple_filter(self, fig3_state):
         tree = TrussComponentTree.build(fig3_state)
-        index = fig3_state.index
         truth = followers_by_recompute(fig3_state, (9, 10))
         for node in tree.nodes.values():
-            tuple_result = followers_support_check(
-                fig3_state, (9, 10), candidate_filter=set(node.edges)
-            )
-            id_result = followers_support_check(
-                fig3_state, (9, 10), candidate_filter_ids=set(node.edge_ids)
-            )
-            assert tuple_result == id_result
-            assert tuple_result == truth & node.edges
-            assert index.eid_of  # sanity: index shared
+            for method in (followers_support_check, followers_candidate_peel):
+                tuple_result = method(
+                    fig3_state, (9, 10), candidate_filter=set(node.edges)
+                )
+                node_result = method(
+                    fig3_state,
+                    (9, 10),
+                    candidate_nodes=(tree.node_of_eid, {node.node_id}),
+                )
+                assert tuple_result == node_result
+                assert tuple_result == truth & node.edges
 
 
 def _tree_shape(tree: TrussComponentTree):

@@ -298,6 +298,24 @@ class TestSolveService:
             assert response.error_kind == "invalid", (response.request_id, response.error)
             assert "full_peel_threshold" in response.error, response.error
 
+    def test_unusable_route_sizes_are_invalid_over_the_wire(self):
+        """JSON cannot key ``route_sizes`` by edges: every wire spelling is
+        a bad request, not a silent all-zero ranking or an internal fault."""
+        edges = [list(edge) for edge in small_graph(4).edge_list()]
+        lines = [
+            json.dumps({
+                "id": f"tur-{i}", "edges": edges, "algorithm": "tur", "budget": 2,
+                "params": {"seed": 3, "repetitions": 2, "route_sizes": sizes},
+            })
+            for i, sizes in enumerate([{"1,2": 5}, [[1, 2, 5]], 7])
+        ]
+        with SolveService(workers=1) as service:
+            responses = service.solve_many([parse_request_line(line) for line in lines])
+        for response in responses:
+            assert not response.ok, response.request_id
+            assert response.error_kind == "invalid", (response.request_id, response.error)
+            assert "route_sizes" in response.error, response.error
+
     def test_unexpected_exceptions_become_responses_too(self):
         """The serving boundary must never let an exception kill the loop."""
         # A list is not a hashable vertex label: Graph.add_edge raises

@@ -7,8 +7,13 @@ import math
 import pytest
 
 from repro.graph.generators import complete_graph
+from repro.graph.index import GraphIndex
+from repro.oracles import dense_peel_reference
+from repro.truss.decomposition import trussness_gain
 from repro.truss.state import ANCHOR_TRUSSNESS, TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
+
+from tests.conftest import anchor_eid_sets, world_sweep_graphs
 
 
 class TestBasicQueries:
@@ -87,6 +92,80 @@ class TestAnchoringTransitions:
         assert (8, 9) not in followers
         assert len(followers) >= 2
         assert gain >= len(followers)
+
+
+    def test_array_diffs_match_the_dict_walk(self):
+        for name, graph in world_sweep_graphs():
+            edge_of = GraphIndex.of(graph).edge_of
+            for anchor_eids in anchor_eid_sets(graph.num_edges, seed=7):
+                anchors = [edge_of[eid] for eid in anchor_eids]
+                baselines = (TrussState.compute(graph), TrussState.compute(graph, anchors[:1]))
+                for baseline in baselines:
+                    anchored = baseline.with_anchors(anchors)
+                    before = baseline.decomposition
+                    after = anchored.decomposition
+                    assert anchored.trussness_gain_from(baseline) == trussness_gain(
+                        before, after
+                    ), name
+                    assert anchored.followers_relative_to(baseline) == {
+                        edge
+                        for edge, old in before.trussness.items()
+                        if edge not in after.anchors and after.trussness[edge] > old
+                    }, name
+
+    def test_gain_from_a_more_anchored_baseline_raises(self, fig3_state):
+        anchored = fig3_state.with_anchor((9, 10))
+        with pytest.raises(InvalidParameterError, match="decreased"):
+            fig3_state.trussness_gain_from(anchored)
+        # followers_relative_to only reports increases; it does not raise
+        assert fig3_state.followers_relative_to(anchored) == set()
+
+    def test_states_of_different_graphs_do_not_compare(self, fig3_state):
+        other = TrussState.compute(complete_graph(4))
+        with pytest.raises(InvalidParameterError, match="different graphs"):
+            other.trussness_gain_from(fig3_state)
+
+
+def _tight_recount(graph, anchor_eids):
+    """Tight flags recounted per edge from the oracle's trussness and layers,
+    over triangles found by adjacency intersection."""
+    index = GraphIndex.of(graph)
+    eid_of = index.eid_of
+    truss, layer, _k_max = dense_peel_reference(graph, anchor_eids)
+    anchored = set(anchor_eids)
+
+    def holds(other, eid):
+        return other in anchored or truss[other] > truss[eid] or (
+            truss[other] == truss[eid] and layer[other] >= layer[eid]
+        )
+
+    flags = []
+    for eid, (u, v) in enumerate(index.edge_of):
+        if eid in anchored:
+            flags.append(0)
+            continue
+        count = 0
+        for w in graph.neighbors(u) & graph.neighbors(v):
+            a = eid_of[graph.require_edge((u, w))]
+            b = eid_of[graph.require_edge((v, w))]
+            count += holds(a, eid) and holds(b, eid)
+        assert count <= truss[eid] - 2  # the peel's wave bound
+        flags.append(int(count == truss[eid] - 2))
+    return flags
+
+
+class TestTightFlags:
+    def test_flags_match_a_per_edge_recount(self):
+        for name, graph in world_sweep_graphs():
+            m = graph.num_edges
+            edge_of = GraphIndex.of(graph).edge_of
+            for anchor_eids in anchor_eid_sets(m, seed=m):
+                state = TrussState.compute(graph, [edge_of[eid] for eid in anchor_eids])
+                expected = _tight_recount(graph, anchor_eids)
+                assert list(state.tight_flags()) == expected, (name, anchor_eids)
+
+    def test_flags_are_computed_once_per_state(self, fig3_state):
+        assert fig3_state.tight_flags() is fig3_state.tight_flags()
 
 
 class TestCliqueState:

@@ -21,6 +21,7 @@ from repro.cli import main as cli_main
 from repro.core import engine as engine_module
 from repro.core import followers as followers_module
 from repro.truss import peel as peel_module
+from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
 from repro.world import (
     FAMILIES,
@@ -292,3 +293,21 @@ class TestMutationCaught:
                     break
         assert violation is not None
         assert violation.invariant == "peel_backends"
+
+    def test_broken_first_survivor_screen_is_caught(self):
+        # Mutation: no edge is tight, so the screen finds no starter and
+        # every follower search comes back empty.
+        def never_tight(state):
+            return bytearray(state.index.num_edges)
+
+        violation = None
+        with mock.patch.object(TrussState, "tight_flags", never_tight):
+            for point in TIER1_POINTS[:10]:
+                try:
+                    check_world_point(point, invariants=("follower_search",))
+                except InvariantViolation as caught:
+                    violation = caught
+                    break
+        assert violation is not None, "broken screen never tripped the rig"
+        assert violation.invariant == "follower_search"
+        assert replay_command(violation.point) in str(violation)
