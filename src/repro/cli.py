@@ -81,6 +81,24 @@ from repro.experiments.runner import available_experiments, run_all, run_experim
 _SOLVERS = solver_table()
 
 
+def _at_least(minimum: float, kind: type = int, strict: bool = False):
+    """An argparse ``type=`` for a number ``>= minimum`` (``> minimum`` when
+    ``strict``): a value out of range is a usage error naming the flag
+    (exit 2), not a traceback from deep inside the service."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > minimum if strict else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {minimum}, got {text}"
+            )
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-atr",
@@ -111,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _service_args(command: argparse.ArgumentParser) -> None:
         command.add_argument(
-            "--workers", type=int, default=4, help="workers in the solve pool"
+            "--workers", type=_at_least(1), default=4, help="workers in the solve pool"
         )
         command.add_argument(
             "--executor",
@@ -123,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--session-cache",
-            type=int,
+            type=_at_least(0),
             default=8,
             help="warm engine sessions to keep (LRU; 0 disables session reuse)",
         )
@@ -135,21 +153,21 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--store-capacity",
-            type=int,
+            type=_at_least(0),
             default=256,
             help="entries in the shared cross-graph result store, which "
             "survives session eviction (0 disables just the store)",
         )
         command.add_argument(
             "--max-inflight",
-            type=int,
+            type=_at_least(1),
             default=None,
             help="bound on concurrently-executing requests "
             "(default: the worker count)",
         )
         command.add_argument(
             "--max-queue",
-            type=int,
+            type=_at_least(0),
             default=None,
             help="requests allowed to wait behind the inflight bound; beyond "
             "it the service sheds load with fast structured 'overloaded' "
@@ -157,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--deadline-default",
-            type=float,
+            type=_at_least(0, float, strict=True),
             default=None,
             help="default per-request deadline in seconds, applied to every "
             "request that does not carry its own deadline_s "
@@ -213,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _service_args(cluster)
     cluster.add_argument(
         "--backends",
-        type=int,
+        type=_at_least(1),
         default=3,
         help="local SolveService TCP backends to spawn as subprocesses "
         "(ignored with --attach)",
@@ -227,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--replicas",
-        type=int,
+        type=_at_least(1),
         default=64,
         help="virtual nodes per backend on the consistent-hash ring",
     )
@@ -237,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--router-workers",
-        type=int,
+        type=_at_least(1),
         default=8,
         help="concurrent routing threads in the front end",
     )

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
+from repro.core.params import checked_edges, count_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.graph.graph import Edge, Graph
 from repro.utils.errors import InvalidParameterError
@@ -40,7 +41,7 @@ def _combination_count(n: int, k: int) -> int:
 
 def _candidate_pool(graph: Graph, candidates: Optional[Sequence[Edge]]) -> List[Edge]:
     return (
-        [graph.require_edge(e) for e in candidates]
+        checked_edges(graph, "candidates", candidates)
         if candidates is not None
         else graph.edge_list()
     )
@@ -69,7 +70,7 @@ def _solve_exact(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     graph = engine.graph
     start = time.perf_counter()
     pool = _candidate_pool(graph, request.param("candidates"))
-    max_combinations = int(request.param("max_combinations", DEFAULT_MAX_COMBINATIONS))
+    max_combinations = count_param(request, "max_combinations", DEFAULT_MAX_COMBINATIONS)
     effective_budget, total = _check_enumeration(pool, request.budget, max_combinations)
 
     # Enumerate the subsets depth-first in lexicographic (= combinations)

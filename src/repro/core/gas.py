@@ -58,6 +58,7 @@ from repro.api.spec import SolveSpec
 from repro.core.component_tree import TrussComponentTree
 from repro.core.engine import SolverEngine, register_solver
 from repro.core.followers import FollowerMethod, compute_followers
+from repro.core.params import choice_param, flag_param, method_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.core.reuse import (
     ReuseDecision,
@@ -75,14 +76,13 @@ CacheEntry = Dict[int, FrozenSet[Edge]]
 _EMPTY_SLA: FrozenSet[int] = frozenset()
 
 
-def _validate(graph: Graph, budget: int, method: FollowerMethod | str) -> FollowerMethod:
+def _validate(graph: Graph, budget: int, method: FollowerMethod) -> FollowerMethod:
     if budget < 0:
         raise InvalidParameterError("budget must be non-negative")
     if budget > graph.num_edges:
         raise InvalidParameterError(
             f"budget {budget} exceeds the number of edges {graph.num_edges}"
         )
-    method = FollowerMethod(method)
     if method is FollowerMethod.RECOMPUTE:
         raise InvalidParameterError(
             "GAS requires a local follower method ('support-check' or 'peel')"
@@ -182,13 +182,11 @@ def _pop_best(heap: List[Tuple[int, int]], score_of: Dict[int, int]) -> Tuple[in
 def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     graph = engine.graph
     budget = request.budget
-    method = _validate(graph, budget, request.param("method", FollowerMethod.SUPPORT_CHECK))
-    collect_reuse_stats = bool(request.param("collect_reuse_stats", True))
-    strategy = str(request.param("candidates", "heap"))
-    if strategy not in ("heap", "scan"):
-        raise InvalidParameterError(
-            f"unknown candidates strategy {strategy!r}; expected 'heap' or 'scan'"
-        )
+    method = _validate(
+        graph, budget, method_param(request, "method", FollowerMethod.SUPPORT_CHECK)
+    )
+    collect_reuse_stats = flag_param(request, "collect_reuse_stats", True)
+    strategy = choice_param(request, "candidates", ("heap", "scan"), "heap")
     use_heap = strategy == "heap"
 
     start = time.perf_counter()

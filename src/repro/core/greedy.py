@@ -32,6 +32,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
 from repro.core.followers import FollowerMethod, compute_followers
+from repro.core.params import choice_param, method_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.graph.graph import Edge, Graph
 from repro.utils.errors import InvalidParameterError
@@ -71,12 +72,9 @@ def _pick_best(
 def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     graph = engine.graph
     _check_budget(graph, request.budget)
-    pool_strategy = str(request.param("candidate_pool", "reuse"))
-    if pool_strategy not in ("reuse", "scan"):
-        raise InvalidParameterError(
-            f"unknown candidate_pool {pool_strategy!r}; expected 'reuse' or 'scan'"
-        )
-    use_reuse = pool_strategy == "reuse"
+    use_reuse = (
+        choice_param(request, "candidate_pool", ("reuse", "scan"), "reuse") == "reuse"
+    )
     start = time.perf_counter()
     per_round_gain: List[int] = []
     cumulative_seconds: List[float] = []
@@ -174,7 +172,7 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
 def _solve_base_plus(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     graph = engine.graph
     _check_budget(graph, request.budget)
-    method = FollowerMethod(request.param("method", FollowerMethod.SUPPORT_CHECK))
+    method = method_param(request, "method", FollowerMethod.SUPPORT_CHECK)
     start = time.perf_counter()
     per_round_gain: List[int] = []
     cumulative_seconds: List[float] = []

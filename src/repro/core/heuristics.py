@@ -24,12 +24,12 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
+from repro.core.params import count_param, fraction_param, rng_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.core.upward_route import upward_route_size
 from repro.graph.graph import Edge, Graph
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
-from repro.utils.rng import make_rng
 
 DEFAULT_TOP_FRACTION = 0.2
 DEFAULT_REPETITIONS = 200
@@ -47,8 +47,6 @@ def _run_repetitions(
     """Draw ``repetitions`` random anchor sets from ``pool``; keep the best."""
     if budget < 0:
         raise InvalidParameterError("budget must be non-negative")
-    if repetitions < 1:
-        raise InvalidParameterError("repetitions must be positive")
     if not pool:
         raise InvalidParameterError("candidate pool is empty")
     start = time.perf_counter()
@@ -67,13 +65,6 @@ def _run_repetitions(
     best_result.extra["repetitions"] = repetitions
     best_result.extra["pool_size"] = len(pool)
     return best_result
-
-
-def _top_fraction(request: SolveSpec) -> float:
-    top_fraction = float(request.param("top_fraction", DEFAULT_TOP_FRACTION))
-    if not 0.0 < top_fraction <= 1.0:
-        raise InvalidParameterError("top_fraction must be in (0, 1]")
-    return top_fraction
 
 
 def _checked_route_sizes(graph: Graph, route_sizes: object) -> Dict[Edge, int]:
@@ -117,13 +108,14 @@ def _checked_route_sizes(graph: Graph, route_sizes: object) -> Dict[Edge, int]:
 def _solve_rand(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     request.reject_initial_anchors("rand")
     graph = engine.graph
-    rng = make_rng(request.param("seed"))
+    repetitions = count_param(request, "repetitions", DEFAULT_REPETITIONS)
+    rng = rng_param(request, "seed")
     pool = graph.edge_list()
     return _run_repetitions(
         graph,
         pool,
         request.budget,
-        int(request.param("repetitions", DEFAULT_REPETITIONS)),
+        repetitions,
         rng,
         "Rand",
         engine.original_state,
@@ -138,8 +130,9 @@ def _solve_rand(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
 )
 def _solve_sup(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     request.reject_initial_anchors("sup")
-    top_fraction = _top_fraction(request)
-    rng = make_rng(request.param("seed"))
+    repetitions = count_param(request, "repetitions", DEFAULT_REPETITIONS)
+    top_fraction = fraction_param(request, "top_fraction", DEFAULT_TOP_FRACTION)
+    rng = rng_param(request, "seed")
     # The index's supports, ranked in dense edge ids: dense order is public
     # edge-id order, so ``(-support, eid)`` is the smallest-id tie-break.
     index = engine.index
@@ -151,7 +144,7 @@ def _solve_sup(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         engine.graph,
         [edge_of[eid] for eid in ranked[:cutoff]],
         request.budget,
-        int(request.param("repetitions", DEFAULT_REPETITIONS)),
+        repetitions,
         rng,
         "Sup",
         engine.original_state,
@@ -167,8 +160,9 @@ def _solve_sup(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
 def _solve_tur(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     request.reject_initial_anchors("tur")
     graph = engine.graph
-    top_fraction = _top_fraction(request)
-    rng = make_rng(request.param("seed"))
+    repetitions = count_param(request, "repetitions", DEFAULT_REPETITIONS)
+    top_fraction = fraction_param(request, "top_fraction", DEFAULT_TOP_FRACTION)
+    rng = rng_param(request, "seed")
     baseline_state = engine.original_state
     route_sizes = request.param("route_sizes")
     if route_sizes is None:
@@ -185,7 +179,7 @@ def _solve_tur(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         graph,
         ranked[:cutoff],
         request.budget,
-        int(request.param("repetitions", DEFAULT_REPETITIONS)),
+        repetitions,
         rng,
         "Tur",
         baseline_state,

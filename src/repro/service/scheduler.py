@@ -38,8 +38,8 @@ that it adds the serving concerns the bare engine does not have:
 Determinism: a response's canonical payload (timings and warmth-dependent
 work counters stripped) depends only on the spec, never on batching, thread
 interleaving, executor choice, transport or cache state.
-``tests/test_service.py`` hammers this property from many threads and the
-benchmark's ``api`` section asserts it across the full
+``tests/test_service.py`` hammers this property from many threads and
+``tests/test_transports.py::TestEveryRoute`` asserts it across the full
 {thread, process} × {stdio, tcp} grid for every registered solver.
 """
 

@@ -1,120 +1,37 @@
-"""Tests for the benchmark harness's append-only output handling.
+"""Guards on ``BENCH_kernel.json``, the recorded benchmark history.
 
-``BENCH_kernel.json`` is a trajectory — each PR appends comparable sections
-(ROADMAP rule).  The harness must refuse to overwrite an existing section
-unless ``--force`` is given.
+Each optimisation step recorded one section of comparable rows there.
+The file is frozen: nothing re-runs its sections, and new numbers come from
+``perfbench/`` runs recorded in ``docs/PERFORMANCE.md``.  These tests keep
+asserting what the recorded rows showed when they were measured.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_kernel_under_test", REPO_ROOT / "benchmarks" / "bench_kernel.py"
-)
-bench_kernel = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_kernel)
-
-SectionExistsError = bench_kernel.SectionExistsError
-merge_report_sections = bench_kernel.merge_report_sections
-write_report = bench_kernel.write_report
-
-
-class TestMergeReportSections:
-    def test_appends_new_sections(self):
-        existing = {"decomposition": {"a": 1}, "summary": {"x": 1}}
-        fresh = {"engine_v2": {"gas": {}}, "summary": {"y": 2}}
-        merged = merge_report_sections(existing, fresh)
-        assert merged["decomposition"] == {"a": 1}
-        assert merged["engine_v2"] == {"gas": {}}
-        assert merged["summary"] == {"x": 1, "y": 2}
-
-    def test_refuses_to_overwrite_existing_section(self):
-        existing = {"engine": {"old": True}}
-        with pytest.raises(SectionExistsError):
-            merge_report_sections(existing, {"engine": {"new": True}})
-        # the refusal must not have mutated the input
-        assert existing == {"engine": {"old": True}}
-
-    def test_force_overwrites(self):
-        merged = merge_report_sections(
-            {"engine": {"old": True}}, {"engine": {"new": True}}, force=True
-        )
-        assert merged["engine"] == {"new": True}
-
-    def test_metadata_keys_merge_freely(self):
-        existing = {"description": "gen 1", "targets": {"gas": 3.0}}
-        merged = merge_report_sections(
-            existing, {"description": "gen 2", "engine_v2": {}}
-        )
-        assert merged["description"] == "gen 1"  # first writer wins
-        assert merged["engine_v2"] == {}
-
-    def test_summary_keys_update_in_place(self):
-        merged = merge_report_sections(
-            {"summary": {"gas_speedup_min": 3.0}},
-            {"summary": {"gas_speedup_min": 4.0, "extra": 1}},
-        )
-        assert merged["summary"] == {"gas_speedup_min": 4.0, "extra": 1}
 
 
 class TestWriteReport:
-    def test_roundtrip_append(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"engine": {"v": 1}, "summary": {"a": 1}}, force=False)
-        write_report(output, {"engine_v2": {"v": 2}, "summary": {"b": 2}}, force=False)
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["engine"] == {"v": 1}
-        assert data["engine_v2"] == {"v": 2}
-        assert data["summary"] == {"a": 1, "b": 2}
-
-    def test_second_write_of_same_section_refused(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"engine_v2": {"v": 1}}, force=False)
-        with pytest.raises(SectionExistsError):
-            write_report(output, {"engine_v2": {"v": 2}}, force=False)
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["engine_v2"] == {"v": 1}  # file untouched
-
     def test_repo_trajectory_still_has_all_generations(self):
-        """The curated BENCH_kernel.json keeps every PR's section."""
+        """The recorded BENCH_kernel.json keeps every section."""
         data = json.loads(
             (REPO_ROOT / "BENCH_kernel.json").read_text(encoding="utf-8")
         )
-        assert {"decomposition", "followers", "gas", "engine", "engine_v2"} <= set(data)
+        assert {
+            "decomposition", "followers", "gas", "engine", "engine_v2", "service",
+            "api", "resilience", "kernel_v2", "world", "obs", "cluster",
+        } <= set(data)
+        assert data["resilience"]["summary"]["meets_steady_state_target"] is True
         assert data["engine_v2"]["summary"]["meets_gas_target"] is True
         assert data["engine_v2"]["summary"]["base_at_parity"] is True
         assert data["engine_v2"]["summary"]["exact_at_parity"] is True
 
 
 class TestServiceSection:
-    """PR 4's 'service' section plays by the same append-only rules."""
-
-    def test_service_section_appends(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"engine_v2": {"v": 1}, "summary": {"a": 1}}, force=False)
-        write_report(
-            output,
-            {"service": {"workloads": {}}, "summary": {"meets_service_warm_target": True}},
-            force=False,
-        )
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["engine_v2"] == {"v": 1}
-        assert data["service"] == {"workloads": {}}
-        assert data["summary"] == {"a": 1, "meets_service_warm_target": True}
-
-    def test_service_section_refuses_overwrite(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"service": {"v": 1}}, force=False)
-        with pytest.raises(SectionExistsError):
-            write_report(output, {"service": {"v": 2}}, force=False)
-        assert json.loads(output.read_text(encoding="utf-8"))["service"] == {"v": 1}
+    """The 'service' section: warm serving and batched determinism."""
 
     def test_repo_trajectory_has_the_service_section(self):
         data = json.loads(
@@ -128,29 +45,9 @@ class TestServiceSection:
         assert data["service"]["paper_budget"]["budget"] == 100
         assert data["summary"]["meets_service_warm_target"] is True
 
-    def test_every_registered_solver_has_a_determinism_row(self):
-        from repro.core.engine import available_solvers
-
-        assert set(available_solvers()) <= set(bench_kernel.SERVICE_DETERMINISM)
-
 
 class TestApiSection:
-    """PR 5's 'api' section plays by the same append-only rules — and the
-    curated trajectory now records it."""
-
-    def test_api_section_appends_and_is_guarded(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"service": {"v": 4}, "summary": {"a": 1}}, force=False)
-        write_report(
-            output,
-            {"api": {"identity_grid": {}}, "summary": {"api_identity_grid_identical": True}},
-            force=False,
-        )
-        with pytest.raises(SectionExistsError):
-            write_report(output, {"api": {"identity_grid": {"new": 1}}}, force=False)
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["api"] == {"identity_grid": {}}
-        assert data["summary"] == {"a": 1, "api_identity_grid_identical": True}
+    """The 'api' section: the identity grid and the warm-path rows."""
 
     def test_repo_trajectory_records_the_api_section(self):
         data = json.loads(
@@ -175,25 +72,8 @@ class TestApiSection:
 
 
 class TestKernelV2Section:
-    """PR 7's 'kernel_v2' section: append-only rules, recorded trajectory and
-    a live (conservatively-margined) cold-decomposition guard."""
-
-    def test_kernel_v2_section_appends_and_is_guarded(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"api": {"v": 5}, "summary": {"a": 1}}, force=False)
-        write_report(
-            output,
-            {
-                "kernel_v2": {"decomposition": {}},
-                "summary": {"kernel_v2_meets_cold_target": True},
-            },
-            force=False,
-        )
-        with pytest.raises(SectionExistsError):
-            write_report(output, {"kernel_v2": {"decomposition": {"new": 1}}}, force=False)
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["kernel_v2"] == {"decomposition": {}}
-        assert data["summary"] == {"a": 1, "kernel_v2_meets_cold_target": True}
+    """The 'kernel_v2' section: the recorded rows and a live
+    (conservatively-margined) cold-decomposition guard."""
 
     def test_repo_trajectory_records_the_kernel_v2_section(self):
         data = json.loads(
@@ -245,25 +125,8 @@ class TestKernelV2Section:
 
 
 class TestWorldSection:
-    """PR 8's 'world' section: append-only rules and the recorded trajectory
-    (sweep wall time, per-family engine-speedup spread, zero violations)."""
-
-    def test_world_section_appends_and_is_guarded(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"kernel_v2": {"v": 7}, "summary": {"a": 1}}, force=False)
-        write_report(
-            output,
-            {
-                "world": {"sweep": {"points": 6}},
-                "summary": {"world_violations": 0},
-            },
-            force=False,
-        )
-        with pytest.raises(SectionExistsError):
-            write_report(output, {"world": {"sweep": {"points": 9}}}, force=False)
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["world"] == {"sweep": {"points": 6}}
-        assert data["summary"] == {"a": 1, "world_violations": 0}
+    """The 'world' section: sweep wall time, per-family engine-speedup
+    spread and zero violations."""
 
     def test_repo_trajectory_records_the_world_section(self):
         data = json.loads(
@@ -287,50 +150,10 @@ class TestWorldSection:
         assert {"decomposition", "engine", "kernel_v2"} <= set(data)
         assert data["summary"]["world_violations"] == 0
 
-    def test_merge_world_summary(self):
-        report = {
-            "world": {
-                "summary": {
-                    "sweep_wall_s": 12.5,
-                    "families": 6,
-                    "violations": 0,
-                    "engine_speedup_median_min": 1.1,
-                    "engine_speedup_median_max": 2.0,
-                }
-            },
-            "summary": {},
-        }
-        bench_kernel.merge_world_summary(report)
-        summary = report["summary"]
-        assert summary["world_sweep_wall_s"] == 12.5
-        assert summary["world_families"] == 6
-        assert summary["world_violations"] == 0
-        assert summary["world_engine_speedup_median_min"] == 1.1
-        assert summary["world_engine_speedup_median_max"] == 2.0
-
 
 class TestObsSection:
-    """PR 9's 'obs' section: append-only rules and the recorded trajectory
-    (warm-path overhead within target, byte identity, a real trace)."""
-
-    def test_obs_section_appends_and_is_guarded(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"world": {"v": 8}, "summary": {"a": 1}}, force=False)
-        write_report(
-            output,
-            {
-                "obs": {"overhead": {"overhead_pct": 1.0}},
-                "summary": {"obs_identity": True},
-            },
-            force=False,
-        )
-        with pytest.raises(SectionExistsError):
-            write_report(
-                output, {"obs": {"overhead": {"overhead_pct": 9.0}}}, force=False
-            )
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["obs"] == {"overhead": {"overhead_pct": 1.0}}
-        assert data["summary"] == {"a": 1, "obs_identity": True}
+    """The 'obs' section: warm-path overhead within target, byte identity
+    and a real trace."""
 
     def test_repo_trajectory_records_the_obs_section(self):
         data = json.loads(
@@ -357,48 +180,10 @@ class TestObsSection:
         assert data["summary"]["obs_identity"] is True
         assert data["summary"]["obs_warm_path_overhead_pct"] <= 3.0
 
-    def test_merge_obs_summary(self):
-        report = {
-            "obs": {
-                "summary": {
-                    "warm_path_overhead_pct": 1.2,
-                    "target_overhead_pct": 3.0,
-                    "identity": True,
-                    "trace_spans": 7,
-                }
-            },
-            "summary": {},
-        }
-        bench_kernel.merge_obs_summary(report)
-        summary = report["summary"]
-        assert summary["obs_warm_path_overhead_pct"] == 1.2
-        assert summary["obs_identity"] is True
-        assert summary["obs_trace_spans"] == 7
-
 
 class TestClusterSection:
-    """PR 10's 'cluster' section: append-only rules and the recorded
-    trajectory (routed byte identity, failover, warm-shard hit rate, and
-    the honestly-gated process-vs-thread retry)."""
-
-    def test_cluster_section_appends_and_is_guarded(self, tmp_path):
-        output = tmp_path / "bench.json"
-        write_report(output, {"obs": {"v": 9}, "summary": {"a": 1}}, force=False)
-        write_report(
-            output,
-            {
-                "cluster": {"identity": {"identical": True}},
-                "summary": {"cluster_identity": True},
-            },
-            force=False,
-        )
-        with pytest.raises(SectionExistsError):
-            write_report(
-                output, {"cluster": {"identity": {"identical": False}}}, force=False
-            )
-        data = json.loads(output.read_text(encoding="utf-8"))
-        assert data["cluster"] == {"identity": {"identical": True}}
-        assert data["summary"] == {"a": 1, "cluster_identity": True}
+    """The 'cluster' section: routed byte identity, failover, warm-shard
+    hit rate and the honestly-gated process-vs-thread retry."""
 
     def test_repo_trajectory_records_the_cluster_section(self):
         data = json.loads(
@@ -439,51 +224,3 @@ class TestClusterSection:
         assert {"decomposition", "engine", "kernel_v2", "world", "obs"} <= set(data)
         assert data["summary"]["cluster_identity"] is True
         assert data["summary"]["cluster_failover_identical"] is True
-
-    def test_merge_cluster_summary(self):
-        report = {
-            "cluster": {
-                "summary": {
-                    "identity": True,
-                    "failover_identical": True,
-                    "store_repeat_hit": True,
-                    "warm_session_hit_rate": 0.75,
-                    "three_vs_one_throughput": 1.1,
-                    "cpu_count": 1,
-                    "process_retry_attempted": False,
-                    "process_retry_speedup": None,
-                }
-            },
-            "summary": {},
-        }
-        bench_kernel.merge_cluster_summary(report)
-        summary = report["summary"]
-        assert summary["cluster_identity"] is True
-        assert summary["cluster_failover_identical"] is True
-        assert summary["cluster_store_repeat_hit"] is True
-        assert summary["cluster_warm_session_hit_rate"] == 0.75
-        assert summary["cluster_three_vs_one_throughput"] == 1.1
-        assert summary["cluster_cpu_count"] == 1
-        assert summary["cluster_process_retry_attempted"] is False
-
-
-class TestSectionRegistry:
-    """``--section NAME`` runs one entry of the live-section table; the
-    retired sections are recorded history only."""
-
-    def test_live_sections_are_recorded_and_history_is_not_live(self):
-        data = json.loads(
-            (REPO_ROOT / "BENCH_kernel.json").read_text(encoding="utf-8")
-        )
-        assert list(bench_kernel.SECTIONS) == [
-            "service", "api", "resilience", "world", "obs", "cluster",
-        ]
-        assert set(bench_kernel.SECTIONS) <= set(data)
-        history = {"decomposition", "followers", "gas", "engine", "engine_v2", "kernel_v2"}
-        assert history <= set(data)
-        assert not history & set(bench_kernel.SECTIONS)
-
-    def test_retired_section_is_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            bench_kernel.main(["--section", "kernel_v2"])
-        assert "invalid choice" in capsys.readouterr().err

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import _SOLVERS, main
+from repro.cli import _SOLVERS, _build_parser, main
 from repro.core.engine import available_solvers
 from repro.graph.generators import paper_figure3_graph
 from repro.graph.io import write_edge_list
@@ -184,3 +189,81 @@ class TestBatch:
         )
         assert main(["batch", str(requests)]) == 0
         assert (tmp_path / "requests.jsonl.results.jsonl").exists()
+
+
+#: Out-of-range values of the flags ``serve``, ``batch`` and ``cluster`` share.
+BAD_SERVICE_FLAGS = [
+    ("--workers", "0"),
+    ("--session-cache", "-1"),
+    ("--store-capacity", "-5"),
+    ("--max-inflight", "0"),
+    ("--max-queue", "-1"),
+    ("--deadline-default", "-1"),
+    ("--deadline-default", "0"),
+]
+
+#: Out-of-range values of the flags only ``cluster`` has.
+BAD_CLUSTER_FLAGS = [
+    ("--backends", "0"),
+    ("--workers", "0"),
+    ("--replicas", "0"),
+    ("--router-workers", "0"),
+]
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _single_error_line(stderr: str, flag: str) -> None:
+    errors = [line for line in stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1, stderr
+    assert f"argument {flag}:" in errors[0], stderr
+
+
+class TestServiceFlagBounds:
+    @pytest.mark.parametrize("command", ["serve", "batch"])
+    @pytest.mark.parametrize("flag, value", BAD_SERVICE_FLAGS)
+    def test_out_of_range_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps({"id": "r", "dataset": "college", "budget": 1}) + "\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        argv = [command, flag, value] + ([str(requests)] if command == "batch" else [])
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        _single_error_line(capsys.readouterr().err, flag)
+        assert not (tmp_path / "requests.jsonl.results.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, value", BAD_CLUSTER_FLAGS)
+    def test_cluster_rejects_before_starting_anything(self, flag, value):
+        # A subprocess with a timeout: a cluster that accepted the value
+        # would serve until killed, which must fail the test, not hang it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cluster", "--port", "0", flag, value],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert completed.returncode == 2, completed.stderr
+        _single_error_line(completed.stderr, flag)
+
+    def test_defaults_and_boundary_values_are_accepted(self):
+        parser = _build_parser()
+        defaults = parser.parse_args(["cluster"])
+        assert (defaults.workers, defaults.session_cache, defaults.store_capacity) == (4, 8, 256)
+        assert (defaults.max_inflight, defaults.max_queue, defaults.deadline_default) == (
+            None, None, None,
+        )
+        assert (defaults.backends, defaults.replicas, defaults.router_workers) == (3, 64, 8)
+        edge = parser.parse_args([
+            "serve", "--workers", "1", "--session-cache", "0", "--store-capacity", "0",
+            "--max-inflight", "1", "--max-queue", "0", "--deadline-default", "0.25",
+        ])
+        assert (edge.workers, edge.session_cache, edge.store_capacity) == (1, 0, 0)
+        assert (edge.max_inflight, edge.max_queue, edge.deadline_default) == (1, 0, 0.25)

@@ -388,6 +388,59 @@ class TestSolveService:
             assert canonical_json(response.result) == expected[response.request_id]
 
 
+#: Malformed solver params as (algorithm, param, value): each must come
+#: back ``invalid`` and name the param — not ``internal``, and not ``ok``
+#: under a coerced value.
+MALFORMED_PARAMS = [
+    ("rand", "repetitions", "abc"),
+    ("rand", "repetitions", 2.7),
+    ("rand", "repetitions", True),
+    ("sup", "top_fraction", "x"),
+    ("sup", "seed", [1, 2]),
+    ("gas", "method", "bogus"),
+    ("base+", "method", "bogus"),
+    ("gas", "collect_reuse_stats", "no"),
+    ("exact", "max_combinations", "x"),
+    ("exact", "candidates", "abc"),
+]
+
+
+@pytest.fixture(scope="module")
+def college_service():
+    with SolveService(workers=1) as service:
+        yield service
+
+
+class TestMalformedParams:
+    @pytest.mark.parametrize(
+        "algorithm, name, value",
+        MALFORMED_PARAMS,
+        ids=[f"{algorithm}-{name}-{value!r}" for algorithm, name, value in MALFORMED_PARAMS],
+    )
+    def test_comes_back_invalid_over_the_wire(self, college_service, algorithm, name, value):
+        line = json.dumps({
+            "id": "bad", "dataset": "college", "algorithm": algorithm, "budget": 1,
+            "params": {name: value},
+        })
+        response = college_service.solve(parse_request_line(line))
+        assert not response.ok, response.canonical()
+        assert response.error_kind == "invalid", (response.error_kind, response.error)
+        assert name in response.error, response.error
+
+    @pytest.mark.parametrize(
+        "algorithm, name, value",
+        [("rand", "repetitions", "abc"), ("gas", "method", "bogus")],
+    )
+    def test_session_returns_a_failed_outcome(self, algorithm, name, value):
+        from repro.api import Session
+
+        outcome = Session(dataset="college").solve(
+            algorithm=algorithm, budget=1, params={name: value}
+        )
+        assert not outcome.ok
+        assert name in outcome.error
+
+
 class TestConcurrency:
     def test_hammer_mixed_requests_matches_sequential(self):
         """Many threads, mixed graphs/solvers: byte-identical to sequential."""

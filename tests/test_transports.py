@@ -4,7 +4,9 @@ shared cross-graph result store.
 The load-bearing property is the acceptance grid of ``repro.api`` v1:
 canonical byte-identity of outcomes across {thread, process} executors ×
 {stdio, tcp} transports, with the store and per-worker session caches free
-to route requests however they like.
+to route requests however they like.  :class:`TestEveryRoute` runs every
+registered solver through every ingress path, so a newly registered solver
+is covered without an edit.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro.api import SolveSpec, canonical_result
+from repro.core.engine import available_solvers, get_solver
 from repro.service import (
     ResultStore,
     SolveService,
     StdioTransport,
     TcpTransport,
     request_lines_over_tcp,
+    result_to_json,
     run_batch,
     serve_stream,
 )
@@ -294,6 +299,70 @@ class TestProcessExecutor:
 
         with pytest.raises(SpecError, match="unknown executor"):
             SolveService(executor="fibers")
+
+
+# ---------------------------------------------------------------------------
+# Every registered solver through every ingress path
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def grid_services():
+    """The services every grid case shares: a thread service with the
+    result store on, a process service, and a store-less thread service
+    behind both transports (so a transport answer is solved, not read back)."""
+    with SolveService(workers=2) as thread_service, SolveService(
+        workers=2, executor="process"
+    ) as process_service, SolveService(workers=2, memoize=False) as wire_service:
+        tcp = TcpTransport(port=0)
+        address = tcp.start(wire_service)
+        try:
+            yield thread_service, process_service, wire_service, address
+        finally:
+            tcp.close()
+
+
+def grid_spec(solver_name: str) -> SolveSpec:
+    """A seeded spec for ``solver_name`` on small_graph(80) (54 edges)."""
+    solver = get_solver(solver_name)
+    params = {}
+    if solver.randomized:
+        params["seed"] = 11
+        if "repetitions" in (solver.params or ()):
+            params["repetitions"] = 5
+    return SolveSpec(
+        request_id=f"grid/{solver_name}",
+        edges=tuple(small_graph(80).edge_list()),
+        algorithm=solver_name,
+        budget=1 if solver_name == "exact" else 2,
+        params=params,
+    )
+
+
+class TestEveryRoute:
+    @pytest.mark.parametrize("solver_name", available_solvers())
+    def test_canonical_payload_is_identical_on_every_route(self, grid_services, solver_name):
+        thread_service, process_service, wire_service, (host, port) = grid_services
+        spec = grid_spec(solver_name)
+        line = json.dumps(spec.to_json_dict())
+        direct = get_solver(solver_name)(small_graph(80), spec.budget, **spec.params_map)
+        fresh = thread_service.solve(spec)
+        stored = thread_service.solve(spec)
+        assert fresh.ok and fresh.cache["store"] is False, fresh.canonical()
+        assert stored.cache["store"] is True
+        stdout = io.StringIO()
+        StdioTransport(stdin=io.StringIO(line + "\n"), stdout=stdout).serve(wire_service)
+        (tcp_line,) = request_lines_over_tcp(host, port, [line])
+        payloads = {
+            "api": api.solve(spec).result,
+            "thread": fresh.result,
+            "stored": stored.result,
+            "process": process_service.solve(spec).result,
+            "stdio": json.loads(stdout.getvalue())["result"],
+            "tcp": json.loads(tcp_line)["result"],
+        }
+        expected = canonical_json(result_to_json(direct))
+        assert {route: canonical_json(payload) for route, payload in payloads.items()} == {
+            route: expected for route in payloads
+        }
 
 
 # ---------------------------------------------------------------------------
