@@ -32,7 +32,7 @@ from repro.cluster import backends as cluster_backends  # noqa: E402
 from repro.cluster import ring as cluster_ring  # noqa: E402
 from repro.cluster import router as cluster_router  # noqa: E402
 from repro.cluster import telemetry as cluster_telemetry  # noqa: E402
-from repro.core import component_tree, engine, result, reuse  # noqa: E402
+from repro.core import component_tree, engine, result, reuse, upward_route  # noqa: E402
 from repro.datasets import registry as datasets_registry  # noqa: E402
 from repro.datasets import snap as datasets_snap  # noqa: E402
 from repro.graph import csr as csr_module  # noqa: E402
@@ -91,6 +91,11 @@ API_SURFACE = [
         "Follower reuse (`repro.core.reuse`)",
         reuse,
         ["ReuseDecision", "ReuseInvalidation", "compute_reuse_decision"],
+    ),
+    (
+        "Upward routes (`repro.core.upward_route`)",
+        upward_route,
+        ["upward_route_sizes", "upward_route_size", "upward_route_statistics"],
     ),
     (
         "Serving layer (`repro.service`)",
@@ -315,6 +320,7 @@ METHOD_ALLOWLIST = {
         "reset",
         "commit_anchor",
         "tree",
+        "route_sizes",
         "take_reuse_decision",
         "evaluate_gain",
         "evaluate_anchor_chain_gain",
@@ -326,6 +332,8 @@ METHOD_ALLOWLIST = {
     "TrussComponentTree": [
         "build",
         "apply_commit",
+        "start_journal",
+        "rollback",
         "node_of",
         "sla",
         "sla_map",

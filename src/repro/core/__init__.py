@@ -43,7 +43,12 @@ from repro.core.greedy import base_greedy, base_plus_greedy
 from repro.core.heuristics import random_baseline, support_baseline, upward_route_baseline
 from repro.core.reduction import MaxCoverageInstance, build_atr_instance_from_coverage
 from repro.core.result import AnchorResult, evaluate_anchor_set
-from repro.core.upward_route import upward_route_edges, upward_route_size, upward_route_statistics
+from repro.core.upward_route import (
+    upward_route_edges,
+    upward_route_size,
+    upward_route_sizes,
+    upward_route_statistics,
+)
 
 __all__ = [
     "FollowerMethod",
@@ -75,6 +80,7 @@ __all__ = [
     "evaluate_anchor_set",
     "upward_route_edges",
     "upward_route_size",
+    "upward_route_sizes",
     "upward_route_statistics",
     "MaxCoverageInstance",
     "build_atr_instance_from_coverage",

@@ -27,7 +27,10 @@ incrementally re-peeled commit, :meth:`TrussComponentTree.apply_commit`
 patches only the nodes whose trussness levels were touched (departures,
 arrivals, merges and ``sla`` updates along dirty paths — see
 docs/ARCHITECTURE.md for the invariants) instead of rebuilding, and
-returns the exact follower-reuse invalidation of that commit.
+returns the exact follower-reuse invalidation of that commit.  A tree can
+also **journal** its patches (:meth:`TrussComponentTree.start_journal`) and
+undo them with :meth:`TrussComponentTree.rollback`: the engine keeps one
+baseline tree per session this way instead of rebuilding it per solve.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ ANCHOR_NODE = -1
 #: Transient ``node_of_eid`` sentinel used *during* :meth:`TrussComponentTree.apply_commit`
 #: for followers that departed their old node but have not been re-inserted yet.
 _PENDING_NODE = -2
+#: Journal value of a dict slot that held no entry before it was patched.
+_ABSENT = object()
 
 
 @dataclass
@@ -93,6 +98,34 @@ class TreeNode:
         return len(self.edges)
 
 
+class _TreeJournal:
+    """First-touch values of the tree slots patched since the last rollback.
+
+    :meth:`TrussComponentTree.apply_commit` and its helpers record a slot
+    here the first time they are about to change it, and never again until
+    the next :meth:`TrussComponentTree.rollback` writes the recorded values
+    back.  Lists and sets are recorded as copies: the patch mutates them in
+    place.  ``roots`` and the signature cache are derived, so they are
+    invalidated instead of recorded.
+    """
+
+    __slots__ = ("nodes", "fields", "eids", "sla", "sla_ref", "state")
+
+    def __init__(self) -> None:
+        #: node id -> the node object under that key, or ``_ABSENT``
+        self.nodes: Dict[int, object] = {}
+        #: ``id(node)`` -> (node, node_id, parent, children copy, edges, edge_ids)
+        self.fields: Dict[int, tuple] = {}
+        #: eid -> (``node_of_eid`` value, ``node_of_edge`` value or ``_ABSENT``)
+        self.eids: Dict[int, Tuple[int, object]] = {}
+        #: eid -> copy of its ``sla`` set (``None`` for no set)
+        self.sla: Dict[int, Optional[Set[int]]] = {}
+        #: node id -> copy of its reverse-``sla`` entry, or ``_ABSENT``
+        self.sla_ref: Dict[int, object] = {}
+        #: the tree's state before the first patch (``None``: nothing patched)
+        self.state: Optional[TrussState] = None
+
+
 class TrussComponentTree:
     """The truss component tree of a :class:`TrussState`.
 
@@ -101,22 +134,24 @@ class TrussComponentTree:
     advanced **in place** across committed anchors with :meth:`apply_commit`,
     which touches only the nodes whose trussness levels changed.  Patched
     trees are asserted structurally identical to rebuilt ones by the
-    test-suite.
+    test-suite.  A journalled tree (:meth:`start_journal`) records what its
+    patches change and :meth:`rollback` restores it; the rolled-back tree
+    is asserted identical to a fresh build.
     """
 
     def __init__(
         self,
         nodes: Dict[int, TreeNode],
         node_of_edge: Dict[Edge, int],
-        roots: List[int],
         state: TrussState,
         sla_sets: Optional[List[Optional[Set[int]]]] = None,
         node_of_eid: Optional[List[int]] = None,
     ) -> None:
         self.nodes = nodes
         self.node_of_edge = node_of_edge
-        self.roots = roots
         self.state = state
+        # Parentless node ids, derived on read (see :attr:`roots`).
+        self._roots: Optional[List[int]] = None
         # Per-dense-edge-id precomputed sla sets (None for oracle-built
         # trees, which fall back to the per-edge computation).
         self._sla_sets = sla_sets
@@ -128,6 +163,9 @@ class TrussComponentTree:
         self._signatures_cache: Optional[
             Dict[int, Tuple[FrozenSet[Edge], Tuple[Tuple[Edge, float, float], ...]]]
         ] = None
+        # Undo journal of the patches since the last rollback; None while
+        # the tree is not journalled (see start_journal).
+        self._journal: Optional[_TreeJournal] = None
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 4)
@@ -236,9 +274,6 @@ class TrussComponentTree:
                 for eid in level_ids:
                     node_of_edge[edge_of[eid]] = node_id
 
-        # Nodes never claimed by an enclosing component are the tree roots.
-        roots = [node_id for unclaimed in orphans.values() for node_id in unclaimed]
-
         node_of_eid = [-1] * m
         for node in nodes.values():
             nid = node.node_id
@@ -249,7 +284,6 @@ class TrussComponentTree:
         return cls(
             nodes=nodes,
             node_of_edge=node_of_edge,
-            roots=roots,
             state=state,
             sla_sets=sla_sets,
             node_of_eid=node_of_eid,
@@ -299,6 +333,135 @@ class TrussComponentTree:
         return sla_sets
 
     # ------------------------------------------------------------------
+    # Undo journal
+    # ------------------------------------------------------------------
+    def start_journal(self) -> None:
+        """Record every later patch so that :meth:`rollback` can undo it.
+
+        The engine journals its session's baseline tree: a solve patches it
+        in place and the next :meth:`~repro.core.engine.SolverEngine.reset`
+        rolls it back instead of rebuilding the tree.  Only kernel-built
+        trees (:meth:`build`) can be patched, so only they can be journalled.
+        """
+        if self._node_of_eid is None or self._sla_sets is None:
+            raise InvalidParameterError(
+                "start_journal requires a kernel-built tree (TrussComponentTree.build)"
+            )
+        if self._journal is None:
+            self._journal = _TreeJournal()
+
+    def rollback(self) -> None:
+        """Undo every patch since :meth:`start_journal` or the last rollback.
+
+        Writes back the first-touch value of every recorded slot, so the cost
+        follows what the patches touched, never the size of the tree.  Every
+        slot is recorded before it changes, so a patch that raised part-way
+        is undone as completely as a finished one.  A no-op on a tree that
+        is not journalled or has not been patched since.
+        """
+        journal = self._journal
+        if journal is None or journal.state is None:
+            return
+        self._journal = _TreeJournal()
+        self._restore_nodes(journal)
+        self._restore_memberships(journal)
+        self._restore_sla(journal)
+        self.state = journal.state
+        self._roots = None
+        self._signatures_cache = None
+
+    def _restore_nodes(self, journal: _TreeJournal) -> None:
+        for node, node_id, parent, children, edges, edge_ids in journal.fields.values():
+            node.node_id = node_id
+            node.parent = parent
+            node.children = children
+            node.edges = edges
+            node.edge_ids = edge_ids
+        nodes = self.nodes
+        for node_id, node in journal.nodes.items():
+            if node is _ABSENT:
+                nodes.pop(node_id, None)
+            else:
+                nodes[node_id] = node  # type: ignore[assignment]
+
+    def _restore_memberships(self, journal: _TreeJournal) -> None:
+        node_of_eid = self._node_of_eid
+        assert node_of_eid is not None
+        node_of_edge = self.node_of_edge
+        edge_of = self.state.index.edge_of
+        for eid, (node_id, edge_node_id) in journal.eids.items():
+            node_of_eid[eid] = node_id
+            if edge_node_id is _ABSENT:
+                node_of_edge.pop(edge_of[eid], None)
+            else:
+                node_of_edge[edge_of[eid]] = edge_node_id  # type: ignore[assignment]
+
+    def _restore_sla(self, journal: _TreeJournal) -> None:
+        sla_sets = self._sla_sets
+        assert sla_sets is not None
+        for eid, entry in journal.sla.items():
+            sla_sets[eid] = entry
+        ref = self._sla_ref
+        for node_id, refs in journal.sla_ref.items():
+            assert ref is not None
+            if refs is _ABSENT:
+                ref.pop(node_id, None)
+            else:
+                ref[node_id] = refs  # type: ignore[assignment]
+
+    # Recording helpers: each call precedes the mutation it covers; on an
+    # unjournalled tree it returns after one attribute read.
+    def _save_node(self, node: TreeNode) -> None:
+        journal = self._journal
+        if journal is not None and id(node) not in journal.fields:
+            journal.fields[id(node)] = (
+                node, node.node_id, node.parent, list(node.children),
+                node.edges, node.edge_ids,
+            )
+
+    def _save_key(self, node_id: int) -> None:
+        journal = self._journal
+        if journal is not None and node_id not in journal.nodes:
+            journal.nodes[node_id] = self.nodes.get(node_id, _ABSENT)
+
+    def _save_eids(self, eids: Iterable[int]) -> None:
+        journal = self._journal
+        if journal is None:
+            return
+        saved = journal.eids
+        node_of_eid = self._node_of_eid
+        assert node_of_eid is not None
+        node_of_edge = self.node_of_edge
+        edge_of = self.state.index.edge_of
+        for eid in eids:
+            if eid not in saved:
+                saved[eid] = (node_of_eid[eid], node_of_edge.get(edge_of[eid], _ABSENT))
+
+    def _save_sla(self, eids: Iterable[int]) -> None:
+        journal = self._journal
+        if journal is None:
+            return
+        saved = journal.sla
+        sla_sets = self._sla_sets
+        assert sla_sets is not None
+        for eid in eids:
+            if eid not in saved:
+                entry = sla_sets[eid]
+                saved[eid] = None if entry is None else set(entry)
+
+    def _save_refs(self, node_ids: Iterable[int]) -> None:
+        journal = self._journal
+        if journal is None:
+            return
+        saved = journal.sla_ref
+        ref = self._sla_ref
+        assert ref is not None
+        for node_id in node_ids:
+            if node_id not in saved:
+                refs = ref.get(node_id)
+                saved[node_id] = _ABSENT if refs is None else set(refs)
+
+    # ------------------------------------------------------------------
     # Incremental maintenance (the PR 3 tentpole)
     # ------------------------------------------------------------------
     def _ensure_sla_ref(self) -> Dict[int, Set[int]]:
@@ -327,20 +490,26 @@ class TrussComponentTree:
         if old is not None:
             old_node = self.nodes.get(old)
             if old_node is not None and child_id in old_node.children:
+                self._save_node(old_node)
                 old_node.children.remove(child_id)
+        self._save_node(node)
         node.parent = parent_id
         if parent_id is not None:
-            children = self.nodes[parent_id].children
-            if child_id not in children:
-                children.append(child_id)
+            parent = self.nodes[parent_id]
+            if child_id not in parent.children:
+                self._save_node(parent)
+                parent.children.append(child_id)
 
     def _rekey_sla_refs(self, old_id: int, new_id: int, sla_dirty: Set[int]) -> None:
         """Swap ``old_id`` for ``new_id`` in every referencing ``sla`` set."""
         ref = self._ensure_sla_ref()
+        self._save_refs((old_id,))
         refs = ref.pop(old_id, None)
         if not refs:
             return
         assert self._sla_sets is not None
+        self._save_refs((new_id,))
+        self._save_sla(refs)
         for eid in refs:
             entry = self._sla_sets[eid]
             if entry is not None:
@@ -362,20 +531,29 @@ class TrussComponentTree:
         forward: Dict[int, Optional[int]],
     ) -> None:
         """Re-key a node (its smallest member edge id changed)."""
-        node = self.nodes.pop(old_id)
+        nodes = self.nodes
+        self._save_key(old_id)
+        self._save_key(new_id)
+        node = nodes.pop(old_id)
+        self._save_node(node)
         node.node_id = new_id
-        self.nodes[new_id] = node
+        nodes[new_id] = node
         forward[old_id] = new_id
         touched.add(old_id)
         touched.add(new_id)
         if node.parent is not None:
-            siblings = self.nodes[node.parent].children
+            parent = nodes[node.parent]
+            self._save_node(parent)
+            siblings = parent.children
             siblings[siblings.index(old_id)] = new_id
-        for child in node.children:
-            self.nodes[child].parent = new_id
+        for child_id in node.children:
+            child = nodes[child_id]
+            self._save_node(child)
+            child.parent = new_id
         node_of_eid = self._node_of_eid
         node_of_edge = self.node_of_edge
         assert node_of_eid is not None
+        self._save_eids(node.edge_ids)
         for eid in node.edge_ids:
             node_of_eid[eid] = new_id
         for edge in node.edges:
@@ -400,23 +578,30 @@ class TrussComponentTree:
         if a_id == b_id:
             return a_id
         keep_id, drop_id = (a_id, b_id) if a_id < b_id else (b_id, a_id)
-        keep = self.nodes[keep_id]
-        drop = self.nodes.pop(drop_id)
+        nodes = self.nodes
+        keep = nodes[keep_id]
+        self._save_key(drop_id)
+        drop = nodes.pop(drop_id)
         forward[drop_id] = keep_id
         touched.add(keep_id)
         touched.add(drop_id)
         if drop.parent is not None:
-            siblings = self.nodes[drop.parent].children
-            if drop_id in siblings:
-                siblings.remove(drop_id)
+            parent = nodes[drop.parent]
+            if drop_id in parent.children:
+                self._save_node(parent)
+                parent.children.remove(drop_id)
+        self._save_node(keep)
         keep.edges |= drop.edges
         keep.edge_ids |= drop.edge_ids
-        for child in drop.children:
-            self.nodes[child].parent = keep_id
+        for child_id in drop.children:
+            child = nodes[child_id]
+            self._save_node(child)
+            child.parent = keep_id
         keep.children.extend(drop.children)
         node_of_eid = self._node_of_eid
         node_of_edge = self.node_of_edge
         assert node_of_eid is not None
+        self._save_eids(drop.edge_ids)
         for eid in drop.edge_ids:
             node_of_eid[eid] = keep_id
         for edge in drop.edges:
@@ -589,11 +774,16 @@ class TrussComponentTree:
         if fresh == old:
             return
         ref = self._ensure_sla_ref()
-        for node_id in old - fresh:
+        removed = old - fresh
+        added = fresh - old
+        self._save_refs(removed)
+        self._save_refs(added)
+        self._save_sla((eid,))
+        for node_id in removed:
             refs = ref.get(node_id)
             if refs is not None:
                 refs.discard(eid)
-        for node_id in fresh - old:
+        for node_id in added:
             ref.setdefault(node_id, set()).add(eid)
         self._sla_sets[eid] = fresh if fresh else None
         sla_dirty.add(eid)
@@ -645,6 +835,9 @@ class TrussComponentTree:
         sla_dirty: Set[int] = set()
         forward: Dict[int, Optional[int]] = {}
         self._ensure_sla_ref()
+        journal = self._journal
+        if journal is not None and journal.state is None:
+            journal.state = self.state
 
         # -- captures (everything the reuse decision reads from the OLD tree)
         old_node_ids = set(nodes)
@@ -667,27 +860,35 @@ class TrussComponentTree:
             node = nodes[nid]
             touched.add(nid)
             remaining = node.edge_ids - frozenset(leaving)
+            self._save_eids(leaving)
             for eid in leaving:
                 node_of_edge.pop(edge_of[eid], None)
                 node_of_eid[eid] = _PENDING_NODE
             if not remaining:
                 parent_id = node.parent
+                self._save_key(nid)
                 del nodes[nid]
                 forward[nid] = parent_id
                 if parent_id is not None:
-                    siblings = nodes[parent_id].children
-                    siblings.remove(nid)
-                    siblings.extend(node.children)
-                for child in node.children:
-                    nodes[child].parent = parent_id
+                    parent = nodes[parent_id]
+                    self._save_node(parent)
+                    parent.children.remove(nid)
+                    parent.children.extend(node.children)
+                for child_id in node.children:
+                    child = nodes[child_id]
+                    self._save_node(child)
+                    child.parent = parent_id
+                self._save_refs((nid,))
                 refs = self._sla_ref.pop(nid, None)  # type: ignore[union-attr]
                 if refs:
+                    self._save_sla(refs)
                     for eid in refs:
                         entry = self._sla_sets[eid]
                         if entry is not None:
                             entry.discard(nid)
                     sla_dirty |= refs
             else:
+                self._save_node(node)
                 node.edge_ids = remaining
                 node.edges = node.edges - frozenset(edge_of[eid] for eid in leaving)
                 new_id = stable_ids[min(remaining)]
@@ -710,6 +911,7 @@ class TrussComponentTree:
                     )
                     node = nodes[target]
                     touched.add(target)
+                    self._save_node(node)
                     node.edge_ids |= frozenset((f,))
                     node.edges |= frozenset((edge_of[f],))
                     node_of_eid[f] = target
@@ -728,6 +930,7 @@ class TrussComponentTree:
                     while base is not None and nodes[base].k >= level:
                         base = nodes[base].parent
                     target = stable_ids[f]
+                    self._save_key(target)
                     nodes[target] = TreeNode(
                         node_id=target,
                         k=level,
@@ -790,14 +993,16 @@ class TrussComponentTree:
                 self._recompute_sla_of(eid, new_truss, new_mask, index, sla_dirty)
         if old_sla_anchor:
             ref = self._ensure_sla_ref()
+            self._save_refs(old_sla_anchor)
             for node_id in old_sla_anchor:
                 refs = ref.get(node_id)
                 if refs is not None:
                     refs.discard(anchor_eid)
+        self._save_sla((anchor_eid,))
         self._sla_sets[anchor_eid] = None
 
-        # -- phase 5: derived structures
-        self.roots = [nid for nid, node in nodes.items() if node.parent is None]
+        # -- phase 5: derived structures (roots re-derive on their next read)
+        self._roots = None
         self.state = new_state
         self._signatures_cache = None
 
@@ -914,6 +1119,21 @@ class TrussComponentTree:
                 node_id: self.node_signature(node_id) for node_id in self.nodes
             }
         return self._signatures_cache
+
+    @property
+    def roots(self) -> List[int]:
+        """Ids of the parentless nodes (treat as read-only).
+
+        Derived from :attr:`nodes` on the first read after a build, patch or
+        rollback and cached until the next one, so a patch never rescans
+        every node.
+        """
+        roots = self._roots
+        if roots is None:
+            roots = self._roots = [
+                node_id for node_id, node in self.nodes.items() if node.parent is None
+            ]
+        return roots
 
     @property
     def node_of_eid(self) -> Optional[List[int]]:

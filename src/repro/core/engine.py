@@ -48,6 +48,17 @@ When the dirty closure exceeds ``full_peel_threshold * m`` edges the engine
 falls back to a full peel — the incremental path is an optimisation, never a
 semantic fork, and the test-suite asserts both produce identical
 decompositions on randomized anchored graphs.
+
+Warm sessions
+-------------
+The assets that depend only on the baseline state live as long as the
+engine: the anchor-free state, the GAS baseline follower snapshot, the
+upward-route sizes (:meth:`SolverEngine.route_sizes`) and, with
+``tree_mode="patch"``, the baseline component tree.  A solve patches that
+tree in place — initial anchors first, one patch each — and the tree
+journals what it changed; :meth:`SolverEngine.reset` rolls it back to the
+baseline instead of rebuilding it.  Only a full-peel fallback still builds a
+solve-local tree, which the next reset drops.
 """
 
 from __future__ import annotations
@@ -72,6 +83,7 @@ from repro.core.component_tree import TreePatchInfo, TrussComponentTree
 from repro.core.followers import _followers_on_arrays
 from repro.core.result import AnchorResult
 from repro.core.reuse import ReuseDecision, ReuseInvalidation, compute_reuse_decision
+from repro.core.upward_route import upward_route_sizes
 from repro.graph.graph import Edge, Graph
 from repro.graph.index import GraphIndex
 from repro.obs.tracing import span as _span
@@ -122,8 +134,9 @@ class CommitDelta:
     * ``changed_eids`` — every edge whose trussness *or* peeling layer
       differs from the pre-commit state (the anchor itself included); this
       is exactly the ``invalid_edges`` set of the reuse rule (Algorithm 5);
-    * ``state_after`` — the materialised post-commit state (cleared once the
-      tree has consumed the delta, so chained states do not accumulate).
+    * ``state_after`` — the materialised post-commit state, kept only once
+      the current solve has asked for the tree and cleared once the tree has
+      consumed the delta, so chained states do not accumulate.
     """
 
     anchor_eid: int
@@ -289,8 +302,19 @@ class SolverEngine:
         self.anchors: List[Edge] = []
         self._materialized_state: Optional[TrussState] = None
         self._materialized_count = 0
+        # The session's baseline component tree (tree_mode="patch" only):
+        # built once from original_state, journalled, patched by each solve
+        # and rolled back by reset().
+        self._baseline_tree: Optional[TrussComponentTree] = None
+        # The tree of the current solve: the baseline tree, or a solve-local
+        # rebuild after a full-peel fallback (dropped by reset()).
         self._tree: Optional[TrussComponentTree] = None
         self._tree_state: Optional[TrussState] = None
+        # Set by the solve's first tree() call; commits keep their
+        # post-commit state for the patch only from then on.
+        self._tree_wanted = False
+        # Upward-route size per dense edge id of original_state (lazy).
+        self._route_sizes: Optional[List[int]] = None
         # Per-commit deltas recorded by the incremental re-peel (None for
         # full-peel fallbacks), aligned with the materialised chain; the
         # component tree consumes them from _tree_commit_index onwards.
@@ -364,18 +388,21 @@ class SolverEngine:
         return state
 
     def reset(self, initial_anchors: Iterable[Edge] = ()) -> None:
-        """Start a fresh solve: drop the chain, caches, tree and per-solve stats.
+        """Start a fresh solve: drop the chain, caches and per-solve stats,
+        and roll the component tree back to the baseline.
 
         The expensive session assets — the :class:`GraphIndex`, the
-        anchor-free baseline state and the baseline follower snapshot —
-        survive, which is exactly what a warm (cached) engine amortises
-        across requests.  Everything a solver can observe is restored: the
-        state chain, the component tree, the follower caches and the
-        :attr:`stats` counters (folded into :attr:`lifetime_stats`), so a
-        solve on a reused engine returns results canonically identical to
-        the same solve on a fresh engine (only work-rate diagnostics such
-        as GAS's recompute counters may differ — a warm first round
-        recomputes nothing; see
+        anchor-free baseline state, the baseline component tree, the
+        baseline follower snapshot and the upward-route sizes — survive,
+        which is exactly what a warm (cached) engine amortises across
+        requests.  Everything a solver can observe is restored: the state
+        chain, the component tree (its undo journal rolls back every patch
+        of the previous solve, also one that raised part-way), the follower
+        caches and the :attr:`stats` counters (folded into
+        :attr:`lifetime_stats`), so a solve on a reused engine returns
+        results canonically identical to the same solve on a fresh engine
+        (only work-rate diagnostics such as GAS's recompute counters may
+        differ — a warm first round recomputes nothing; see
         :func:`repro.api.canonical_result`).
 
         Duplicate initial anchors are dropped (first occurrence wins) —
@@ -393,8 +420,11 @@ class SolverEngine:
                 self.anchors.append(edge)
         self._materialized_state = None
         self._materialized_count = 0
+        if self._baseline_tree is not None:
+            self._baseline_tree.rollback()
         self._tree = None
         self._tree_state = None
+        self._tree_wanted = False
         self._deltas = []
         self._tree_commit_index = 0
         self._invalidation_log = []
@@ -449,15 +479,50 @@ class SolverEngine:
     def tree(self) -> TrussComponentTree:
         """The truss component tree of the current state.
 
-        With ``tree_mode="patch"`` (the default) an existing tree is advanced
-        **incrementally**: each commit's :class:`CommitDelta` is applied via
-        :meth:`TrussComponentTree.apply_commit`, touching only the nodes whose
-        trussness levels changed.  The tree is rebuilt from scratch only when
-        a commit fell back to a full peel (no delta available), when no tree
-        exists yet, or with ``tree_mode="rebuild"`` (the PR 2 reference
-        behaviour).  Every absorbed commit is logged so
-        :meth:`take_reuse_decision` can report the exact invalidation.
+        With ``tree_mode="patch"`` (the default) a solve starts from the
+        session's baseline tree, built once from :attr:`original_state` on
+        the first call and rolled back by every :meth:`reset`, and advances
+        it **incrementally**: each commit's :class:`CommitDelta` (initial
+        anchors included) is applied via
+        :meth:`TrussComponentTree.apply_commit`, touching only the nodes
+        whose trussness levels changed.  The tree is rebuilt from scratch
+        only when a commit fell back to a full peel (no delta available),
+        when the chain materialised before the solve's first call (its
+        deltas kept no state to patch with — solvers read the tree before
+        the state), or with ``tree_mode="rebuild"`` (the rebuild oracle).
+        ``stats["tree_rebuilds"]`` counts those builds; the baseline tree is
+        a session asset and is not counted.  Every commit absorbed after the
+        solve's first call is logged so :meth:`take_reuse_decision` can
+        report the exact invalidation.
         """
+        if self._tree_wanted:
+            return self._advance_tree()
+        self._tree_wanted = True
+        if self.tree_mode == "patch":
+            # Before the chain materialises: its deltas then keep the
+            # post-commit states the patches need.
+            self._tree = self._session_tree()
+            self._tree_state = self.original_state
+            self._tree_commit_index = 0
+        tree = self._advance_tree()
+        # The commits absorbed so far are the solve's starting point, not a
+        # round: no reuse decision spans them.
+        self._invalidation_log = []
+        return tree
+
+    def _session_tree(self) -> TrussComponentTree:
+        """The journalled baseline tree, built on first use."""
+        tree = self._baseline_tree
+        if tree is None:
+            original = self.original_state
+            with _span("engine.tree_rebuild"):
+                tree = TrussComponentTree.build(original)
+            tree.start_journal()
+            self._baseline_tree = tree
+        return tree
+
+    def _advance_tree(self) -> TrussComponentTree:
+        """Bring the current tree up to :attr:`state` (patch or rebuild)."""
         state = self.state
         if self._tree is not None and self._tree_state is state:
             return self._tree
@@ -468,6 +533,7 @@ class SolverEngine:
             and self._tree_commit_index < self._materialized_count
             and all(
                 self._deltas[i] is not None
+                and self._deltas[i].state_after is not None  # type: ignore[union-attr]
                 for i in range(self._tree_commit_index, self._materialized_count)
             )
         ):
@@ -501,6 +567,23 @@ class SolverEngine:
             if delta is not None:
                 delta.state_after = None
         return self._tree
+
+    def route_sizes(self) -> List[int]:
+        """Upward-route size of every edge of :attr:`original_state`.
+
+        Indexed by dense edge id (anchored edges read 0); Table IV's sizes
+        and the ``tur`` ranking.  Computed on first use in one pass
+        (:func:`repro.core.upward_route.upward_route_sizes`) and kept for the
+        session, since they depend only on the baseline state.  Treat the
+        list as read-only.
+        """
+        sizes = self._route_sizes
+        if sizes is None:
+            original = self.original_state
+            with _span("core.upward_route"):
+                sizes = upward_route_sizes(original)
+            self._route_sizes = sizes
+        return sizes
 
     def take_reuse_decision(
         self, committed_anchor: Edge, committed_followers: Iterable[Edge]
@@ -666,10 +749,10 @@ class SolverEngine:
                 anchor_eid=eid,
                 follower_eids=tuple(sorted(followers)),
                 changed_eids=frozenset(changed),
-                # The chained state is only kept while a tree exists to
-                # consume it (the patch path); solvers that never read the
-                # tree must not pin the whole chain in memory.
-                state_after=new_state if self._tree is not None else None,
+                # The chained state is only kept once the solve has asked
+                # for the tree (the patch path consumes it); solvers that
+                # never read the tree must not pin the whole chain in memory.
+                state_after=new_state if self._tree_wanted else None,
             )
         )
         return new_state
@@ -830,9 +913,10 @@ class SolverEngine:
                     f"spec engine option {option}={value!r} does not match "
                     f"this engine's {option}={own!r}"
                 )
-        self.reset(spec.initial_anchors)
         self.solve_count += 1
         with _span("engine.solve_spec", algorithm=spec.algorithm, budget=spec.budget):
+            # The reset's tree rollback is part of serving this spec.
+            self.reset(spec.initial_anchors)
             return solver.fn(self, spec)
 
     def session_info(self) -> Dict[str, object]:

@@ -191,8 +191,10 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
 
     start = time.perf_counter()
     original_state = engine.original_state
-    state = engine.state
+    # The tree before the state: the engine then patches the initial anchors
+    # onto the session's baseline tree instead of building one for them.
     tree = engine.tree()
+    state = engine.state
 
     # Follower cache F[e][node_id], keyed by dense edge id (stable for the
     # lifetime of the run — the graph is never mutated), plus the cached
@@ -202,8 +204,8 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     totals = engine.follower_totals
     # Warm path: an unanchored session that solved before restores its
     # baseline follower snapshot — every entry was computed against exactly
-    # this first-round state (and the freshly rebuilt tree's node ids are
-    # deterministic), so round one reads cached totals instead of
+    # this first-round state (and the rolled-back baseline tree carries the
+    # same node ids), so round one reads cached totals instead of
     # recomputing every candidate's followers.
     warm_baseline = budget > 0 and engine.restore_baseline_followers()
     invalidation: Optional[ReuseInvalidation] = None

@@ -96,7 +96,8 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     score_of: dict = {}
     invalidation = None
     if use_reuse and request.budget > 1:
-        engine.tree()  # build the baseline tree so commits patch (and log) it
+        # The tree before the state, so commits patch (and log) it.
+        engine.tree()
 
     for _round in range(request.budget):
         state = engine.state

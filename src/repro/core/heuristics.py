@@ -12,7 +12,8 @@ exactly as in the paper's Exp-1 and Exp-3.
 
 All three are registered in the solver registry; the public functions are
 thin wrappers that share the engine's baseline state instead of recomputing
-the original decomposition per call.
+the original decomposition per call.  ``Tur`` ranks by the session's
+upward-route sizes (:meth:`SolverEngine.route_sizes`, one pass per session).
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from __future__ import annotations
 import numbers
 import random
 import time
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
 from repro.core.params import count_param, fraction_param, rng_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
-from repro.core.upward_route import upward_route_size
+
+# The per-anchor oracle stays importable from this module: perfbench's
+# in-process tracer wraps ``repro.core.heuristics.upward_route_size`` by name.
+from repro.core.upward_route import upward_route_size  # noqa: F401
 from repro.graph.graph import Edge, Graph
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
@@ -73,7 +77,7 @@ def _checked_route_sizes(graph: Graph, route_sizes: object) -> Dict[Edge, int]:
     It must map ``(u, v)`` edges of the graph to ints ``>= 0``; edges it
     leaves out rank with size 0.  A JSON request cannot spell such a
     mapping (object keys are strings), so over the wire only the default
-    (sizes computed here) is usable.
+    (the session's sizes) is usable.
     """
     if not isinstance(route_sizes, Mapping):
         raise InvalidParameterError(
@@ -163,26 +167,30 @@ def _solve_tur(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     repetitions = count_param(request, "repetitions", DEFAULT_REPETITIONS)
     top_fraction = fraction_param(request, "top_fraction", DEFAULT_TOP_FRACTION)
     rng = rng_param(request, "seed")
-    baseline_state = engine.original_state
-    route_sizes = request.param("route_sizes")
-    if route_sizes is None:
-        route_sizes = {
-            edge: upward_route_size(baseline_state, edge) for edge in graph.edges()
-        }
+    index = engine.index
+    given = request.param("route_sizes")
+    sizes: Sequence[int]
+    if given is None:
+        sizes = engine.route_sizes()
     else:
-        route_sizes = _checked_route_sizes(graph, route_sizes)
-    ranked = sorted(
-        graph.edge_list(), key=lambda e: (-route_sizes.get(e, 0), graph.edge_id(e))
-    )
+        dense: List[int] = [0] * index.num_edges
+        eid_of = index.eid_of
+        for edge, size in _checked_route_sizes(graph, given).items():
+            dense[eid_of[edge]] = size
+        sizes = dense
+    # Dense order is public edge-id order, so ``(-size, eid)`` is the
+    # smallest-id tie-break.
+    ranked = sorted(range(index.num_edges), key=lambda eid: (-sizes[eid], eid))
     cutoff = max(1, int(len(ranked) * top_fraction))
+    edge_of = index.edge_of
     return _run_repetitions(
         graph,
-        ranked[:cutoff],
+        [edge_of[eid] for eid in ranked[:cutoff]],
         request.budget,
         repetitions,
         rng,
         "Tur",
-        baseline_state,
+        engine.original_state,
     )
 
 
@@ -228,7 +236,7 @@ def upward_route_baseline(
     """``Tur``: anchors drawn from the top ``top_fraction`` edges by upward-route size.
 
     ``route_sizes`` may be supplied to reuse sizes already computed for
-    Table IV; otherwise they are computed here.
+    Table IV; otherwise the engine computes them in one pass.
     """
     engine = SolverEngine(graph, baseline_state=baseline_state)
     return engine.solve(

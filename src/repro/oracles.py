@@ -206,7 +206,6 @@ def component_tree_reference(state: TrussState) -> TrussComponentTree:
 
     nodes: Dict[int, TreeNode] = {}
     node_of_edge: Dict[Edge, int] = {}
-    roots: List[int] = []
     enclosing: Dict[Edge, Optional[int]] = {e: None for e in graph.edges()}
 
     for k in sorted(set(trussness.values())):
@@ -230,15 +229,13 @@ def component_tree_reference(state: TrussState) -> TrussComponentTree:
                 edge_ids=frozenset(eid_of[e] for e in level_edges),
             )
             nodes[node_id] = node
-            if parent_id is None:
-                roots.append(node_id)
-            else:
+            if parent_id is not None:
                 nodes[parent_id].children.append(node_id)
             for edge in level_edges:
                 node_of_edge[edge] = node_id
             for edge in component:
                 enclosing[edge] = node_id
-    return TrussComponentTree(nodes=nodes, node_of_edge=node_of_edge, roots=roots, state=state)
+    return TrussComponentTree(nodes=nodes, node_of_edge=node_of_edge, state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ bundle against a point's graph and anchor schedule:
     every non-anchored candidate, the engine's dirty-closure fixed point —
     the follower set ``incremental_repeel`` pins to full decompositions —
     unfiltered, and restricted to each of the candidate's ``sla`` nodes.
+``tree_rollback``
+    After the schedule is committed and the session's baseline tree
+    patched, :meth:`SolverEngine.reset` must roll the tree back to the
+    signature of a fresh build, and warm GAS solves (b <= 3) on that
+    session must equal a cold one canonically, ``extra.engine`` included.
 
 A failed check raises :class:`InvariantViolation`, whose message embeds the
 single self-contained replay line::
@@ -44,6 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.spec import canonical_result, result_to_json
 from repro.core import engine as engine_module
 from repro.core.component_tree import TrussComponentTree
 from repro.core.followers import _followers_on_arrays, followers_support_check
@@ -72,6 +78,7 @@ INVARIANTS: Tuple[str, ...] = (
     "candidate_heap",
     "peel_backends",
     "follower_search",
+    "tree_rollback",
 )
 
 _ALWAYS_INCREMENTAL = math.inf
@@ -107,18 +114,34 @@ class InvariantReport:
 
 
 def tree_signature(tree: TrussComponentTree):
-    """Everything that defines a kernel-built tree, in comparable form."""
+    """Everything that defines a component tree, in comparable form.
+
+    Kernel-built trees carry ``sla`` sets and ``node_of_eid``; for a tree of
+    :func:`repro.oracles.component_tree_reference`, which carries neither,
+    both are derived per edge, so the two kinds compare directly.
+    """
     nodes = {
         nid: (node.k, node.edges, node.edge_ids, node.parent, frozenset(node.children))
         for nid, node in tree.nodes.items()
     }
-    m = tree.state.index.num_edges
-    sla = tuple(frozenset(tree.sla_sets[eid] or ()) for eid in range(m))
+    index, _truss, _layer, mask = tree.state.kernel_views()
+    edge_of = index.edge_of
+    m = index.num_edges
+    if tree.sla_sets is not None:
+        sla = tuple(frozenset(tree.sla_sets[eid] or ()) for eid in range(m))
+    else:
+        sla = tuple(
+            frozenset() if mask[eid] else frozenset(tree.sla(edge_of[eid]))
+            for eid in range(m)
+        )
+    node_of_eid = tree.node_of_eid
+    if node_of_eid is None:
+        node_of_eid = [tree.node_of_edge.get(edge, -1) for edge in edge_of]
     return (
         nodes,
         dict(tree.node_of_edge),
         frozenset(tree.roots),
-        tuple(tree.node_of_eid),
+        tuple(node_of_eid),
         sla,
     )
 
@@ -282,6 +305,44 @@ def _check_follower_search(point: WorldPoint, graph: Graph, schedule) -> None:
                 )
 
 
+def _check_tree_rollback(point: WorldPoint, graph: Graph, schedule) -> None:
+    engine = engine_module.SolverEngine(
+        graph, full_peel_threshold=_ALWAYS_INCREMENTAL
+    )
+    fresh = tree_signature(TrussComponentTree.build(engine.original_state))
+    engine.tree()
+    for edge in schedule:
+        engine.commit_anchor(edge)
+    engine.tree()
+    engine.reset()
+    if tree_signature(engine.tree()) != fresh:
+        raise InvariantViolation(
+            point,
+            "tree_rollback",
+            f"after {len(schedule)} patched commit(s), reset() left a "
+            "component tree that differs from a fresh build",
+        )
+    budget = min(3, graph.num_edges)
+    if budget < 1:
+        return
+    cold = engine_module.SolverEngine(
+        graph, full_peel_threshold=_ALWAYS_INCREMENTAL
+    ).solve("gas", budget)
+    want = canonical_result(result_to_json(cold))
+    for attempt in ("first", "second"):
+        got = canonical_result(result_to_json(engine.solve("gas", budget)))
+        if got != want:
+            raise InvariantViolation(
+                point,
+                "tree_rollback",
+                f"the {attempt} warm gas b={budget} solve after a rollback "
+                f"differs from a cold one: warm gain={got['gain']} "
+                f"anchors={got['anchors']!r} engine={got['extra'].get('engine')!r} "
+                f"vs cold gain={want['gain']} anchors={want['anchors']!r} "
+                f"engine={want['extra'].get('engine')!r}",
+            )
+
+
 def check_world_point(
     point: WorldPoint,
     invariants: Sequence[str] = INVARIANTS,
@@ -306,6 +367,8 @@ def check_world_point(
         _check_peel_backends(point, graph, schedule)
     if "follower_search" in invariants:
         _check_follower_search(point, graph, schedule)
+    if "tree_rollback" in invariants:
+        _check_tree_rollback(point, graph, schedule)
     return InvariantReport(
         point=point,
         num_vertices=graph.num_vertices,

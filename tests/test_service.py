@@ -260,7 +260,13 @@ class TestSolveService:
             first = service.solve(a)
             second = service.solve(b)
             assert service.sessions.stats()["size"] == 2
-        # different engine modes, identical results
+        # Different engine modes, identical results.  Only the tree counter
+        # differs: tree_mode="rebuild" counts its first build, which patch
+        # mode takes from the session's baseline tree.
+        patch_engine = first.result["extra"]["engine"]
+        rebuild_engine = second.result["extra"]["engine"]
+        assert rebuild_engine["tree_rebuilds"] == patch_engine["tree_rebuilds"] + 1
+        rebuild_engine["tree_rebuilds"] = patch_engine["tree_rebuilds"]
         assert canonical_json(first.result) == canonical_json(second.result)
 
     def test_errors_become_responses(self):

@@ -8,11 +8,13 @@ counts — on randomized anchored graphs with both paths forced.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
 
+from repro.api import canonical_result, result_to_json
 from repro.core.component_tree import TrussComponentTree
 from repro.core.engine import SolverEngine, get_solver
 from repro.graph.graph import Graph
@@ -88,7 +90,8 @@ class TestTreePatchEquivalence:
                 assert tree_signature(engine.tree()) == tree_signature(
                     TrussComponentTree.build(engine.state)
                 )
-        assert engine.stats["tree_rebuilds"] == 1  # only the initial build
+        # The baseline tree is a session asset: every commit was a patch.
+        assert engine.stats["tree_rebuilds"] == 0
 
     def test_rebuild_mode_never_patches(self, fig3_graph):
         engine = SolverEngine(fig3_graph, tree_mode="rebuild")
@@ -110,6 +113,8 @@ class TestTreePatchEquivalence:
         assert delta is not None
         with pytest.raises(InvalidParameterError):
             reference.apply_commit(delta, engine.state)
+        with pytest.raises(InvalidParameterError):
+            reference.start_journal()
 
 
 class TestTreePatchEdgeCases:
@@ -314,3 +319,78 @@ class TestHeapScanEquivalence:
         second = engine.solve("gas", 3)
         assert first.anchors == second.anchors
         assert first.gain == second.gain
+
+
+def _canonical(result) -> str:
+    return json.dumps(canonical_result(result_to_json(result)), sort_keys=True)
+
+
+class TestWarmSessionRollback:
+    """reset() rolls the session's baseline tree back to a fresh build —
+    after a plain solve, one with initial anchors, one whose commits fall
+    back to a full peel mid-solve, and one whose patch raised part-way —
+    and the next solve equals a fresh engine's, ``extra.engine`` included."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ["plain", "initial_anchors", "fallback", "raised"])
+    @pytest.mark.parametrize("algorithm", ["gas", "base"])
+    def test_reset_restores_a_fresh_tree(self, algorithm, case, seed, monkeypatch):
+        graph = random_test_graph(seed + 31000, min_n=14, max_n=24)
+        engine = SolverEngine(graph, full_peel_threshold=ALWAYS_INCREMENTAL)
+        fresh = tree_signature(component_tree_reference(engine.original_state))
+        initial = anchor_schedule(graph, seed, length=2) if case == "initial_anchors" else []
+        budget = 4
+        if case == "fallback":
+            # The first commit patches the baseline tree; every later one
+            # falls back to a full peel and a solve-local rebuild.
+            advance = engine._advance
+
+            def advance_then_fall_back(state, anchor):
+                new_state = advance(state, anchor)
+                engine.full_peel_threshold = 0.0
+                return new_state
+
+            monkeypatch.setattr(engine, "_advance", advance_then_fall_back)
+        if case == "raised":
+            def explode(*_args, **_kwargs):
+                raise RuntimeError("injected patch failure")
+
+            # Phase 4 of apply_commit: phases 1-3 have already moved nodes.
+            monkeypatch.setattr(TrussComponentTree, "_recompute_sla_of", explode)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.solve(algorithm, budget)
+        else:
+            first = engine.solve(algorithm, budget, initial_anchors=initial)
+            assert first.extra["engine"]["tree_patches"] > 0
+        monkeypatch.undo()
+        engine.full_peel_threshold = ALWAYS_INCREMENTAL
+        assert tree_signature(engine._baseline_tree) != fresh  # patched in place
+
+        engine.reset()
+        tree = engine.tree()
+        assert tree is engine._baseline_tree
+        assert tree_signature(tree) == fresh
+        assert engine.stats["tree_rebuilds"] == 0
+
+        warm = engine.solve(algorithm, budget, initial_anchors=initial)
+        cold = SolverEngine(graph, full_peel_threshold=ALWAYS_INCREMENTAL).solve(
+            algorithm, budget, initial_anchors=initial
+        )
+        assert _canonical(warm) == _canonical(cold)
+
+    def test_initial_anchors_are_patched_not_rebuilt(self, two_communities):
+        initial = anchor_schedule(two_communities, 3, length=2)
+        engine = SolverEngine(two_communities, full_peel_threshold=ALWAYS_INCREMENTAL)
+        for _ in range(2):
+            result = engine.solve("gas", 2, initial_anchors=initial)
+            # One patch per initial anchor plus one per non-final round.
+            assert result.extra["engine"]["tree_patches"] == len(initial) + 1
+            assert result.extra["engine"]["tree_rebuilds"] == 0
+
+    def test_solvers_that_skip_the_tree_pin_no_states(self, two_communities):
+        engine = SolverEngine(two_communities, full_peel_threshold=ALWAYS_INCREMENTAL)
+        engine.solve("gas", 2)  # the session now holds a baseline tree
+        engine.solve("base+", 3)
+        engine.state  # materialise the whole chain
+        assert len(engine._deltas) == 3
+        assert all(d is None or d.state_after is None for d in engine._deltas)

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import SolverEngine
 from repro.core.followers import followers_by_recompute
 from repro.core.upward_route import (
     has_upward_route,
     upward_route_edges,
     upward_route_size,
+    upward_route_sizes,
     upward_route_statistics,
 )
 from repro.graph.generators import complete_graph
 from repro.truss.state import TrussState
 
-from tests.conftest import random_test_graph
+from tests.conftest import anchor_schedule, random_test_graph, world_sweep_graphs
 
 
 class TestFigure3Routes:
@@ -74,3 +76,38 @@ class TestStatistics:
         state = TrussState.compute(complete_graph(5))
         for edge in state.graph.edges():
             assert upward_route_size(state, edge) == 0
+
+
+class TestOnePassSizes:
+    """The one-pass sizes equal the per-anchor route walk on every edge."""
+
+    @staticmethod
+    def _assert_equal_to_walk(state):
+        sizes = upward_route_sizes(state)
+        eid_of = state.index.eid_of
+        assert len(sizes) == state.graph.num_edges
+        for edge in state.graph.edges():
+            assert sizes[eid_of[edge]] == upward_route_size(state, edge), edge
+
+    def test_world_sweep_graphs(self):
+        for _name, graph in world_sweep_graphs():
+            self._assert_equal_to_walk(TrussState.compute(graph))
+
+    def test_world_sweep_graphs_with_an_anchored_baseline(self):
+        for _name, graph in world_sweep_graphs():
+            anchors = anchor_schedule(graph, 7, length=3)
+            state = TrussState.compute(graph, anchors)
+            self._assert_equal_to_walk(state)
+            for edge in anchors:
+                assert upward_route_sizes(state)[state.index.eid_of[edge]] == 0
+
+    def test_figure3(self, fig3_state):
+        self._assert_equal_to_walk(fig3_state)
+
+    def test_engine_computes_them_once_per_session(self, fig3_graph):
+        engine = SolverEngine(fig3_graph)
+        sizes = engine.route_sizes()
+        assert sizes == upward_route_sizes(engine.original_state)
+        engine.solve("tur", 1, repetitions=2, seed=1)
+        engine.solve("tur", 2, repetitions=2, seed=2)
+        assert engine.route_sizes() is sizes

@@ -4,10 +4,11 @@ invariant fuzzing rig (PR 8).
 The rig is the test: every sampled world point runs the full oracle bundle
 of :mod:`repro.world.invariants` — incremental re-peel ≡ full
 decomposition, tree patch ≡ rebuild, assembled reuse decision ≡ tree diff,
-candidate heap ≡ scan, peel backends byte-identical.  A fast subset runs in
-tier-1; the full sweep (200+ points) sits behind the ``slow`` marker.  The
-mutation tests deliberately break the peel machinery and assert the rig
-catches it with a self-contained replay line.
+candidate heap ≡ scan, peel backends byte-identical, tree rollback ≡ fresh
+build.  A fast subset runs in tier-1; the full sweep (200+ points) sits
+behind the ``slow`` marker.  The mutation tests deliberately break the
+engine machinery and assert the rig catches it with a self-contained replay
+line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import engine as engine_module
 from repro.core import followers as followers_module
+from repro.core.component_tree import TrussComponentTree
 from repro.truss import peel as peel_module
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
@@ -311,3 +313,25 @@ class TestMutationCaught:
         assert violation is not None, "broken screen never tripped the rig"
         assert violation.invariant == "follower_search"
         assert replay_command(violation.point) in str(violation)
+
+    def test_rollback_that_skips_the_sla_restore_is_caught(self, capsys):
+        # Mutation: reset() restores nodes and memberships but leaves every
+        # patched sla set (and reverse-sla entry) as the last solve left it.
+        def no_sla_restore(tree, journal):
+            return None
+
+        violation = None
+        with mock.patch.object(TrussComponentTree, "_restore_sla", no_sla_restore):
+            for point in TIER1_POINTS[:10]:
+                try:
+                    check_world_point(point, invariants=("tree_rollback",))
+                except InvariantViolation as caught:
+                    violation = caught
+                    break
+        assert violation is not None, "skipped sla restore never tripped the rig"
+        assert violation.invariant == "tree_rollback"
+        assert replay_command(violation.point) in str(violation)
+        with mock.patch.object(TrussComponentTree, "_restore_sla", no_sla_restore):
+            code = cli_main(["world", "--replay", violation.point.spec()])
+        assert code == 1
+        assert replay_command(violation.point) in capsys.readouterr().err
