@@ -351,7 +351,9 @@ METHOD_ALLOWLIST = {
         "layer",
         "precedes",
         "kernel_views",
+        "array_views",
         "tight_flags",
+        "starter_flags",
         "trussness_gain_from",
         "followers_relative_to",
     ],

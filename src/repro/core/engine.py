@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -78,16 +79,19 @@ from typing import (
     Tuple,
 )
 
+import numpy as _np
+
 from repro.api.spec import SolveSpec
 from repro.core.component_tree import TreePatchInfo, TrussComponentTree
 from repro.core.followers import _followers_on_arrays
 from repro.core.result import AnchorResult
 from repro.core.reuse import ReuseDecision, ReuseInvalidation, compute_reuse_decision
 from repro.core.upward_route import upward_route_sizes
+from repro.graph.csr import CSRArrays
 from repro.graph.graph import Edge, Graph
 from repro.graph.index import GraphIndex
 from repro.obs.tracing import span as _span
-from repro.truss.peel import peel_trussness_fast
+from repro.truss.peel import hit_rows, peel_trussness_fast
 from repro.truss.decomposition import TrussDecomposition
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
@@ -194,60 +198,55 @@ def _dirty_closure(
 
 
 def _repeel_hull_layers(
-    index: GraphIndex,
-    truss: List[float],
-    layer: List[float],
-    k: int,
-    members: List[int],
-) -> None:
-    """Recompute the synchronous peeling layers of the ``k``-hull in place.
+    csr: CSRArrays, truss: _np.ndarray, k: int, members: _np.ndarray
+) -> _np.ndarray:
+    """The synchronous peeling layers of the ``k``-hull, aligned with ``members``.
 
-    ``members`` are the eids with (new) trussness exactly ``k``; support is
-    counted against the phase-``k`` graph ``{t >= k}`` (anchors hold ``inf``).
-    The wave rule mirrors :func:`repro.truss.peel.peel_trussness_arrays`:
-    waves are processed in ascending eid order, removals take effect
-    immediately within a wave, and an edge whose support drops to the
-    threshold mid-wave joins the *next* wave.
+    ``members`` are the ascending eids with (new) trussness exactly ``k``;
+    support is counted against the phase-``k`` graph ``{t >= k}`` (anchors
+    hold ``inf`` in ``truss``).  The waves follow the order-independent
+    rule of :func:`repro.truss.peel.peel_trussness_arrays` restricted to
+    the hull: a frontier edge's hit row ``(base; a, b)`` decrements iff
+    ``a`` and ``b`` are both still in the phase-``k`` graph and each of them
+    that is in the current wave has an id greater than ``base``.  Only hull
+    members can fall in phase ``k``, so only their supports are tracked, and
+    the layers equal those of a full peel.
     """
-    tri = index.edge_triangles
+    m = csr.num_edges
+    alive = truss >= k
+    in_hull = _np.zeros(m, dtype=bool)
+    in_hull[members] = True
+    in_wave = _np.zeros(m, dtype=bool)
+    support = _np.zeros(m, dtype=_np.int64)
+    layer = _np.zeros(m, dtype=_np.int64)
     threshold = k - 2
-    support: Dict[int, int] = {}
-    for eid in members:
-        count = 0
-        for a, b, _w in tri[eid]:
-            if truss[a] >= k and truss[b] >= k:
-                count += 1
-        support[eid] = count
-    removed: Set[int] = set()
-    scheduled: Set[int] = set()
-    frontier = sorted(eid for eid in members if support[eid] <= threshold)
-    scheduled.update(frontier)
+
+    base, a, b = hit_rows(csr, members)
+    counted = alive[a] & alive[b]
+    support[members] = _np.bincount(base[counted], minlength=m)[members]
+    frontier = members[support[members] <= threshold]
     layer_index = 0
-    while frontier:
+    while frontier.size:
         layer_index += 1
-        next_frontier: List[int] = []
-        for eid in frontier:
-            layer[eid] = layer_index
-            removed.add(eid)
-            for a, b, _w in tri[eid]:
-                if (
-                    truss[a] >= k
-                    and truss[b] >= k
-                    and a not in removed
-                    and b not in removed
-                ):
-                    if truss[a] == k:
-                        support[a] -= 1
-                        if support[a] <= threshold and a not in scheduled:
-                            scheduled.add(a)
-                            next_frontier.append(a)
-                    if truss[b] == k:
-                        support[b] -= 1
-                        if support[b] <= threshold and b not in scheduled:
-                            scheduled.add(b)
-                            next_frontier.append(b)
-        next_frontier.sort()
-        frontier = next_frontier
+        layer[frontier] = layer_index
+        in_wave[frontier] = True
+        base, a, b = hit_rows(csr, frontier)
+        ok = (
+            alive[a]
+            & alive[b]
+            & (~in_wave[a] | (a > base))
+            & (~in_wave[b] | (b > base))
+        )
+        alive[frontier] = False
+        in_wave[frontier] = False
+        touched = _np.concatenate([a[ok], b[ok]])
+        touched = touched[in_hull[touched] & alive[touched]]
+        if not touched.size:
+            break
+        uniq, cnts = _np.unique(touched, return_counts=True)
+        support[uniq] -= cnts
+        frontier = uniq[support[uniq] <= threshold]
+    return layer[members]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ class SolverEngine:
         self._invalidation_log: List[Tuple[str, object, Optional[CommitDelta]]] = []
         # GAS per-candidate follower caches: F[eid][node_id] plus the cached
         # per-candidate totals.  Owned here so a session can span rounds.
-        self.follower_cache: Dict[int, Dict[int, FrozenSet[Edge]]] = {}
+        self.follower_cache: Dict[int, Mapping[int, FrozenSet[Edge]]] = {}
         self.follower_totals: Dict[int, int] = {}
         # Baseline follower snapshot (the GAS warm-path fix): the follower
         # cache of an *unanchored* first round, captured once per session by
@@ -336,7 +335,7 @@ class SolverEngine:
         # a warm session's first GAS round restores it instead of
         # recomputing every candidate's followers from scratch.
         self._baseline_followers: Optional[
-            Tuple[Dict[int, Dict[int, FrozenSet[Edge]]], Dict[int, int]]
+            Tuple[Dict[int, Mapping[int, FrozenSet[Edge]]], Dict[int, int]]
         ] = None
         #: Diagnostics: how often each re-peel path ran for the *current*
         #: solve.  :meth:`reset` folds the counters into
@@ -441,15 +440,20 @@ class SolverEngine:
         round of *any* later unanchored solve on this engine.  A no-op when
         anchors are present, when a snapshot already exists, or when there
         is nothing to snapshot.
+
+        Nothing is copied: each entry is frozen behind a read-only
+        :class:`~types.MappingProxyType`, which both the snapshot and the
+        live cache hold from then on.  The solver copies an entry before its
+        first edit (copy-on-write), so the snapshot stays pristine.
         """
         if self.anchors or self._baseline_followers is not None:
             return
-        if not self.follower_cache:
+        cache = self.follower_cache
+        if not cache:
             return
-        self._baseline_followers = (
-            {eid: dict(entry) for eid, entry in self.follower_cache.items()},
-            dict(self.follower_totals),
-        )
+        for eid, entry in cache.items():
+            cache[eid] = MappingProxyType(entry)
+        self._baseline_followers = (dict(cache), dict(self.follower_totals))
 
     def restore_baseline_followers(self) -> bool:
         """Refill the live follower caches from the baseline snapshot.
@@ -458,16 +462,15 @@ class SolverEngine:
         unanchored (the snapshot was taken against :attr:`original_state`,
         which every solve chain starts from) and a snapshot exists.  The
         restore mutates the cache dicts in place, so aliases held by a
-        running solver stay valid.  Entries are copied out — the solver
-        mutates its cache across rounds and the snapshot must keep serving
-        pristine baselines.
+        running solver stay valid.  The entries are shared read-only with
+        the snapshot (see :meth:`snapshot_baseline_followers`), so a restore
+        copies two flat dicts and no entry.
         """
         if self.anchors or self._baseline_followers is None:
             return False
         cache, totals = self._baseline_followers
         self.follower_cache.clear()
-        for eid, entry in cache.items():
-            self.follower_cache[eid] = dict(entry)
+        self.follower_cache.update(cache)
         self.follower_totals.clear()
         self.follower_totals.update(totals)
         return True
@@ -666,7 +669,7 @@ class SolverEngine:
 
         with _span("engine.incremental_peel", dirty_edges=len(dirty)):
             return self._advance_incremental(
-                state, new_anchor, eid, dirty, truss, layer, mask, m
+                state, new_anchor, eid, dirty, truss, layer, mask
             )
 
     def _advance_incremental(
@@ -678,13 +681,18 @@ class SolverEngine:
         truss,
         layer,
         mask,
-        m: int,
     ) -> TrussState:
         index = self.index
         followers = _followers_on_arrays(index, truss, eid, dirty)
 
+        # The new state's views: the list views for the scalar loops and
+        # the float64 arrays for the batched passes, kept equal entry for
+        # entry (Python ints in the lists, inf at anchors in both).
+        truss_arr, layer_arr = state.array_views()
         new_truss: List[float] = list(truss)
         new_layer: List[float] = list(layer)
+        new_truss_arr = truss_arr.copy()
+        new_layer_arr = layer_arr.copy()
         new_mask = bytearray(mask)
         t_x = truss[eid]
         affected_levels: Set[int] = {int(t_x)}
@@ -693,8 +701,11 @@ class SolverEngine:
             new_truss[f] = k + 1
             affected_levels.add(k)
             affected_levels.add(k + 1)
+        new_truss_arr[followers] += 1
         new_truss[eid] = _INF
         new_layer[eid] = _INF
+        new_truss_arr[eid] = _INF
+        new_layer_arr[eid] = _INF
         new_mask[eid] = 1
         # Levels above t(x) where the anchor's new permanent presence closes
         # a triangle with a still-present partner: their waves gain support.
@@ -704,46 +715,41 @@ class SolverEngine:
                 if t_x < tc != _INF and new_truss[d] >= tc:
                     affected_levels.add(int(tc))
 
-        # One pass grouping the members of the affected hulls (and the new
-        # k_max, which the same scan yields for free).
-        members_by_level: Dict[int, List[int]] = {k: [] for k in affected_levels}
-        k_max = 1
-        for e2 in range(m):
-            t = new_truss[e2]
-            if t == _INF:
+        # Re-peel each affected hull, found from the arrays, and record the
+        # commit delta for the incremental tree patch: the exact followers
+        # plus every edge whose trussness OR layer moved (layers cannot move
+        # outside the re-peeled hulls — invariant 3 of the incremental
+        # re-peel).
+        changed: Set[int] = {eid}
+        changed.update(followers)
+        csr = index.csr
+        for k in affected_levels:
+            members = _np.flatnonzero(new_truss_arr == k)
+            if not members.size:
                 continue
-            if t > k_max:
-                k_max = int(t)
-            bucket = members_by_level.get(t)
-            if bucket is not None:
-                bucket.append(e2)
-        for k, members in members_by_level.items():
-            if members:
-                _repeel_hull_layers(index, new_truss, new_layer, k, members)
+            layers = _repeel_hull_layers(csr, new_truss_arr, k, members)
+            moved = layers != new_layer_arr[members]
+            moved_eids = members[moved]
+            moved_layers = layers[moved]
+            new_layer_arr[moved_eids] = moved_layers
+            for e2, value in zip(moved_eids.tolist(), moved_layers.tolist()):
+                new_layer[e2] = value
+                changed.add(e2)
+        new_truss_arr.flags.writeable = False
+        new_layer_arr.flags.writeable = False
+        k_max = int(new_truss_arr.max(where=new_truss_arr != _INF, initial=1))
 
         anchor_set = frozenset(state.anchors | {new_anchor})
-        # Anchors already hold inf in the dense arrays; the tuple-domain
+        # Anchors already hold inf in the dense views; the tuple-domain
         # dicts materialise lazily from them if a consumer ever asks.
         decomposition = TrussDecomposition.from_dense(
             index.edge_of,
-            new_truss,
-            new_layer,
             anchor_set,
             k_max,
             (index, new_truss, new_layer, new_mask),
+            (new_truss_arr, new_layer_arr),
         )
         new_state = TrussState(graph=self.graph, anchors=anchor_set, decomposition=decomposition)
-
-        # Record the commit delta for the incremental tree patch: the exact
-        # followers plus every edge whose trussness OR layer moved (scanning
-        # only the re-peeled hulls — layer changes cannot occur elsewhere,
-        # which is invariant 3 of the incremental re-peel).
-        changed: Set[int] = {eid}
-        changed.update(followers)
-        for members in members_by_level.values():
-            for e2 in members:
-                if new_layer[e2] != layer[e2] or new_truss[e2] != truss[e2]:
-                    changed.add(e2)
         self._deltas.append(
             CommitDelta(
                 anchor_eid=eid,
@@ -777,13 +783,10 @@ class SolverEngine:
             eid_of = index.eid_of
             anchor_eids = [eid_of[a] for a in state.anchors]
             anchor_eids.append(eid)
-            new_truss, _new_layer, _k_max = peel_trussness_fast(index, anchor_eids)
-            gain = 0
-            for e2 in range(m):
-                if mask[e2] or e2 == eid:
-                    continue
-                gain += new_truss[e2] - truss[e2]
-            return int(gain)
+            new_truss = peel_trussness_fast(index, anchor_eids)[0]
+            counted = ~_np.frombuffer(mask, dtype=bool)
+            counted[eid] = False
+            return int((new_truss[counted] - state.array_views()[0][counted]).sum())
         self.stats["incremental_gain_evals"] += 1
         return len(_followers_on_arrays(index, truss, eid, dirty))
 
@@ -813,7 +816,7 @@ class SolverEngine:
         )
         if dirty is None:
             self.stats["full_gain_evals"] += 1
-            new_truss: List[float] = list(peel_trussness_fast(index, all_anchors)[0])
+            new_truss: List[float] = peel_trussness_fast(index, all_anchors)[0].tolist()
             for done in all_anchors:  # anchors carry the peeling sentinel 0
                 new_truss[done] = _INF
         else:

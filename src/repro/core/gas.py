@@ -75,6 +75,9 @@ CacheEntry = Dict[int, FrozenSet[Edge]]
 #: Shared empty sla set for edges that close no triangle.
 _EMPTY_SLA: FrozenSet[int] = frozenset()
 
+#: Shared empty follower bucket of a candidate without a starter.
+_NO_FOLLOWERS: FrozenSet[Edge] = frozenset()
+
 
 def _validate(graph: Graph, budget: int, method: FollowerMethod) -> FollowerMethod:
     if budget < 0:
@@ -96,6 +99,7 @@ def _refresh_entry(
     cache: Dict[int, CacheEntry],
     totals: Dict[int, int],
     method: FollowerMethod,
+    starters: Optional[bytearray],
     decision: Optional[ReuseDecision],
     invalid_eids: Optional[Set[int]],
     eid: int,
@@ -110,6 +114,14 @@ def _refresh_entry(
     byte-identical (entries, totals, reuse classification and recompute
     accounting all come from here).  Returns ``True`` when followers were
     actually recomputed (the ``recomputed_entries_per_round`` metric).
+
+    ``starters`` holds the state's starter flags
+    (:meth:`~repro.truss.state.TrussState.starter_flags`) when ``method``
+    is ``support-check``, and is ``None`` for ``peel``.  A candidate
+    without a starter has no follower in any scope, so its needed nodes get
+    the empty set without a search, exactly what the search would have
+    returned.  Entries restored from the baseline snapshot are shared
+    read-only mappings; one is copied here before its first edit.
     """
     entry = cache.get(eid)
     dirty = False
@@ -121,10 +133,7 @@ def _refresh_entry(
         if decision is not None:
             stats.non_reusable += 1
     else:
-        for node_id in list(entry):
-            if node_id not in sla_ids:
-                del entry[node_id]
-                dirty = True
+        stale = [node_id for node_id in entry if node_id not in sla_ids]
         invalid_node_ids = decision.invalid_node_ids
         needed = {
             node_id
@@ -140,18 +149,28 @@ def _refresh_entry(
             stats.non_reusable += 1
         else:
             stats.fully_reusable += 1
+        if (stale or needed) and type(entry) is not dict:
+            entry = dict(entry)
+            cache[eid] = entry
+        for node_id in stale:
+            del entry[node_id]
+            dirty = True
 
     recomputed = False
     if needed:
         recomputed = True
-        followers = compute_followers(
-            state, edge, method=method, candidate_nodes=(tree.node_of_eid, needed)
-        )
-        buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
-        for follower in followers:
-            buckets[tree.node_of_edge[follower]].add(follower)
-        for node_id, bucket in buckets.items():
-            entry[node_id] = frozenset(bucket)
+        if starters is not None and not starters[eid]:
+            for node_id in needed:
+                entry[node_id] = _NO_FOLLOWERS
+        else:
+            followers = compute_followers(
+                state, edge, method=method, candidate_nodes=(tree.node_of_eid, needed)
+            )
+            buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
+            for follower in followers:
+                buckets[tree.node_of_edge[follower]].add(follower)
+            for node_id, bucket in buckets.items():
+                entry[node_id] = frozenset(bucket)
         dirty = True
 
     if dirty:
@@ -235,24 +254,24 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             eid_of = index.eid_of
             invalid_eids = {eid_of[e] for e in decision.invalid_edges}
         dirty_eids = invalidation.dirty_eids if invalidation is not None else None
+        # Algorithm 3's starter screen for every candidate at once (the warm
+        # first round refreshes nothing, so it skips the pass).
+        starters = None
+        if method is FollowerMethod.SUPPORT_CHECK and not (_round == 0 and warm_baseline):
+            starters = state.starter_flags()
 
         if _round == 0 and warm_baseline:
             # Warm first round (restored baseline snapshot): every cached
-            # entry and total is already exact for this state, so the scan
-            # only reads totals — zero follower recomputations.  Scores and
-            # heap contents end up identical to a cold first round, which
-            # keeps every later round byte-identical too.
-            best_eid = -1
-            best_count = -1
-            for eid in range(index.num_edges):
-                if anchor_mask[eid]:
-                    continue
-                total = totals[eid]
-                if use_heap and score_of.get(eid) != total:
-                    score_of[eid] = total
-                    heapq.heappush(heap, (-total, eid))
-                if total > best_count:
-                    best_eid, best_count = eid, total
+            # entry and total is already exact for this state, and the
+            # totals cover exactly the candidates, so the round only reads
+            # them — zero follower recomputations.  The scores and heap keys
+            # equal a cold first round's, so the pop order of every later
+            # round is identical too: keys are (-gain, eid), and the best
+            # pop is the max gain with the smallest eid, as the cold scan's.
+            score_of = dict(totals)
+            heap = [(-total, eid) for eid, total in totals.items()]
+            heapq.heapify(heap)
+            best_eid, best_count = _pop_best(heap, score_of)
         elif use_heap and decision is not None and dirty_eids is not None:
             # Heap round: only the dirty closure is re-examined; every other
             # candidate's cached gain (and FR classification) is provably
@@ -265,7 +284,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                 edge = edge_of[eid]
                 sla_ids = sla_sets[eid] or _EMPTY_SLA  # type: ignore[index]
                 if _refresh_entry(
-                    state, tree, cache, totals, method, decision,
+                    state, tree, cache, totals, method, starters, decision,
                     invalid_eids, eid, edge, sla_ids, stats,
                 ):
                     recomputed_entries += 1
@@ -294,7 +313,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                 else:
                     sla_ids = tree.sla(edge)
                 if _refresh_entry(
-                    state, tree, cache, totals, method, decision,
+                    state, tree, cache, totals, method, starters, decision,
                     invalid_eids, eid, edge, sla_ids, stats,
                 ):
                     recomputed_entries += 1

@@ -27,7 +27,7 @@ Both public functions are thin wrappers over the solver registry
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
 from repro.api.spec import SolveSpec
 from repro.core.engine import SolverEngine, register_solver
@@ -45,20 +45,6 @@ def _check_budget(graph: Graph, budget: int) -> None:
         raise InvalidParameterError(
             f"budget {budget} exceeds the number of edges {graph.num_edges}"
         )
-
-
-def _pick_best(
-    graph: Graph, scored: Iterable[Tuple[Edge, int]]
-) -> Tuple[Optional[Edge], int]:
-    """Highest score wins; ties are broken by the smallest edge id."""
-    best_edge: Optional[Edge] = None
-    best_score = -1
-    best_id = -1
-    for edge, score in scored:
-        edge_id = graph.edge_id(edge)
-        if score > best_score or (score == best_score and edge_id < best_id):
-            best_edge, best_score, best_id = edge, score, edge_id
-    return best_edge, max(best_score, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +108,8 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             accumulated = current_trussness[eid] - original_trussness[eid]
             score_of[eid] = engine.evaluate_gain(edge_of[eid]) - accumulated
         # Highest cached score wins; ties break on the smallest edge id
-        # (dense eids are ascending in public edge id), exactly like
-        # :func:`_pick_best` over a full scan.
+        # (dense eids are ascending in public edge id), exactly like the
+        # full scan of :func:`repro.oracles.base_greedy_reference`.
         best_eid = -1
         best_score = -1
         for eid, score in score_of.items():
@@ -177,23 +163,35 @@ def _solve_base_plus(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     start = time.perf_counter()
     per_round_gain: List[int] = []
     cumulative_seconds: List[float] = []
-    original_trussness = engine.original_state.decomposition.trussness
+    original_trussness = engine.original_state.kernel_views()[1]
 
     for _ in range(request.budget):
         state = engine.state
-        current_trussness = state.decomposition.trussness
-        scored = []
-        for edge in state.non_anchor_edges():
-            followers = compute_followers(state, edge, method=method)
+        index, current_trussness, _layer, anchor_mask = state.kernel_views()
+        edge_of = index.edge_of
+        # Algorithm 3's starter screen for every candidate at once: an edge
+        # without a starter has no follower, so its search is skipped.
+        starters = state.starter_flags() if method is FollowerMethod.SUPPORT_CHECK else None
+        # Highest score wins; ties break on the smallest edge id (dense eids
+        # are ascending in public edge id, so the first maximum in eid order).
+        best_eid = -1
+        best_score = -1
+        for eid in range(index.num_edges):
+            if anchor_mask[eid]:
+                continue
+            if starters is None or starters[eid]:
+                gain = len(compute_followers(state, edge_of[eid], method=method))
+            else:
+                gain = 0
             # Marginal gain of Definition 4: the follower count minus the gain
             # the candidate itself accumulated as a follower of earlier
             # anchors (that gain is forfeited once the edge becomes an anchor).
-            accumulated = current_trussness[edge] - original_trussness[edge]
-            scored.append((edge, len(followers) - accumulated))
-        best_edge, best_score = _pick_best(graph, scored)
-        if best_edge is None:
+            score = gain - (current_trussness[eid] - original_trussness[eid])
+            if score > best_score:
+                best_eid, best_score = eid, score
+        if best_eid < 0:
             break
-        engine.commit_anchor(best_edge)
+        engine.commit_anchor(edge_of[best_eid])
         per_round_gain.append(best_score)
         cumulative_seconds.append(time.perf_counter() - start)
 

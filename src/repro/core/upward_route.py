@@ -91,14 +91,13 @@ def upward_route_sizes(state: TrussState) -> List[int]:
     A level's bitsets are dropped as soon as its seeds are sized, so the
     transient memory is that of the largest level.
     """
-    index, truss, layer, mask = state.kernel_views()
+    index, _truss, _layer, mask = state.kernel_views()
     m = index.num_edges
     sizes = [0] * m
     csr = index.csr
     if m == 0 or len(csr.hit_e1) == 0:
         return sizes
-    t = _np.array(truss, dtype=_np.float64)
-    lay = _np.array(layer, dtype=_np.float64)
+    t, lay = state.array_views()
     free = _np.frombuffer(bytes(mask), dtype=_np.uint8) == 0
     # Every ordered pair of triangle neighbours, both non-anchored.
     base = csr.hit_bases()

@@ -84,6 +84,7 @@ class CSRArrays:
         "hit_e1",
         "hit_e2",
         "hit_apex",
+        "_hit_bases",
     )
 
     def __init__(
@@ -111,6 +112,7 @@ class CSRArrays:
         self.hit_e1 = hit_e1
         self.hit_e2 = hit_e2
         self.hit_apex = hit_apex
+        self._hit_bases = None
 
     @property
     def num_triangles(self) -> int:
@@ -118,11 +120,21 @@ class CSRArrays:
         return len(self.hit_e1) // 3
 
     def hit_bases(self):
-        """Base edge id per hit-table row (reconstructed from the offsets)."""
-        return _np.repeat(
-            _np.arange(self.num_edges, dtype=_np.int64),
-            _np.diff(self.hit_offsets),
-        )
+        """Base edge id per hit-table row (reconstructed from the offsets).
+
+        Built on first use and kept, like the rest of the snapshot: every
+        state's batched passes (tight and starter flags, route sizes) read
+        it.  Treat it as read-only.
+        """
+        bases = self._hit_bases
+        if bases is None:
+            bases = _np.repeat(
+                _np.arange(self.num_edges, dtype=_np.int64),
+                _np.diff(self.hit_offsets),
+            )
+            bases.flags.writeable = False
+            self._hit_bases = bases
+        return bases
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.core.component_tree import TreeNode, TrussComponentTree
 from repro.core.exact import DEFAULT_MAX_COMBINATIONS, _candidate_pool, _check_enumeration
-from repro.core.greedy import _check_budget, _pick_best
+from repro.core.greedy import _check_budget
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.core.reuse import ReuseDecision
 from repro.graph.graph import Edge, Graph, normalize_edge
@@ -312,6 +312,20 @@ def compute_reuse_decision_reference(
 # ---------------------------------------------------------------------------
 # Solvers: greedy (Algorithm 2) and exact
 # ---------------------------------------------------------------------------
+def _pick_best(
+    graph: Graph, scored: Iterable[Tuple[Edge, int]]
+) -> Tuple[Optional[Edge], int]:
+    """Highest score wins; ties are broken by the smallest edge id."""
+    best_edge: Optional[Edge] = None
+    best_score = -1
+    best_id = -1
+    for edge, score in scored:
+        edge_id = graph.edge_id(edge)
+        if score > best_score or (score == best_score and edge_id < best_id):
+            best_edge, best_score, best_id = edge, score, edge_id
+    return best_edge, max(best_score, 0)
+
+
 def base_greedy_reference(
     graph: Graph,
     budget: int,

@@ -28,6 +28,8 @@ import math
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
+import numpy as _np
+
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.index import GraphIndex
 from repro.truss.peel import peel_trussness_fast
@@ -67,6 +69,7 @@ class TrussDecomposition:
         anchors: FrozenSet[Edge] = frozenset(),
         k_max: int = 1,
         dense_views: object = None,
+        dense_arrays: object = None,
     ) -> None:
         self._trussness = trussness
         self._layer = layer
@@ -77,25 +80,30 @@ class TrussDecomposition:
         #: the oracle or by hand).  Anchored edges hold
         #: ``inf`` in the arrays.  A cache, not data: excluded from equality.
         self.dense_views = dense_views
+        #: The same trussness and layer as read-only float64 NumPy arrays
+        #: ``(trussness, layer)``, equal element for element to the lists of
+        #: :attr:`dense_views` (``None`` when those are absent).
+        self.dense_arrays = dense_arrays
         self._edge_of: Optional[Sequence[Edge]] = None
 
     @classmethod
     def from_dense(
         cls,
         edge_of: Sequence[Edge],
-        trussness_arr: List[float],
-        layer_arr: List[float],
         anchors: FrozenSet[Edge],
         k_max: int,
         dense_views: object,
+        dense_arrays: object,
     ) -> "TrussDecomposition":
-        """Kernel constructor: dense per-eid arrays now, dicts on demand.
+        """Kernel constructor: dense per-eid views now, dicts on demand.
 
         ``edge_of`` maps dense edge ids to canonical tuples; anchors carry
-        ``inf`` in the arrays and are dropped from the dicts when they
+        ``inf`` in the views and are dropped from the dicts when they
         materialise.
         """
-        result = cls(anchors=anchors, k_max=k_max, dense_views=dense_views)
+        result = cls(
+            anchors=anchors, k_max=k_max, dense_views=dense_views, dense_arrays=dense_arrays
+        )
         result._edge_of = edge_of
         return result
 
@@ -205,29 +213,33 @@ def truss_decomposition(
     """
     anchor_set: FrozenSet[Edge] = frozenset(graph.require_edge(e) for e in anchors)
     index = GraphIndex.of(graph)
-    trussness_arr, layer_arr, k_max = peel_trussness_fast(
-        index, [index.eid_of[e] for e in anchor_set]
-    )
-    # Re-purpose the kernel arrays as the dense per-eid views shared with the
-    # follower machinery and the component tree (anchors switch from the
-    # peeling sentinel 0 to the inf the state-level API reports).  The
-    # tuple-domain dicts materialise lazily from these views on first access.
+    anchor_eids = [index.eid_of[e] for e in anchor_set]
+    truss_ints, layer_ints, k_max = peel_trussness_fast(index, anchor_eids)
+    # The kernel arrays become the dense per-eid views shared with the
+    # follower machinery and the component tree: Python-int lists for the
+    # scalar loops, read-only float64 arrays for the batched passes.
+    # Anchors switch from the peeling sentinel 0 to the inf the state-level
+    # API reports.  The tuple-domain dicts materialise lazily from the lists.
+    trussness: List[float] = truss_ints.tolist()
+    layer: List[float] = layer_ints.tolist()
+    truss_arr = truss_ints.astype(_np.float64)
+    layer_arr = layer_ints.astype(_np.float64)
     anchor_mask = bytearray(index.num_edges)
-    if anchor_set:
-        eid_of = index.eid_of
-        inf = math.inf
-        for edge in anchor_set:
-            eid = eid_of[edge]
-            anchor_mask[eid] = 1
-            trussness_arr[eid] = inf
-            layer_arr[eid] = inf
+    inf = math.inf
+    for eid in anchor_eids:
+        anchor_mask[eid] = 1
+        trussness[eid] = inf
+        layer[eid] = inf
+    truss_arr[anchor_eids] = inf
+    layer_arr[anchor_eids] = inf
+    truss_arr.flags.writeable = False
+    layer_arr.flags.writeable = False
     return TrussDecomposition.from_dense(
         index.edge_of,
-        trussness_arr,
-        layer_arr,
         anchor_set,
         k_max,
-        (index, trussness_arr, layer_arr, anchor_mask),
+        (index, trussness, layer, anchor_mask),
+        (truss_arr, layer_arr),
     )
 
 

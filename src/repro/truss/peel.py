@@ -36,7 +36,7 @@ from repro.graph.csr import CSRArrays
 from repro.graph.index import GraphIndex
 from repro.obs.metrics import default_registry, now
 
-__all__ = ["peel_trussness_fast", "peel_trussness_arrays"]
+__all__ = ["hit_rows", "peel_trussness_fast", "peel_trussness_arrays"]
 
 
 def peel_trussness_arrays(
@@ -47,14 +47,18 @@ def peel_trussness_arrays(
     Returns ``(trussness, layer, k_max)`` as plain Python lists indexed by
     dense edge id, with anchored edges keeping the sentinel value 0.
     """
+    trussness, layer, k_max = _peel(csr, anchor_eids)
+    return trussness.tolist(), layer.tolist(), k_max
+
+
+def _peel(
+    csr: CSRArrays, anchor_eids: Sequence[int]
+) -> Tuple[_np.ndarray, _np.ndarray, int]:
+    """The wave peel itself: int64 ``(trussness, layer)`` arrays and ``k_max``."""
     m = csr.num_edges
     if m == 0:
-        return [], [], 1
+        return _np.zeros(0, dtype=_np.int64), _np.zeros(0, dtype=_np.int64), 1
     support = csr.support.copy()
-    hit_offsets = csr.hit_offsets
-    hit_counts = _np.diff(hit_offsets)
-    hit_e1 = csr.hit_e1
-    hit_e2 = csr.hit_e2
 
     alive = _np.ones(m, dtype=bool)
     is_anchor = _np.zeros(m, dtype=bool)
@@ -82,27 +86,14 @@ def peel_trussness_arrays(
             layer[frontier] = layer_index
             in_wave[frontier] = True
 
-            # Ragged gather of the frontier's hit-table rows (one repeat:
-            # arange + per-run delta).
-            counts = hit_counts[frontier]
-            total = int(counts.sum())
-            if total:
-                seg_end = _np.cumsum(counts)
-                rows = _np.arange(total, dtype=_np.int64) + _np.repeat(
-                    hit_offsets[frontier] - (seg_end - counts), counts
-                )
-                base = _np.repeat(frontier, counts)
-                a = hit_e1[rows]
-                b = hit_e2[rows]
-                ok = (
-                    alive[a]
-                    & alive[b]
-                    & (~in_wave[a] | (a > base))
-                    & (~in_wave[b] | (b > base))
-                )
-                touched = _np.concatenate([a[ok], b[ok]])
-            else:
-                touched = _np.zeros(0, dtype=_np.int64)
+            base, a, b = hit_rows(csr, frontier)
+            ok = (
+                alive[a]
+                & alive[b]
+                & (~in_wave[a] | (a > base))
+                & (~in_wave[b] | (b > base))
+            )
+            touched = _np.concatenate([a[ok], b[ok]])
 
             remaining -= int(frontier.size)
             alive[frontier] = False
@@ -123,24 +114,44 @@ def peel_trussness_arrays(
             k_max = k
         k += 1
 
-    return trussness.tolist(), layer.tolist(), int(k_max)
+    return trussness, layer, int(k_max)
+
+
+def hit_rows(
+    csr: CSRArrays, eids: _np.ndarray
+) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+    """``(base, e1, e2)`` of every hit-table row of the edges ``eids``.
+
+    One ragged gather (an ``arange`` plus a per-run offset), rows grouped
+    by base in the order of ``eids``.  The wave loops of the full peel and
+    of the engine's hull re-peel read their frontier's rows through it.
+    """
+    starts = csr.hit_offsets[eids]
+    counts = csr.hit_offsets[eids + 1] - starts
+    seg_end = _np.cumsum(counts)
+    rows = _np.arange(int(counts.sum()), dtype=_np.int64) + _np.repeat(
+        starts - (seg_end - counts), counts
+    )
+    return _np.repeat(eids, counts), csr.hit_e1[rows], csr.hit_e2[rows]
 
 
 def peel_trussness_fast(
     index: GraphIndex, anchor_eids: Sequence[int] = ()
-) -> Tuple[List[int], List[int], int]:
+) -> Tuple[_np.ndarray, _np.ndarray, int]:
     """Peel ``index`` with the vectorised kernel.
 
     Returns :func:`peel_trussness_arrays`'s ``(trussness, layer, k_max)``
-    for ``index.csr``.  When a process-global metrics registry is armed
+    for ``index.csr``, with trussness and layer as the peel's int64 arrays
+    (no list conversion: the decomposition keeps them as a state's array
+    views).  When a process-global metrics registry is armed
     (:func:`repro.obs.metrics.set_default_registry`) each peel's wall time
     is observed into the ``kernel.peel_s.vectorized`` histogram; unarmed,
     the cost is one module-global read and a ``None`` check.
     """
     registry = default_registry()
     if registry is None:
-        return peel_trussness_arrays(index.csr, anchor_eids)
+        return _peel(index.csr, anchor_eids)
     start = now()
-    result = peel_trussness_arrays(index.csr, anchor_eids)
+    result = _peel(index.csr, anchor_eids)
     registry.histogram("kernel.peel_s.vectorized").observe(now() - start)
     return result

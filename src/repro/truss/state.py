@@ -29,6 +29,13 @@ from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 ANCHOR_TRUSSNESS = math.inf
 
 
+def _held(t_other, l_other, t_edge, l_edge):
+    """Whether the other edge of a triangle still stood when the peel removed
+    the edge: anchored (``inf``), of higher trussness, or of the same
+    trussness and a layer no lower (elementwise over NumPy arrays)."""
+    return (t_other > t_edge) | ((t_other == t_edge) & (l_other >= l_edge))
+
+
 @dataclass
 class TrussState:
     """Graph, anchor set and the corresponding (anchored) truss decomposition."""
@@ -151,6 +158,29 @@ class TrussState:
         self._kernel_views = views
         return views
 
+    def array_views(self) -> Tuple[_np.ndarray, _np.ndarray]:
+        """Read-only float64 ``(trussness, layer)`` arrays per dense edge id.
+
+        The NumPy twins of :meth:`kernel_views`' lists, equal to them element
+        for element (anchored edges hold ``inf``), for the passes that read
+        every edge at once.  Kernel decompositions and incremental advances
+        hand their arrays over; a state without them (an oracle or
+        hand-built decomposition) converts its lists once and caches them.
+        """
+        index, truss, layer, _mask = self.kernel_views()
+        decomposition = self.decomposition
+        attached = decomposition.dense_arrays
+        if attached is not None and decomposition.dense_views[0] is index:
+            return attached
+        cached = getattr(self, "_array_views", None)
+        if cached is not None and cached[0] is index:
+            return cached[1]
+        arrays = (_np.array(truss, dtype=_np.float64), _np.array(layer, dtype=_np.float64))
+        for values in arrays:
+            values.flags.writeable = False
+        self._array_views = (index, arrays)
+        return arrays
+
     def tight_flags(self) -> bytearray:
         """Per-edge-id 0/1 flags: which non-anchored edges are *tight*.
 
@@ -162,28 +192,68 @@ class TrussState:
         The follower search uses the flags to screen its first survivor (see
         :func:`repro.core.followers.followers_support_check`).
 
-        One NumPy pass over the CSR hit table, computed once per state (the
-        decomposition is fixed) and cached.  Treat the result as read-only.
+        Computed once per state (the decomposition is fixed) in the same
+        NumPy pass over the CSR hit table as :meth:`starter_flags`, and
+        cached.  Treat the result as read-only.
         """
-        index, truss, layer, anchor_mask = self.kernel_views()
-        cached = getattr(self, "_tight_flags", None)
+        return self._screen_flags()[0]
+
+    def starter_flags(self) -> bytearray:
+        """Per-edge-id 0/1 flags: which edges ``x`` have a *starter*.
+
+        A starter of ``x`` is a neighbour-edge ``e`` in a triangle
+        ``{x, e, c}`` such that ``e`` is not anchored, comes strictly after
+        ``x`` in the deletion order (``t(e) > t(x)``, or ``t(e) = t(x)`` and
+        ``l(e) > l(x)``), is tight (:meth:`tight_flags`), and ``c`` holds for
+        ``e`` (an anchor, ``t(c) > t(e)``, or ``t(c) = t(e)`` and
+        ``l(c) >= l(e)``).  Only a starter can be the first edge to survive
+        Algorithm 3's search from ``x``, and a candidate scope only removes
+        starters, so an unflagged edge has no follower in any scope.  This
+        is the early return of
+        :func:`repro.core.followers.followers_support_check`, computed for
+        every edge at once.  Anchored edges are never flagged.
+
+        The flags need the state's exact layers, so they are defined for
+        decomposed states only, never for a trussness-only overlay.
+        Computed once per state in one NumPy pass over the CSR hit table,
+        shared with :meth:`tight_flags`, and cached.  Treat the result as
+        read-only.
+        """
+        return self._screen_flags()[1]
+
+    def _screen_flags(self) -> Tuple[bytearray, bytearray]:
+        """``(tight, starter)`` flags from one pass over the hit table.
+
+        Row ``(x; e1, e2)`` counts toward ``x``'s held triangles (tightness)
+        and, read as ``(x; e, c)`` both ways round, can make ``e`` a starter
+        of ``x``; both tests read the same six gathers.
+        """
+        index = self.index
+        cached = getattr(self, "_flags", None)
         if cached is not None and cached[0] is index:
             return cached[1]
         csr = index.csr
-        truss_arr = _np.array(truss, dtype=_np.float64)
-        layer_arr = _np.array(layer, dtype=_np.float64)
+        truss, layer = self.array_views()
         base = csr.hit_bases()
-        t_base = truss_arr[base]
-        l_base = layer_arr[base]
-        held = _np.ones(len(base), dtype=bool)
-        for other in (csr.hit_e1, csr.hit_e2):
-            t_other = truss_arr[other]
-            held &= (t_other > t_base) | ((t_other == t_base) & (layer_arr[other] >= l_base))
+        t_x, l_x = truss[base], layer[base]
+        t_1, l_1 = truss[csr.hit_e1], layer[csr.hit_e1]
+        t_2, l_2 = truss[csr.hit_e2], layer[csr.hit_e2]
+        held = _held(t_1, l_1, t_x, l_x) & _held(t_2, l_2, t_x, l_x)
         counts = _np.bincount(base[held], minlength=index.num_edges)
         # Anchors hold inf, so ``t - 2`` never matches their (finite) count.
-        tight = counts == truss_arr - 2
-        flags = bytearray(tight.astype(_np.uint8).tobytes())
-        self._tight_flags = (index, flags)
+        tight = counts == truss - 2
+        starter = _np.zeros(index.num_edges, dtype=bool)
+        for e, t_e, l_e, t_c, l_c in (
+            (csr.hit_e1, t_1, l_1, t_2, l_2),
+            (csr.hit_e2, t_2, l_2, t_1, l_1),
+        ):
+            after = (t_e > t_x) | ((t_e == t_x) & (l_e > l_x))
+            starter[base[tight[e] & after & _held(t_c, l_c, t_e, l_e)]] = True
+        flags = (
+            bytearray(tight.astype(_np.uint8).tobytes()),
+            bytearray(starter.astype(_np.uint8).tobytes()),
+        )
+        self._flags = (index, flags)
         return flags
 
     def triangle_list(self, edge: Edge) -> List[Tuple[Edge, Edge, Vertex]]:
@@ -214,13 +284,13 @@ class TrussState:
     def _trussness_deltas(self, baseline: "TrussState") -> Tuple[_np.ndarray, _np.ndarray]:
         """Dense edge ids whose trussness differs from ``baseline``, with the
         differences, over the edges anchored in neither state (one pass over
-        both states' :meth:`kernel_views`)."""
-        index, truss, _layer, mask = self.kernel_views()
-        base_index, base_truss, _base_layer, base_mask = baseline.kernel_views()
+        both states' :meth:`array_views` and anchor masks)."""
+        index, _truss, _layer, mask = self.kernel_views()
+        base_index, _base_truss, _base_layer, base_mask = baseline.kernel_views()
         if base_index is not index and base_index.edge_of != index.edge_of:
             raise InvalidParameterError("the two states describe different graphs")
-        new = _np.array(truss, dtype=_np.float64)
-        old = _np.array(base_truss, dtype=_np.float64)
+        new = self.array_views()[0]
+        old = baseline.array_views()[0]
         counted = ~(_np.frombuffer(mask, dtype=bool) | _np.frombuffer(base_mask, dtype=bool))
         changed = _np.flatnonzero(counted & (new != old))
         return changed, new[changed] - old[changed]

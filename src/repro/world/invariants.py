@@ -6,7 +6,9 @@ bundle against a point's graph and anchor schedule:
 ``incremental_repeel``
     After every committed anchor, the forced-incremental engine state must
     equal a from-scratch full decomposition — trussness, peeling layers,
-    anchor mask and ``k_max``, all byte-identical.
+    anchor mask and ``k_max``, all byte-identical, in both the list views
+    and the NumPy array views — and its arrays must equal its own lists,
+    which hold Python ints outside the anchors.
 ``tree_patch``
     The incrementally patched component tree must be structurally identical
     to a tree rebuilt from the post-commit state.
@@ -29,6 +31,9 @@ bundle against a point's graph and anchor schedule:
     every non-anchored candidate, the engine's dirty-closure fixed point —
     the follower set ``incremental_repeel`` pins to full decompositions —
     unfiltered, and restricted to each of the candidate's ``sla`` nodes.
+    A candidate the batched screen leaves unflagged
+    (:meth:`~repro.truss.state.TrussState.starter_flags`, which GAS and
+    BASE+ use to skip the search) must have an empty fixed point.
 ``tree_rollback``
     After the schedule is committed and the session's baseline tree
     patched, :meth:`SolverEngine.reset` must roll the tree back to the
@@ -148,7 +153,15 @@ def tree_signature(tree: TrussComponentTree):
 
 def _state_views(state: TrussState):
     _index, truss, layer, mask = state.kernel_views()
-    return list(truss), list(layer), bytes(mask), state.k_max
+    truss_arr, layer_arr = state.array_views()
+    return (
+        list(truss),
+        list(layer),
+        bytes(mask),
+        state.k_max,
+        truss_arr.tolist(),
+        layer_arr.tolist(),
+    )
 
 
 def _check_incremental_repeel(point: WorldPoint, graph: Graph, schedule) -> None:
@@ -157,17 +170,37 @@ def _check_incremental_repeel(point: WorldPoint, graph: Graph, schedule) -> None
     )
     for i, edge in enumerate(schedule):
         engine.commit_anchor(edge)
+        where = f"after commit {i + 1}/{len(schedule)} ({edge!r})"
         got = _state_views(engine.state)
         want = _state_views(TrussState.compute(graph, schedule[: i + 1]))
         if got != want:
-            fields = ("trussness", "layer", "anchor mask", "k_max")
+            fields = (
+                "trussness",
+                "layer",
+                "anchor mask",
+                "k_max",
+                "trussness array",
+                "layer array",
+            )
             diverged = [name for name, g, w in zip(fields, got, want) if g != w]
             raise InvariantViolation(
                 point,
                 "incremental_repeel",
-                f"after commit {i + 1}/{len(schedule)} ({edge!r}) the "
-                f"incremental state diverges from the full decomposition "
-                f"in: {', '.join(diverged)}",
+                f"{where} the incremental state diverges from the full "
+                f"decomposition in: {', '.join(diverged)}",
+            )
+        truss, layer, mask, _k_max, truss_arr, layer_arr = got
+        ints = all(
+            type(truss[e]) is int and type(layer[e]) is int
+            for e in range(len(mask))
+            if not mask[e]
+        )
+        if truss_arr != truss or layer_arr != layer or not ints:
+            raise InvariantViolation(
+                point,
+                "incremental_repeel",
+                f"{where} the incremental state's arrays differ from its "
+                "list views, or a list view holds a non-int",
             )
 
 
@@ -281,6 +314,7 @@ def _check_follower_search(point: WorldPoint, graph: Graph, schedule) -> None:
     state = engine.state
     tree = engine.tree()
     index, truss, _layer, mask = state.kernel_views()
+    starters = state.starter_flags()
     edge_of = index.edge_of
     node_of_eid = tree.node_of_eid
     for eid in range(index.num_edges):
@@ -288,6 +322,14 @@ def _check_follower_search(point: WorldPoint, graph: Graph, schedule) -> None:
             continue
         closure = engine_module._dirty_closure(index, truss, eid)
         expected = {edge_of[f] for f in _followers_on_arrays(index, truss, eid, closure)}
+        if expected and not starters[eid]:
+            raise InvariantViolation(
+                point,
+                "follower_search",
+                f"after {len(schedule)} commit(s) {edge_of[eid]!r} has no "
+                f"starter flag, but its dirty-closure fixed point is "
+                f"{sorted(expected)!r}",
+            )
         searches = [(None, expected)]
         for node_id in sorted(tree.sla_sets[eid] or ()):
             searches.append((node_id, expected & tree.nodes[node_id].edges))

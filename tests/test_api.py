@@ -368,6 +368,41 @@ class TestWarmGas:
             result_to_json(cold)
         )
 
+    def test_warm_sequence_equals_fresh_engines_and_keeps_the_snapshot(self):
+        # The restored entries are shared with the snapshot and copied on
+        # first edit, and the warm first round heapifies the snapshot's
+        # totals: neither may leak into a later answer or the snapshot.
+        graph = community_graph([14, 12, 10], p_in=0.6, p_out=0.05, seed=21)
+        anchor = graph.edge_list()[3]
+        sequence = [
+            ("gas", 1, {}),
+            ("gas", 5, {}),
+            ("base", 2, {}),
+            ("gas", 2, {}),
+            ("base+", 2, {}),
+            ("gas", 3, {"initial_anchors": [anchor]}),
+            ("gas", 20, {}),
+            ("gas", 5, {"candidates": "scan"}),
+        ]
+        engine = SolverEngine(graph)
+        snapshot = None
+        for algorithm, budget, params in sequence:
+            warm = engine.solve(algorithm, budget, **params)
+            fresh = SolverEngine(graph).solve(algorithm, budget, **params)
+            assert canonical_json(result_to_json(warm)) == canonical_json(
+                result_to_json(fresh)
+            ), (algorithm, budget, params)
+            if snapshot is None:
+                entries, totals = engine._baseline_followers
+                snapshot = (
+                    {eid: dict(entry) for eid, entry in entries.items()},
+                    dict(totals),
+                )
+            entries, totals = engine._baseline_followers
+            assert {eid: dict(entry) for eid, entry in entries.items()} == snapshot[0]
+            assert totals == snapshot[1]
+        assert engine.solve_count == len(sequence)
+
     def test_restore_is_a_noop_without_snapshot(self):
         engine = SolverEngine(small_graph(15))
         assert engine.restore_baseline_followers() is False

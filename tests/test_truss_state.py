@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.engine import SolverEngine
+from repro.core.followers import compute_followers
 from repro.graph.generators import complete_graph
 from repro.graph.index import GraphIndex
-from repro.oracles import dense_peel_reference
+from repro.oracles import dense_peel_reference, truss_decomposition_reference
 from repro.truss.decomposition import trussness_gain
 from repro.truss.state import ANCHOR_TRUSSNESS, TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
@@ -166,6 +169,118 @@ class TestTightFlags:
 
     def test_flags_are_computed_once_per_state(self, fig3_state):
         assert fig3_state.tight_flags() is fig3_state.tight_flags()
+
+
+def _starter_recount(graph, anchor_eids):
+    """Starter flags recounted per anchor candidate from the oracle's
+    trussness and layers, over triangles found by adjacency intersection."""
+    index = GraphIndex.of(graph)
+    eid_of = index.eid_of
+    truss, layer, _k_max = dense_peel_reference(graph, anchor_eids)
+    anchored = set(anchor_eids)
+    tight = _tight_recount(graph, anchor_eids)
+
+    def after(e, x):
+        return truss[e] > truss[x] or (truss[e] == truss[x] and layer[e] > layer[x])
+
+    def holds(c, e):
+        return c in anchored or truss[c] > truss[e] or (
+            truss[c] == truss[e] and layer[c] >= layer[e]
+        )
+
+    flags = []
+    for x, (u, v) in enumerate(index.edge_of):
+        found = False
+        if x not in anchored:
+            for w in graph.neighbors(u) & graph.neighbors(v):
+                a = eid_of[graph.require_edge((u, w))]
+                b = eid_of[graph.require_edge((v, w))]
+                for e, c in ((a, b), (b, a)):
+                    if e not in anchored and tight[e] and after(e, x) and holds(c, e):
+                        found = True
+        flags.append(int(found))
+    return flags
+
+
+class TestStarterFlags:
+    def test_flags_match_a_per_anchor_recount(self):
+        for name, graph in world_sweep_graphs():
+            m = graph.num_edges
+            edge_of = GraphIndex.of(graph).edge_of
+            for anchor_eids in anchor_eid_sets(m, seed=m):
+                state = TrussState.compute(graph, [edge_of[eid] for eid in anchor_eids])
+                expected = _starter_recount(graph, anchor_eids)
+                assert list(state.starter_flags()) == expected, (name, anchor_eids)
+
+    def test_an_edge_without_a_starter_has_no_follower(self):
+        flagged = unflagged = 0
+        for name, graph in world_sweep_graphs():
+            m = graph.num_edges
+            edge_of = GraphIndex.of(graph).edge_of
+            for anchor_eids in list(anchor_eid_sets(m, seed=m))[:2]:
+                state = TrussState.compute(graph, [edge_of[eid] for eid in anchor_eids])
+                flags = state.starter_flags()
+                mask = state.kernel_views()[3]
+                for eid in range(m):
+                    if mask[eid]:
+                        assert not flags[eid], (name, eid)
+                    elif flags[eid]:
+                        flagged += 1
+                    else:
+                        unflagged += 1
+                        followers = compute_followers(state, edge_of[eid], method="recompute")
+                        assert followers == set(), (name, anchor_eids, edge_of[eid])
+        assert flagged and unflagged
+
+    def test_a_chained_state_flags_like_a_full_decomposition(self):
+        for name, graph in world_sweep_graphs():
+            m = graph.num_edges
+            edge_of = GraphIndex.of(graph).edge_of
+            schedule = [edge_of[eid] for eid in list(anchor_eid_sets(m, seed=m))[2:3][0]] if m else []
+            engine = SolverEngine(graph, full_peel_threshold=math.inf)
+            for i, edge in enumerate(schedule):
+                engine.commit_anchor(edge)
+                chained = engine.state
+                full = TrussState.compute(graph, schedule[: i + 1])
+                assert chained.starter_flags() == full.starter_flags(), (name, i)
+                assert chained.tight_flags() == full.tight_flags(), (name, i)
+            assert engine.stats["full_peels"] == 0, name
+
+    def test_flags_are_computed_once_per_state(self, fig3_state):
+        assert fig3_state.starter_flags() is fig3_state.starter_flags()
+
+
+class TestArrayViews:
+    def test_arrays_equal_the_list_views(self):
+        for name, graph in world_sweep_graphs():
+            m = graph.num_edges
+            edge_of = GraphIndex.of(graph).edge_of
+            for anchor_eids in anchor_eid_sets(m, seed=m):
+                state = TrussState.compute(graph, [edge_of[eid] for eid in anchor_eids])
+                _index, truss, layer, _mask = state.kernel_views()
+                truss_arr, layer_arr = state.array_views()
+                assert truss_arr.dtype == layer_arr.dtype == np.float64
+                assert truss_arr.tolist() == truss and layer_arr.tolist() == layer, name
+                # The lists keep Python ints (inf only at anchors): a float
+                # would leak into per-round gains and canonical results.
+                for values in (truss, layer):
+                    assert all(
+                        type(values[eid]) is int for eid in range(m) if eid not in anchor_eids
+                    ), name
+                    assert all(values[eid] == math.inf for eid in anchor_eids), name
+
+    def test_arrays_are_read_only(self, fig3_state):
+        for values in fig3_state.array_views():
+            with pytest.raises(ValueError):
+                values[0] = 0
+
+    def test_a_hand_built_decomposition_converts_once(self, fig3_graph):
+        oracle = truss_decomposition_reference(fig3_graph)
+        state = TrussState(graph=fig3_graph, anchors=frozenset(), decomposition=oracle)
+        truss_arr, layer_arr = state.array_views()
+        assert state.array_views()[0] is truss_arr
+        _index, truss, layer, _mask = state.kernel_views()
+        assert truss_arr.tolist() == truss and layer_arr.tolist() == layer
 
 
 class TestCliqueState:

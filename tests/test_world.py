@@ -4,7 +4,8 @@ invariant fuzzing rig (PR 8).
 The rig is the test: every sampled world point runs the full oracle bundle
 of :mod:`repro.world.invariants` — incremental re-peel ≡ full
 decomposition, tree patch ≡ rebuild, assembled reuse decision ≡ tree diff,
-candidate heap ≡ scan, peel backends byte-identical, tree rollback ≡ fresh
+candidate heap ≡ scan, peel backends byte-identical, follower search ≡
+fixed point (and no follower without a starter flag), tree rollback ≡ fresh
 build.  A fast subset runs in tier-1; the full sweep (200+ points) sits
 behind the ``slow`` marker.  The mutation tests deliberately break the
 engine machinery and assert the rig catches it with a self-contained replay
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -313,6 +315,41 @@ class TestMutationCaught:
         assert violation is not None, "broken screen never tripped the rig"
         assert violation.invariant == "follower_search"
         assert replay_command(violation.point) in str(violation)
+
+    def test_screen_without_the_equal_level_clause_is_caught(self, capsys):
+        # Mutation: the batched starter screen holds the third edge c only
+        # when it is anchored or t(c) > t(e), dropping "t(c) = t(e) and
+        # l(c) >= l(e)", so it misses starters and GAS/BASE+ would skip
+        # searches that find followers.
+        def screen_without_equal_level(state):
+            csr = state.index.csr
+            truss, layer = state.array_views()
+            tight = np.frombuffer(state.tight_flags(), dtype=bool)
+            base = csr.hit_bases()
+            flags = np.zeros(state.index.num_edges, dtype=np.uint8)
+            for e, c in ((csr.hit_e1, csr.hit_e2), (csr.hit_e2, csr.hit_e1)):
+                after = (truss[e] > truss[base]) | (
+                    (truss[e] == truss[base]) & (layer[e] > layer[base])
+                )
+                flags[base[tight[e] & after & (truss[c] > truss[e])]] = 1
+            return bytearray(flags.tobytes())
+
+        violation = None
+        with mock.patch.object(TrussState, "starter_flags", screen_without_equal_level):
+            for point in TIER1_POINTS:
+                try:
+                    check_world_point(point, invariants=("follower_search",))
+                except InvariantViolation as caught:
+                    violation = caught
+                    break
+        assert violation is not None, "broken batched screen never tripped the rig"
+        assert violation.invariant == "follower_search"
+        assert "starter" in violation.detail
+        assert replay_command(violation.point) in str(violation)
+        with mock.patch.object(TrussState, "starter_flags", screen_without_equal_level):
+            code = cli_main(["world", "--replay", violation.point.spec()])
+        assert code == 1
+        assert replay_command(violation.point) in capsys.readouterr().err
 
     def test_rollback_that_skips_the_sla_restore_is_caught(self, capsys):
         # Mutation: reset() restores nodes and memberships but leaves every
