@@ -90,7 +90,7 @@ API_SURFACE = [
     (
         "Follower reuse (`repro.core.reuse`)",
         reuse,
-        ["ReuseDecision", "ReuseInvalidation", "compute_reuse_decision"],
+        ["ReuseDecision", "ReuseInvalidation"],
     ),
     (
         "Upward routes (`repro.core.upward_route`)",
@@ -339,7 +339,6 @@ METHOD_ALLOWLIST = {
         "sla_map",
         "subtree_edges",
         "subtree_node_ids",
-        "node_signature",
     ],
     "GraphIndex": ["of", "from_csr", "edge_support", "triangle_tuples", "neighbors_csr"],
     "CSRArrays": ["hit_bases"],

@@ -68,10 +68,10 @@ class Session:
         session = Session(edge_list="data/roadnet.txt")
         session = Session(edges=[(1, 2), (2, 3), (1, 3)])
 
-    Engine-construction options (``tree_mode``, ``full_peel_threshold``)
-    fix the engine for the session's lifetime; a spec carrying *different*
-    engine options is rejected (the serving layer routes such specs to a
-    different session instead).
+    The engine-construction option (``full_peel_threshold``) fixes the
+    engine for the session's lifetime; a spec carrying a *different* value
+    is rejected (the serving layer routes such specs to a different session
+    instead).
 
     A spec's graph source, when present, must match the session's source
     (same dataset name / path / edge tuple) — solving a spec that names a
@@ -85,7 +85,6 @@ class Session:
         dataset: Optional[str] = None,
         edge_list: Optional[str] = None,
         edges: Optional[Tuple[Tuple[object, object], ...]] = None,
-        tree_mode: Optional[str] = None,
         full_peel_threshold: Optional[float] = None,
         memoize: bool = True,
     ) -> None:
@@ -96,8 +95,6 @@ class Session:
                 "edge_list or edges"
             )
         engine_options: Dict[str, object] = {}
-        if tree_mode is not None:
-            engine_options["tree_mode"] = tree_mode
         if full_peel_threshold is not None:
             engine_options["full_peel_threshold"] = full_peel_threshold
         self._source = SolveSpec(dataset=dataset, edge_list=edge_list, edges=edges) if graph is None else None

@@ -59,9 +59,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: Engine-construction options a spec may set.  They are part of the
-#: serving layer's session cache key; both knobs change timings only, never
-#: results (asserted by the engine equivalence tests).
-ENGINE_OPTION_FIELDS = ("tree_mode", "full_peel_threshold")
+#: serving layer's session cache key; the full-peel threshold changes
+#: timings only, never results (asserted by the engine equivalence tests).
+ENGINE_OPTION_FIELDS = ("full_peel_threshold",)
 
 #: The structured error taxonomy carried by failed :class:`SolveOutcome`\ s
 #: (``error_kind``).  ``timeout`` / ``overloaded`` / ``worker_crash`` are

@@ -61,7 +61,8 @@ class TreePatchInfo:
     """What one :meth:`TrussComponentTree.apply_commit` call invalidated.
 
     ``invalid_node_ids`` reproduces, for this single commit, exactly the node
-    ids that :func:`repro.core.reuse.compute_reuse_decision` would flag when
+    ids that the reuse rule (the oracle
+    :func:`repro.oracles.compute_reuse_decision_reference`) flags when
     diffing the pre-patch tree against the post-patch tree (structurally
     touched nodes, the nodes hosting every trussness/layer-changed edge
     before and after, the anchor's old ``sla`` nodes and its old node).
@@ -105,8 +106,7 @@ class _TreeJournal:
     here the first time they are about to change it, and never again until
     the next :meth:`TrussComponentTree.rollback` writes the recorded values
     back.  Lists and sets are recorded as copies: the patch mutates them in
-    place.  ``roots`` and the signature cache are derived, so they are
-    invalidated instead of recorded.
+    place.  ``roots`` is derived, so it is invalidated instead of recorded.
     """
 
     __slots__ = ("nodes", "fields", "eids", "sla", "sla_ref", "state")
@@ -160,9 +160,6 @@ class TrussComponentTree:
         # Reverse sla index (node id -> eids whose sla contains it), built
         # lazily on the first incremental patch / heap invalidation.
         self._sla_ref: Optional[Dict[int, Set[int]]] = None
-        self._signatures_cache: Optional[
-            Dict[int, Tuple[FrozenSet[Edge], Tuple[Tuple[Edge, float, float], ...]]]
-        ] = None
         # Undo journal of the patches since the last rollback; None while
         # the tree is not journalled (see start_journal).
         self._journal: Optional[_TreeJournal] = None
@@ -368,7 +365,6 @@ class TrussComponentTree:
         self._restore_sla(journal)
         self.state = journal.state
         self._roots = None
-        self._signatures_cache = None
 
     def _restore_nodes(self, journal: _TreeJournal) -> None:
         for node, node_id, parent, children, edges, edge_ids in journal.fields.values():
@@ -816,7 +812,9 @@ class TrussComponentTree:
         but the remaining members always stay one node.  The returned
         :class:`TreePatchInfo` carries the exact invalidation the reuse rule
         (Algorithm 5) would compute from a full before/after tree diff; the
-        equivalence is asserted by the test-suite on randomized graphs.
+        test-suite asserts the equivalence against
+        :func:`repro.oracles.compute_reuse_decision_reference` on randomized
+        graphs.
         """
         if self._node_of_eid is None or self._sla_sets is None:
             raise InvalidParameterError(
@@ -1004,7 +1002,6 @@ class TrussComponentTree:
         # -- phase 5: derived structures (roots re-derive on their next read)
         self._roots = None
         self.state = new_state
-        self._signatures_cache = None
 
         for eid in delta.changed_eids:
             nid = node_of_eid[eid]
@@ -1091,34 +1088,6 @@ class TrussComponentTree:
         if edges is None:
             edges = list(self.state.non_anchor_edges())
         return {edge: set(self.sla(edge)) for edge in edges}
-
-    def node_signature(self, node_id: int) -> Tuple[FrozenSet[Edge], Tuple[Tuple[Edge, float, float], ...]]:
-        """A comparable signature of a node: its edge set plus (t, l) of each edge.
-
-        Two trees expose the same signature for a node id exactly when the
-        node's edge membership, trussness and peeling layers are all
-        unchanged — the precondition under which cached follower results for
-        that node stay valid (Lemma 5 plus the conservative extension
-        described in DESIGN.md §3.3).
-        """
-        node = self.nodes[node_id]
-        # Node edges are never anchored, so the decomposition dicts can be
-        # read directly instead of going through the (inf-aware) state API.
-        trussness = self.state.decomposition.trussness
-        layer = self.state.decomposition.layer
-        detail = tuple(
-            sorted((edge, float(trussness[edge]), float(layer[edge])) for edge in node.edges)
-        )
-        return node.edges, detail
-
-    def signatures(self) -> Dict[int, Tuple[FrozenSet[Edge], Tuple[Tuple[Edge, float, float], ...]]]:
-        """Signatures of every node, keyed by node id (computed once; the
-        tree is immutable after construction)."""
-        if self._signatures_cache is None:
-            self._signatures_cache = {
-                node_id: self.node_signature(node_id) for node_id in self.nodes
-            }
-        return self._signatures_cache
 
     @property
     def roots(self) -> List[int]:

@@ -53,12 +53,11 @@ Warm sessions
 -------------
 The assets that depend only on the baseline state live as long as the
 engine: the anchor-free state, the GAS baseline follower snapshot, the
-upward-route sizes (:meth:`SolverEngine.route_sizes`) and, with
-``tree_mode="patch"``, the baseline component tree.  A solve patches that
-tree in place — initial anchors first, one patch each — and the tree
-journals what it changed; :meth:`SolverEngine.reset` rolls it back to the
-baseline instead of rebuilding it.  Only a full-peel fallback still builds a
-solve-local tree, which the next reset drops.
+upward-route sizes (:meth:`SolverEngine.route_sizes`) and the baseline
+component tree.  A solve patches that tree in place — initial anchors first,
+one patch per commit, full-peel fallbacks included — and the tree journals
+what it changed; :meth:`SolverEngine.reset` rolls it back to the baseline
+instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from repro.api.spec import SolveSpec
 from repro.core.component_tree import TreePatchInfo, TrussComponentTree
 from repro.core.followers import _followers_on_arrays
 from repro.core.result import AnchorResult
-from repro.core.reuse import ReuseDecision, ReuseInvalidation, compute_reuse_decision
+from repro.core.reuse import ReuseDecision, ReuseInvalidation
 from repro.core.upward_route import upward_route_sizes
 from repro.graph.csr import CSRArrays
 from repro.graph.graph import Edge, Graph
@@ -113,12 +112,9 @@ __all__ = [
 #: longer pays off once most of the graph is dirty anyway).
 DEFAULT_FULL_PEEL_THRESHOLD = 0.25
 
-#: Component-tree maintenance strategies (``SolverEngine(tree_mode=...)``).
-TREE_MODES = ("patch", "rebuild")
-
-#: Pending invalidation entries kept before collapsing to a stale marker —
-#: a consumer (GAS) drains the log every round; anything far beyond that is
-#: an engine user who never calls :meth:`SolverEngine.take_reuse_decision`.
+#: Pending invalidation entries kept before the log is dropped — a consumer
+#: (GAS, BASE) drains it every round; anything far beyond that is an engine
+#: user who never calls :meth:`SolverEngine.take_reuse_decision`.
 _INVALIDATION_LOG_LIMIT = 64
 
 _INF = math.inf
@@ -126,11 +122,11 @@ _INF = math.inf
 
 @dataclass
 class CommitDelta:
-    """Everything an incremental re-peel learned about one committed anchor.
+    """What one committed anchor changed in the decomposition.
 
-    Recorded by :meth:`SolverEngine._advance` whenever the incremental path
-    ran (the full-peel fallback records ``None`` instead) and consumed by
-    the incremental component-tree patch
+    Recorded by :meth:`SolverEngine._advance` for every commit — by the
+    incremental re-peel, or by :func:`_fallback_delta` after a full peel —
+    and consumed by the component-tree patch
     (:meth:`~repro.core.component_tree.TrussComponentTree.apply_commit`):
 
     * ``anchor_eid`` — dense id of the committed anchor;
@@ -147,6 +143,27 @@ class CommitDelta:
     follower_eids: Tuple[int, ...]
     changed_eids: FrozenSet[int]
     state_after: Optional[TrussState]
+
+
+def _fallback_delta(
+    state: TrussState, new_state: TrussState, anchor_eid: int
+) -> CommitDelta:
+    """The :class:`CommitDelta` of a commit that fell back to a full peel.
+
+    The followers are the edges whose trussness rose; the changed edges add
+    every edge whose layer moved, which includes the anchor (its layer
+    becomes ``inf``).  One pass over the two states' arrays, where the
+    incremental path reads the same sets off its re-peeled hulls.
+    """
+    risen, _gains = new_state._trussness_deltas(state)  # each +1 (Lemma 1)
+    moved = _np.flatnonzero(new_state.array_views()[1] != state.array_views()[1])
+    followers = risen.tolist()
+    return CommitDelta(
+        anchor_eid=anchor_eid,
+        follower_eids=tuple(followers),
+        changed_eids=frozenset(followers).union(moved.tolist()),
+        state_after=None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +286,7 @@ class SolverEngine:
         graph: Graph,
         baseline_state: Optional[TrussState] = None,
         full_peel_threshold: float = DEFAULT_FULL_PEEL_THRESHOLD,
-        tree_mode: str = "patch",
     ) -> None:
-        if tree_mode not in TREE_MODES:
-            raise InvalidParameterError(
-                f"unknown tree_mode {tree_mode!r}; expected one of {TREE_MODES}"
-            )
         if (
             isinstance(full_peel_threshold, bool)
             or not isinstance(full_peel_threshold, (int, float))
@@ -288,11 +300,6 @@ class SolverEngine:
         self.graph = graph
         self.index = GraphIndex.of(graph)
         self.full_peel_threshold = full_peel_threshold
-        #: ``"patch"`` (default) maintains the component tree incrementally
-        #: after each commit; ``"rebuild"`` forces the PR 2 behaviour (a full
-        #: :meth:`TrussComponentTree.build` per state) — the rebuild oracle
-        #: the equivalence tests and the world rig pin the patched path against.
-        self.tree_mode = tree_mode
         self._original_state = baseline_state
         # Committed anchor chain + the prefix of it already materialised as a
         # TrussState (commits are lazy: a final round that never reads the
@@ -301,12 +308,13 @@ class SolverEngine:
         self.anchors: List[Edge] = []
         self._materialized_state: Optional[TrussState] = None
         self._materialized_count = 0
-        # The session's baseline component tree (tree_mode="patch" only):
-        # built once from original_state, journalled, patched by each solve
-        # and rolled back by reset().
+        # The session's baseline component tree: built once from
+        # original_state, journalled, patched by each solve and rolled back
+        # by reset().
         self._baseline_tree: Optional[TrussComponentTree] = None
         # The tree of the current solve: the baseline tree, or a solve-local
-        # rebuild after a full-peel fallback (dropped by reset()).
+        # build when the chain materialised before the solve's first tree()
+        # call (dropped by reset()).
         self._tree: Optional[TrussComponentTree] = None
         self._tree_state: Optional[TrussState] = None
         # Set by the solve's first tree() call; commits keep their
@@ -314,17 +322,14 @@ class SolverEngine:
         self._tree_wanted = False
         # Upward-route size per dense edge id of original_state (lazy).
         self._route_sizes: Optional[List[int]] = None
-        # Per-commit deltas recorded by the incremental re-peel (None for
-        # full-peel fallbacks), aligned with the materialised chain; the
+        # One delta per commit, aligned with the materialised chain; the
         # component tree consumes them from _tree_commit_index onwards.
-        self._deltas: List[Optional[CommitDelta]] = []
+        self._deltas: List[CommitDelta] = []
         self._tree_commit_index = 0
-        # Invalidation log since the last take_reuse_decision() call:
-        # ("patch", TreePatchInfo, CommitDelta) per patched commit,
-        # ("rebuild", (previous_tree, commit_span), None) for a rebuild, or
-        # ("stale", None, None) once the log can no longer yield an exact
-        # decision (mixed batches, overflow) — stale entries pin no memory.
-        self._invalidation_log: List[Tuple[str, object, Optional[CommitDelta]]] = []
+        # Invalidation log since the last take_reuse_decision() call: one
+        # (TreePatchInfo, CommitDelta) pair per patched commit, or None once
+        # it overflowed (nobody drains it) and can no longer be exact.
+        self._invalidation_log: Optional[List[Tuple[TreePatchInfo, CommitDelta]]] = []
         # GAS per-candidate follower caches: F[eid][node_id] plus the cached
         # per-candidate totals.  Owned here so a session can span rounds.
         self.follower_cache: Dict[int, Mapping[int, FrozenSet[Edge]]] = {}
@@ -482,31 +487,34 @@ class SolverEngine:
     def tree(self) -> TrussComponentTree:
         """The truss component tree of the current state.
 
-        With ``tree_mode="patch"`` (the default) a solve starts from the
-        session's baseline tree, built once from :attr:`original_state` on
-        the first call and rolled back by every :meth:`reset`, and advances
-        it **incrementally**: each commit's :class:`CommitDelta` (initial
-        anchors included) is applied via
-        :meth:`TrussComponentTree.apply_commit`, touching only the nodes
-        whose trussness levels changed.  The tree is rebuilt from scratch
-        only when a commit fell back to a full peel (no delta available),
-        when the chain materialised before the solve's first call (its
-        deltas kept no state to patch with — solvers read the tree before
-        the state), or with ``tree_mode="rebuild"`` (the rebuild oracle).
-        ``stats["tree_rebuilds"]`` counts those builds; the baseline tree is
-        a session asset and is not counted.  Every commit absorbed after the
-        solve's first call is logged so :meth:`take_reuse_decision` can
-        report the exact invalidation.
+        A solve starts from the session's baseline tree, built once from
+        :attr:`original_state` on the first call and rolled back by every
+        :meth:`reset`, and advances it **incrementally**: each commit's
+        :class:`CommitDelta` (initial anchors and full-peel fallbacks
+        included) is applied via :meth:`TrussComponentTree.apply_commit`,
+        touching only the nodes whose trussness levels changed.  The one
+        build inside a solve is for a chain that materialised before the
+        solve's first call: its deltas kept no states to patch with (solvers
+        read the tree before the state).  ``stats["tree_rebuilds"]`` counts
+        that build; the baseline tree is a session asset and is not counted.
+        Every commit patched after the solve's first call is logged so
+        :meth:`take_reuse_decision` can report the exact invalidation.
         """
         if self._tree_wanted:
             return self._advance_tree()
-        self._tree_wanted = True
-        if self.tree_mode == "patch":
-            # Before the chain materialises: its deltas then keep the
-            # post-commit states the patches need.
+        if self._materialized_count:
+            # The chain materialised first: its deltas kept no states.
+            state = self.state
+            with _span("engine.tree_rebuild"):
+                self._tree = TrussComponentTree.build(state)
+            self.stats["tree_rebuilds"] += 1
+            self._tree_state = state
+            self._tree_commit_index = self._materialized_count
+        else:
             self._tree = self._session_tree()
             self._tree_state = self.original_state
-            self._tree_commit_index = 0
+        # From here on commits keep the post-commit states the patches need.
+        self._tree_wanted = True
         tree = self._advance_tree()
         # The commits absorbed so far are the solve's starting point, not a
         # round: no reuse decision spans them.
@@ -525,51 +533,26 @@ class SolverEngine:
         return tree
 
     def _advance_tree(self) -> TrussComponentTree:
-        """Bring the current tree up to :attr:`state` (patch or rebuild)."""
+        """Patch the current tree up to :attr:`state`, one commit at a time."""
         state = self.state
-        if self._tree is not None and self._tree_state is state:
-            return self._tree
         tree = self._tree
-        if (
-            self.tree_mode == "patch"
-            and tree is not None
-            and self._tree_commit_index < self._materialized_count
-            and all(
-                self._deltas[i] is not None
-                and self._deltas[i].state_after is not None  # type: ignore[union-attr]
-                for i in range(self._tree_commit_index, self._materialized_count)
-            )
-        ):
-            while self._tree_commit_index < self._materialized_count:
-                delta = self._deltas[self._tree_commit_index]
-                assert delta is not None and delta.state_after is not None
-                info = tree.apply_commit(delta, delta.state_after)
-                self.stats["tree_patches"] += 1
-                self._invalidation_log.append(("patch", info, delta))
-                delta.state_after = None  # release the chained state
-                self._tree_commit_index += 1
-            if len(self._invalidation_log) > _INVALIDATION_LOG_LIMIT:
-                # Nobody is draining the log; stop accumulating exact info.
-                self._invalidation_log = [("stale", None, None)]
-            self._tree_state = state
+        assert tree is not None
+        if self._tree_state is state:
             return tree
-        if tree is not None:
-            if self._invalidation_log:
-                # A mixed batch can never yield an exact decision; collapse
-                # to a stale marker so the old tree is not pinned in memory.
-                self._invalidation_log = [("stale", None, None)]
-            else:
-                span = self._materialized_count - self._tree_commit_index
-                self._invalidation_log.append(("rebuild", (tree, span), None))
-        with _span("engine.tree_rebuild"):
-            self._tree = TrussComponentTree.build(state)
-        self.stats["tree_rebuilds"] += 1
+        log = self._invalidation_log
+        for delta in self._deltas[self._tree_commit_index:]:
+            assert delta.state_after is not None
+            info = tree.apply_commit(delta, delta.state_after)
+            self.stats["tree_patches"] += 1
+            delta.state_after = None  # release the chained state
+            self._tree_commit_index += 1
+            if log is not None:
+                log.append((info, delta))
+        if log is not None and len(log) > _INVALIDATION_LOG_LIMIT:
+            # Nobody is draining the log; stop accumulating exact info.
+            self._invalidation_log = None
         self._tree_state = state
-        self._tree_commit_index = self._materialized_count
-        for delta in self._deltas:
-            if delta is not None:
-                delta.state_after = None
-        return self._tree
+        return tree
 
     def route_sizes(self) -> List[int]:
         """Upward-route size of every edge of :attr:`original_state`.
@@ -588,61 +571,36 @@ class SolverEngine:
             self._route_sizes = sizes
         return sizes
 
-    def take_reuse_decision(
-        self, committed_anchor: Edge, committed_followers: Iterable[Edge]
-    ) -> Optional[ReuseInvalidation]:
+    def take_reuse_decision(self) -> Optional[ReuseInvalidation]:
         """Exact follower-reuse invalidation for the commits since last asked.
 
-        Refreshes the component tree, then consumes the invalidation log:
+        Refreshes the component tree, then assembles the decision from the
+        bookkeeping of the tree patches it logged — no before/after tree
+        diff, no full scan — and ``dirty_eids`` narrows the candidates the
+        GAS heap and BASE must re-examine to the dirty closure.  Returns
+        ``None`` when no information is available (no commit since the last
+        call, or a log that overflowed because nobody drained it) — callers
+        must then treat every cached entry as invalid.
 
-        * if every absorbed commit was an incremental tree patch, the
-          decision is assembled from the patch bookkeeping alone — no
-          before/after tree diff, no full scan — and ``dirty_eids`` narrows
-          the candidates the GAS heap must re-examine to the dirty closure;
-        * if the tree was rebuilt (full-peel fallback or
-          ``tree_mode="rebuild"``), the decision comes from the classic
-          before/after diff (:func:`compute_reuse_decision`) and
-          ``dirty_eids`` is ``None`` (re-examine everything);
-        * returns ``None`` when no information is available (no commit since
-          the last call, or several mixed commits at once) — callers must
-          then treat every cached entry as invalid.
-
-        Either way the returned decision is byte-identical to what
-        :func:`compute_reuse_decision` would produce, which the test-suite
-        asserts on randomized graphs.
+        For one commit the decision equals the before/after diff of the
+        reuse rule (:func:`repro.oracles.compute_reuse_decision_reference`
+        on the two trees), which the test-suite asserts on randomized
+        graphs on both sides of the full-peel threshold.
         """
         self.tree()
         log = self._invalidation_log
         self._invalidation_log = []
         if not log:
             return None
-        if len(log) == 1 and log[0][0] == "rebuild":
-            previous_tree, span = log[0][1]  # type: ignore[misc]
-            assert isinstance(previous_tree, TrussComponentTree)
-            if span != 1:
-                # The rebuild absorbed several commits at once; steps 2-3 of
-                # the reuse rule (sla adjacency, follower hosts) would only
-                # cover the last anchor — be conservative instead.
-                return None
-            decision = compute_reuse_decision(
-                previous_tree,
-                self._tree,  # type: ignore[arg-type]
-                committed_anchor,
-                set(committed_followers),
-            )
-            return ReuseInvalidation(decision=decision, dirty_eids=None)
-        if all(kind == "patch" for kind, _info, _delta in log):
-            decision = ReuseDecision()
-            dirty: Set[int] = set()
-            edge_of = self.index.edge_of
-            for _kind, info, delta in log:
-                assert isinstance(info, TreePatchInfo) and delta is not None
-                decision.invalid_node_ids |= info.invalid_node_ids
-                for eid in delta.changed_eids:
-                    decision.invalid_edges.add(edge_of[eid])
-                dirty |= info.dirty_candidate_eids
-            return ReuseInvalidation(decision=decision, dirty_eids=dirty)
-        return None  # pragma: no cover - mixed multi-commit batches
+        decision = ReuseDecision()
+        dirty: Set[int] = set()
+        edge_of = self.index.edge_of
+        for info, delta in log:
+            decision.invalid_node_ids |= info.invalid_node_ids
+            for eid in delta.changed_eids:
+                decision.invalid_edges.add(edge_of[eid])
+            dirty |= info.dirty_candidate_eids
+        return ReuseInvalidation(decision=decision, dirty_eids=dirty)
 
     # ------------------------------------------------------------------
     # Incremental re-peeling
@@ -659,18 +617,25 @@ class SolverEngine:
         dirty = _dirty_closure(index, truss, eid, self.full_peel_threshold * m)
         if dirty is None:
             self.stats["full_peels"] += 1
-            self._deltas.append(None)
             with _span("engine.full_peel", edges=m):
-                return TrussState.compute(
+                new_state = TrussState.compute(
                     self.graph, set(state.anchors) | {new_anchor}
                 )
-        self.stats["dirty_edges"] += len(dirty)
-        self.stats["incremental_peels"] += 1
-
-        with _span("engine.incremental_peel", dirty_edges=len(dirty)):
-            return self._advance_incremental(
-                state, new_anchor, eid, dirty, truss, layer, mask
-            )
+                delta = _fallback_delta(state, new_state, eid)
+        else:
+            self.stats["dirty_edges"] += len(dirty)
+            self.stats["incremental_peels"] += 1
+            with _span("engine.incremental_peel", dirty_edges=len(dirty)):
+                new_state, delta = self._advance_incremental(
+                    state, new_anchor, eid, dirty, truss, layer, mask
+                )
+        # The chained state is only kept once the solve has asked for the
+        # tree (the patch consumes it); solvers that never read the tree
+        # must not pin the whole chain in memory.
+        if self._tree_wanted:
+            delta.state_after = new_state
+        self._deltas.append(delta)
+        return new_state
 
     def _advance_incremental(
         self,
@@ -681,7 +646,7 @@ class SolverEngine:
         truss,
         layer,
         mask,
-    ) -> TrussState:
+    ) -> Tuple[TrussState, CommitDelta]:
         index = self.index
         followers = _followers_on_arrays(index, truss, eid, dirty)
 
@@ -750,18 +715,13 @@ class SolverEngine:
             (new_truss_arr, new_layer_arr),
         )
         new_state = TrussState(graph=self.graph, anchors=anchor_set, decomposition=decomposition)
-        self._deltas.append(
-            CommitDelta(
-                anchor_eid=eid,
-                follower_eids=tuple(sorted(followers)),
-                changed_eids=frozenset(changed),
-                # The chained state is only kept once the solve has asked
-                # for the tree (the patch path consumes it); solvers that
-                # never read the tree must not pin the whole chain in memory.
-                state_after=new_state if self._tree_wanted else None,
-            )
+        delta = CommitDelta(
+            anchor_eid=eid,
+            follower_eids=tuple(sorted(followers)),
+            changed_eids=frozenset(changed),
+            state_after=None,
         )
-        return new_state
+        return new_state, delta
 
     def evaluate_gain(self, edge: Edge) -> int:
         """Trussness gain of anchoring ``edge`` on top of the current state.
@@ -954,7 +914,7 @@ SolverFn = Callable[[SolverEngine, SolveSpec], AnchorResult]
 
 #: Engine-construction keywords accepted by :meth:`SolverSpec.__call__` and
 #: stripped from the solver params.
-_ENGINE_KWARGS = ("baseline_state", "full_peel_threshold", "tree_mode")
+_ENGINE_KWARGS = ("baseline_state", "full_peel_threshold")
 
 
 @dataclass(frozen=True)
@@ -1091,7 +1051,7 @@ def solve(graph: Graph, budget: int, algorithm: str = "gas", **params: object) -
 
     Equivalent to ``SolverEngine(graph).solve(algorithm, budget, **params)``
     with engine-construction keywords (``baseline_state``,
-    ``full_peel_threshold``, ``tree_mode``) split off automatically.  Use a
+    ``full_peel_threshold``) split off automatically.  Use a
     long-lived :class:`SolverEngine` instead when running several solves
     over the same graph.
     """

@@ -5,9 +5,9 @@ sets from scratch in every round:
 
 1. follower sets are cached *per (candidate edge, tree node)* — ``F[e][id]``
    in the paper's notation;
-2. after an anchor is committed, the truss component tree is advanced (by
-   the engine's incremental patch, or a rebuild) and the reuse rule of
-   :mod:`repro.core.reuse` decides which cached entries are still valid;
+2. after an anchor is committed, the engine patches the truss component
+   tree and the reuse rule of :mod:`repro.core.reuse` decides which cached
+   entries are still valid;
 3. in the next round only the invalidated entries are recomputed, and the
    recomputation is restricted to the affected tree nodes (the
    ``candidate_nodes`` argument of the follower search: a membership test
@@ -247,13 +247,12 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         index, current_trussness, _ly, anchor_mask = state.kernel_views()
         original_trussness = original_state.kernel_views()[1]
         edge_of = index.edge_of
-        sla_sets = tree.sla_sets  # None only for reference-built trees
+        sla_sets = tree.sla_sets
         decision = invalidation.decision if invalidation is not None else None
         invalid_eids: Optional[Set[int]] = None
         if decision is not None:
             eid_of = index.eid_of
             invalid_eids = {eid_of[e] for e in decision.invalid_edges}
-        dirty_eids = invalidation.dirty_eids if invalidation is not None else None
         # Algorithm 3's starter screen for every candidate at once (the warm
         # first round refreshes nothing, so it skips the pass).
         starters = None
@@ -272,12 +271,12 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             heap = [(-total, eid) for eid, total in totals.items()]
             heapq.heapify(heap)
             best_eid, best_count = _pop_best(heap, score_of)
-        elif use_heap and decision is not None and dirty_eids is not None:
+        elif use_heap and invalidation is not None:
             # Heap round: only the dirty closure is re-examined; every other
             # candidate's cached gain (and FR classification) is provably
             # unchanged, so its heap entry is still fresh.
             refreshed = 0
-            for eid in sorted(dirty_eids):
+            for eid in sorted(invalidation.dirty_eids):
                 if anchor_mask[eid]:
                     continue
                 refreshed += 1
@@ -299,19 +298,14 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             )
             best_eid, best_count = _pop_best(heap, score_of)
         else:
-            # Full pass: the first round, the forced "scan" strategy, and
-            # heap rounds right after a from-scratch tree rebuild (no dirty
-            # closure available).
+            # Full pass: the first round and the forced "scan" strategy.
             best_eid = -1
             best_count = -1
             for eid in range(index.num_edges):
                 if anchor_mask[eid]:
                     continue
                 edge = edge_of[eid]
-                if sla_sets is not None:
-                    sla_ids = sla_sets[eid] or _EMPTY_SLA  # precomputed
-                else:
-                    sla_ids = tree.sla(edge)
+                sla_ids = sla_sets[eid] or _EMPTY_SLA
                 if _refresh_entry(
                     state, tree, cache, totals, method, starters, decision,
                     invalid_eids, eid, edge, sla_ids, stats,
@@ -337,11 +331,6 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         if best_eid < 0:
             break
         best_edge = edge_of[best_eid]
-
-        followers_of_best: Set[Edge] = set()
-        for bucket in cache[best_eid].values():
-            followers_of_best |= bucket
-
         engine.commit_anchor(best_edge)
         cache.pop(best_eid, None)
         totals.pop(best_eid, None)
@@ -358,7 +347,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             # nothing is computed for it).
             state = engine.state
             tree = engine.tree()
-            invalidation = engine.take_reuse_decision(best_edge, followers_of_best)
+            invalidation = engine.take_reuse_decision()
         cumulative_seconds.append(time.perf_counter() - start)
 
     elapsed = time.perf_counter() - start
@@ -390,7 +379,6 @@ def gas(
     method: FollowerMethod | str = FollowerMethod.SUPPORT_CHECK,
     collect_reuse_stats: bool = True,
     candidates: str = "heap",
-    tree_mode: str = "patch",
 ) -> AnchorResult:
     """Select ``budget`` anchor edges with the GAS algorithm.
 
@@ -411,13 +399,10 @@ def gas(
     candidates:
         Candidate-selection strategy: ``"heap"`` (default, lazily-invalidated
         max-heap — only the dirty closure of each commit is re-examined) or
-        ``"scan"`` (the previous full scan per round; full-scan oracle).
-    tree_mode:
-        Component-tree maintenance of the underlying engine: ``"patch"``
-        (default, incremental) or ``"rebuild"`` (full rebuild per round;
-        rebuild oracle).  Both knobs change timings only — never results.
+        ``"scan"`` (the previous full scan per round; full-scan oracle).  It
+        changes timings only — never results.
     """
-    engine = SolverEngine(graph, tree_mode=tree_mode)
+    engine = SolverEngine(graph)
     return engine.solve(
         "gas",
         budget,

@@ -74,11 +74,11 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     # of candidates inside its dirty closure — the edges whose trussness or
     # layer moved, plus (via the component tree's reverse ``sla`` index) the
     # candidates whose ``sla`` references a touched node.  The engine's
-    # :meth:`take_reuse_decision` yields exactly that set when the tree was
-    # patched incrementally, so every round after the first re-peels only
-    # the dirty candidates and keeps all other cached gains.  ``"scan"``
-    # forces the previous evaluate-everything behaviour (the full-scan oracle;
-    # both produce identical anchors and gains — asserted by the tests).
+    # :meth:`take_reuse_decision` yields exactly that set from the tree
+    # patch, so every round after the first re-peels only the dirty
+    # candidates and keeps all other cached gains.  ``"scan"`` forces the
+    # previous evaluate-everything behaviour (the full-scan oracle; both
+    # produce identical anchors and gains — asserted by the tests).
     score_of: dict = {}
     invalidation = None
     if use_reuse and request.budget > 1:
@@ -91,14 +91,13 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             state.kernel_views()[1],
             state.kernel_views()[3],
         )
-        dirty_eids = None
-        if use_reuse and invalidation is not None and invalidation.dirty_eids is not None:
-            dirty_eids = invalidation.dirty_eids
-        if dirty_eids is None:
+        if invalidation is None:
             score_of.clear()
             eval_eids = [eid for eid in range(m) if not anchor_mask[eid]]
         else:
-            eval_eids = [eid for eid in sorted(dirty_eids) if not anchor_mask[eid]]
+            eval_eids = [
+                eid for eid in sorted(invalidation.dirty_eids) if not anchor_mask[eid]
+            ]
         for eid in eval_eids:
             # Score by the true marginal gain of Definition 4 (relative to
             # the original graph): the candidate's follower count from the
@@ -122,17 +121,7 @@ def _solve_base(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         score_of.pop(best_eid, None)
         per_round_gain.append(max(best_score, 0))
         if use_reuse and _round + 1 < request.budget:
-            # Advance the state now and diff the trussness arrays: the
-            # committed anchor's followers are exactly the edges whose
-            # trussness moved (+1 each, Lemma 1) — the reuse rule's input.
-            previous_trussness = current_trussness
-            new_trussness = engine.state.kernel_views()[1]
-            followers = [
-                edge_of[e2]
-                for e2 in range(m)
-                if e2 != best_eid and new_trussness[e2] != previous_trussness[e2]
-            ]
-            invalidation = engine.take_reuse_decision(best_edge, followers)
+            invalidation = engine.take_reuse_decision()
         cumulative_seconds.append(time.perf_counter() - start)
 
     elapsed = time.perf_counter() - start

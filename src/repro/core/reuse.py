@@ -18,14 +18,18 @@ The invalidation rule is the paper's Algorithm 5 extended conservatively
 The conservative rule can only invalidate *more* entries than the paper's
 rule, so GAS remains exactly equivalent to BASE+; the reuse-rate experiment
 (Fig. 10) shows that the overwhelming majority of entries is still reused.
+
+The engine assembles each commit's decision from its component-tree patch
+(:meth:`repro.core.engine.SolverEngine.take_reuse_decision`); the rule as a
+full before/after tree diff is the oracle
+:func:`repro.oracles.compute_reuse_decision_reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Dict, Set
 
-from repro.core.component_tree import TrussComponentTree
 from repro.graph.graph import Edge
 
 
@@ -47,18 +51,15 @@ class ReuseInvalidation:
     """A :class:`ReuseDecision` plus the candidate edges it can affect.
 
     Produced by :meth:`repro.core.engine.SolverEngine.take_reuse_decision`
-    after a committed anchor.  ``dirty_eids`` — when not ``None`` — is an
-    exact superset of the dense edge ids whose cached follower entries (or
-    reuse classification) can differ from the previous round; every other
-    candidate is guaranteed fully reusable with an unchanged gain, so the
-    GAS candidate heap re-examines only the dirty ones.  ``dirty_eids is
-    None`` means the information is unavailable (the tree was rebuilt from
-    scratch, e.g. after a full-peel fallback) and every candidate must be
-    re-examined, with ``decision`` still exact.
+    after a committed anchor.  ``dirty_eids`` is an exact superset of the
+    dense edge ids whose cached follower entries (or reuse classification)
+    can differ from the previous round; every other candidate is guaranteed
+    fully reusable with an unchanged gain, so the GAS candidate heap and
+    BASE re-examine only the dirty ones.
     """
 
     decision: ReuseDecision
-    dirty_eids: Optional[Set[int]] = None
+    dirty_eids: Set[int]
 
 
 @dataclass
@@ -80,110 +81,6 @@ class ReuseStats:
             "PR": self.partially_reusable / total,
             "NR": self.non_reusable / total,
         }
-
-
-def compute_reuse_decision(
-    old_tree: TrussComponentTree,
-    new_tree: TrussComponentTree,
-    committed_anchor: Edge,
-    committed_followers: Set[Edge],
-) -> ReuseDecision:
-    """Decide which cached follower entries survive the committed anchoring.
-
-    Parameters
-    ----------
-    old_tree / new_tree:
-        The truss component trees before and after the anchor was committed
-        (both carry their own :class:`TrussState`).
-    committed_anchor:
-        The edge that was just anchored.
-    committed_followers:
-        Its follower set (their trussness rose by one).
-    """
-    decision = ReuseDecision()
-    invalid_node_ids = decision.invalid_node_ids
-    invalid_edges = decision.invalid_edges
-    old_state = old_tree.state
-    new_state = new_tree.state
-
-    old_index, old_t_arr, old_l_arr, old_anchor = old_state.kernel_views()
-    new_index, new_t_arr, new_l_arr, _new_anchor = new_state.kernel_views()
-    old_node_of_eid = old_tree.node_of_eid
-    new_node_of_eid = new_tree.node_of_eid
-    fast = (
-        old_index is new_index
-        and old_node_of_eid is not None
-        and new_node_of_eid is not None
-    )
-
-    if fast:
-        # Steps 1 + 4 fused in the dense-id domain.  An old node's signature
-        # (edge membership plus per-edge t/l) differs from the new node of
-        # the same id exactly when the edge-id sets differ or some member
-        # edge's (t, l) changed — so one array scan for changed edges plus a
-        # per-node membership comparison reproduces the tuple-signature
-        # comparison below without materialising any signatures.
-        edge_of = old_index.edge_of
-        for eid in range(old_index.num_edges):
-            if old_anchor[eid]:
-                continue
-            if new_t_arr[eid] != old_t_arr[eid] or new_l_arr[eid] != old_l_arr[eid]:
-                # 4. Edges whose own t/l changed cannot reuse anything: their
-                #    candidate generation (Lemma 2 cond (i)) depends on t/l.
-                invalid_edges.add(edge_of[eid])
-                invalid_node_ids.add(old_node_of_eid[eid])
-                new_node = new_node_of_eid[eid]
-                if new_node >= 0:  # the edge may be the new anchor
-                    invalid_node_ids.add(new_node)
-        old_nodes = old_tree.nodes
-        new_nodes = new_tree.nodes
-        for node_id, node in old_nodes.items():
-            new_node = new_nodes.get(node_id)
-            if new_node is None or new_node.edge_ids != node.edge_ids:
-                invalid_node_ids.add(node_id)
-        for node_id in new_nodes:
-            if node_id not in old_nodes:
-                invalid_node_ids.add(node_id)
-    else:  # pragma: no cover - reference-built trees / distinct snapshots
-        # 1. Nodes that changed membership, trussness or layers — or
-        #    disappeared or newly appeared — are invalid.
-        old_signatures = old_tree.signatures()
-        new_signatures = new_tree.signatures()
-        for node_id, signature in old_signatures.items():
-            if new_signatures.get(node_id) != signature:
-                invalid_node_ids.add(node_id)
-        for node_id in new_signatures:
-            if node_id not in old_signatures:
-                invalid_node_ids.add(node_id)
-        # 4. Edges whose own trussness or layer changed.
-        old_layer = old_state.decomposition.layer
-        new_trussness = new_state.decomposition.trussness
-        new_layer = new_state.decomposition.layer
-        for edge, old_t in old_state.decomposition.trussness.items():
-            new_t = new_trussness.get(edge)
-            if new_t is None:
-                # The edge is anchored in the new state (it has no trussness).
-                invalid_edges.add(edge)
-            elif new_t != old_t or new_layer[edge] != old_layer[edge]:
-                invalid_edges.add(edge)
-
-    # 2. Every node adjacent to the committed anchor with trussness at least
-    #    t(x) may now host followers it could not host before (the anchor's
-    #    support became infinite), so it is invalidated in both trees.
-    invalid_node_ids |= old_tree.sla(committed_anchor)
-    if not new_state.is_anchor(committed_anchor):  # pragma: no cover - defensive
-        invalid_node_ids |= new_tree.sla(committed_anchor)
-    if committed_anchor in old_tree.node_of_edge:
-        invalid_node_ids.add(old_tree.node_of_edge[committed_anchor])
-
-    # 3. Nodes that hosted the followers before, and nodes hosting them now.
-    for follower in committed_followers:
-        if follower in old_tree.node_of_edge:
-            invalid_node_ids.add(old_tree.node_of_edge[follower])
-        if follower in new_tree.node_of_edge:
-            invalid_node_ids.add(new_tree.node_of_edge[follower])
-
-    return decision
 
 
 def classify_reuse(

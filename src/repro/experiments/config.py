@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from repro.api.spec import SolveSpec
 from repro.utils.errors import InvalidParameterError
 
 
@@ -76,53 +75,18 @@ class ExperimentProfile:
     efficiency_solvers: Tuple[str, ...] = ("gas", "base+")
     #: Exhaustive solver of the quality experiment (Fig. 5).
     exact_solver: str = "exact"
-    #: Engine-construction options threaded into every solve the harness
-    #: runs (``tree_mode`` / ``full_peel_threshold``), applied by
-    #: :meth:`solver` — the invocation seam every experiment module uses —
-    #: and by :meth:`spec`.  Both knobs change timings only, never results,
-    #: so a profile pinning ``tree_mode="rebuild"`` reproduces the PR 2
-    #: engine behaviour across the whole harness from one config line.
-    engine_options: Tuple[Tuple[str, object], ...] = ()
 
     def solver(self, name: str):
-        """A graph-level callable for registry solver ``name`` under this
-        profile.
+        """The graph-level callable of registry solver ``name``.
 
         Experiments resolve their solvers here instead of calling
-        :func:`repro.core.engine.get_solver` directly, so the profile's
-        :attr:`engine_options` reach every harness solve.  With no options
-        set this is exactly the registry's
-        :class:`~repro.core.engine.SolverSpec`; otherwise a wrapper that
-        threads the options through (explicit per-call keywords win).
+        :func:`repro.core.engine.get_solver` directly, so the solver names
+        above are the only place a figure's solvers are chosen.  Returns
+        the registry's :class:`~repro.core.engine.SolverSpec`.
         """
         from repro.core.engine import get_solver
 
-        solver_spec = get_solver(name)
-        if not self.engine_options:
-            return solver_spec
-        options = dict(self.engine_options)
-
-        def run(graph, budget, initial_anchors=(), **params):
-            return solver_spec(
-                graph, budget, initial_anchors=initial_anchors, **{**options, **params}
-            )
-
-        return run
-
-    def spec(self, algorithm: str, budget: int, **params: object) -> SolveSpec:
-        """The canonical (unbound) :class:`repro.api.SolveSpec` for one
-        harness solve, with this profile's engine options applied.
-
-        The spec-shaped twin of :meth:`solver`, for callers routing harness
-        work through ``repro.api`` (a ``Session``, the service) rather than
-        the registry's graph-level convenience.
-        """
-        return SolveSpec(
-            algorithm=algorithm,
-            budget=budget,
-            params=dict(params),
-            engine=dict(self.engine_options),
-        )
+        return get_solver(name)
 
 
 _ALL = (

@@ -6,11 +6,11 @@ content of EXPERIMENTS.md in one go.
 Since ``repro.api`` v1 every solver invocation in the harness funnels
 through the canonical :class:`repro.api.SolveSpec` ingress: experiments
 resolve solvers via :meth:`ExperimentProfile.solver
-<repro.experiments.config.ExperimentProfile.solver>` — which applies the
-profile's ``engine_options`` and calls the registry's
-:meth:`~repro.core.engine.SolverSpec.__call__` — and that builds the spec
-and hands it to :meth:`~repro.core.engine.SolverEngine.solve_spec`, the
-same path the CLI, the Python API and the serving layer use.
+<repro.experiments.config.ExperimentProfile.solver>`, which returns the
+registry's :class:`~repro.core.engine.SolverSpec`; its
+:meth:`~repro.core.engine.SolverSpec.__call__` builds the spec and hands
+it to :meth:`~repro.core.engine.SolverEngine.solve_spec`, the same path the
+CLI, the Python API and the serving layer use.
 """
 
 from __future__ import annotations

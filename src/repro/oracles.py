@@ -265,10 +265,9 @@ def compute_reuse_decision_reference(
     """The invalidation analysis as a full before/after tree diff.
 
     Fresh per-call signatures and per-edge state-API ``t``/``l``
-    comparisons; returns the decision that
-    :func:`repro.core.reuse.compute_reuse_decision` and the engine's
-    patch-assembled :meth:`~repro.core.engine.SolverEngine.take_reuse_decision`
-    must reproduce.
+    comparisons; returns the decision that the engine's patch-assembled
+    :meth:`~repro.core.engine.SolverEngine.take_reuse_decision` must
+    reproduce.
     """
     decision = ReuseDecision()
 

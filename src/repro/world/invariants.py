@@ -13,11 +13,15 @@ bundle against a point's graph and anchor schedule:
     The incrementally patched component tree must be structurally identical
     to a tree rebuilt from the post-commit state.
 ``reuse_decision``
-    The patch-assembled :meth:`SolverEngine.take_reuse_decision` must equal
-    the classic before/after tree diff of a rebuild-mode twin engine.
+    After every committed anchor, the patch-assembled
+    :meth:`SolverEngine.take_reuse_decision` must equal the before/after
+    tree diff of :func:`repro.oracles.compute_reuse_decision_reference` on
+    trees built from the pre- and post-commit states, with the engine
+    forced incremental and forced onto the full-peel fallback.
 ``candidate_heap``
     GAS with the candidate heap must return byte-identical anchors, gains
-    and followers to the full-scan reference across tree modes.
+    and followers to the full-scan reference, with the engine forced
+    incremental and forced onto the full-peel fallback.
 ``peel_backends``
     The vectorised wave peel must produce the ``(trussness, layer, k_max)``
     triple of the from-scratch oracle
@@ -60,7 +64,7 @@ from repro.core.component_tree import TrussComponentTree
 from repro.core.followers import _followers_on_arrays, followers_support_check
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
-from repro.oracles import dense_peel_reference
+from repro.oracles import compute_reuse_decision_reference, dense_peel_reference
 from repro.truss import peel as peel_module
 from repro.truss.state import TrussState
 from repro.utils.errors import ReproError
@@ -87,6 +91,8 @@ INVARIANTS: Tuple[str, ...] = (
 )
 
 _ALWAYS_INCREMENTAL = math.inf
+#: Every commit whose dirty closure is not empty falls back to a full peel.
+_ALWAYS_FULL_PEEL = 0.0
 
 
 def replay_command(point: WorldPoint) -> str:
@@ -223,48 +229,40 @@ def _check_tree_patch(point: WorldPoint, graph: Graph, schedule) -> None:
 
 
 def _check_reuse_decision(point: WorldPoint, graph: Graph, schedule) -> None:
-    patch = engine_module.SolverEngine(
-        graph, full_peel_threshold=_ALWAYS_INCREMENTAL, tree_mode="patch"
-    )
-    diff = engine_module.SolverEngine(
-        graph, full_peel_threshold=_ALWAYS_INCREMENTAL, tree_mode="rebuild"
-    )
-    patch.tree()
-    diff.tree()
-    previous = patch.state
-    for i, edge in enumerate(schedule):
-        patch.commit_anchor(edge)
-        diff.commit_anchor(edge)
-        current = patch.state
-        followers = current.followers_relative_to(previous)
-        previous = current
-        from_patch = patch.take_reuse_decision(edge, followers)
-        from_diff = diff.take_reuse_decision(edge, followers)
-        where = f"after commit {i + 1}/{len(schedule)} ({edge!r})"
-        if from_patch is None or from_diff is None:
-            raise InvariantViolation(
-                point,
-                "reuse_decision",
-                f"{where} a single-commit decision came back None "
-                f"(patch={from_patch!r}, diff={from_diff!r})",
+    for threshold in (_ALWAYS_INCREMENTAL, _ALWAYS_FULL_PEEL):
+        engine = engine_module.SolverEngine(graph, full_peel_threshold=threshold)
+        engine.tree()
+        previous = engine.state
+        previous_tree = TrussComponentTree.build(previous)
+        for i, edge in enumerate(schedule):
+            engine.commit_anchor(edge)
+            got = engine.take_reuse_decision()
+            current = engine.state
+            current_tree = TrussComponentTree.build(current)
+            want = compute_reuse_decision_reference(
+                previous_tree, current_tree, edge, current.followers_relative_to(previous)
             )
-        if (
-            from_patch.decision.invalid_node_ids != from_diff.decision.invalid_node_ids
-            or from_patch.decision.invalid_edges != from_diff.decision.invalid_edges
-        ):
-            raise InvariantViolation(
-                point,
-                "reuse_decision",
-                f"{where} the patch-assembled decision differs from the "
-                "before/after tree diff",
+            previous, previous_tree = current, current_tree
+            where = (
+                f"after commit {i + 1}/{len(schedule)} ({edge!r}, "
+                f"full_peel_threshold={threshold})"
             )
-        if from_patch.dirty_eids is None or from_diff.dirty_eids is not None:
-            raise InvariantViolation(
-                point,
-                "reuse_decision",
-                f"{where} dirty_eids contract broken (patch must narrow, "
-                "rebuild must re-examine everything)",
-            )
+            if got is None:
+                raise InvariantViolation(
+                    point,
+                    "reuse_decision",
+                    f"{where} a single-commit decision came back None",
+                )
+            if (
+                got.decision.invalid_node_ids != want.invalid_node_ids
+                or got.decision.invalid_edges != want.invalid_edges
+            ):
+                raise InvariantViolation(
+                    point,
+                    "reuse_decision",
+                    f"{where} the patch-assembled decision differs from the "
+                    "before/after tree diff",
+                )
 
 
 def _check_candidate_heap(point: WorldPoint, graph: Graph) -> None:
@@ -272,9 +270,15 @@ def _check_candidate_heap(point: WorldPoint, graph: Graph) -> None:
     if budget < 1:
         return
     gas = engine_module.get_solver("gas")
-    reference = gas(graph, budget, tree_mode="rebuild", candidates="scan")
-    for tree_mode in ("patch", "rebuild"):
-        run = gas(graph, budget, tree_mode=tree_mode, candidates="heap")
+    reference = gas(
+        graph, budget, candidates="scan", full_peel_threshold=_ALWAYS_INCREMENTAL
+    )
+    for threshold, candidates in (
+        (_ALWAYS_INCREMENTAL, "heap"),
+        (_ALWAYS_FULL_PEEL, "heap"),
+        (_ALWAYS_FULL_PEEL, "scan"),
+    ):
+        run = gas(graph, budget, candidates=candidates, full_peel_threshold=threshold)
         if (
             run.anchors != reference.anchors
             or run.gain != reference.gain
@@ -284,9 +288,9 @@ def _check_candidate_heap(point: WorldPoint, graph: Graph) -> None:
             raise InvariantViolation(
                 point,
                 "candidate_heap",
-                f"gas heap (tree_mode={tree_mode!r}) differs from the full "
-                f"scan: heap gain={run.gain} anchors={run.anchors!r} vs "
-                f"scan gain={reference.gain} anchors={reference.anchors!r}",
+                f"gas {candidates} (full_peel_threshold={threshold}) differs "
+                f"from the full scan: gain={run.gain} anchors={run.anchors!r} "
+                f"vs scan gain={reference.gain} anchors={reference.anchors!r}",
             )
 
 

@@ -33,7 +33,6 @@ from repro.api import (
 )
 from repro.core.engine import SolverEngine, get_solver
 from repro.datasets import load_dataset
-from repro.experiments.config import get_profile
 from repro.graph.generators import community_graph
 
 
@@ -65,8 +64,6 @@ def random_spec(rng: random.Random) -> SolveSpec:
     if rng.random() < 0.3:
         params["weights"] = [rng.random() for _ in range(3)]
     engine = {}
-    if rng.random() < 0.4:
-        engine["tree_mode"] = rng.choice(["patch", "rebuild"])
     if rng.random() < 0.3:
         engine["full_peel_threshold"] = rng.choice([0.1, 0.25, 0.5])
     return SolveSpec(
@@ -108,8 +105,8 @@ class TestSolveSpecRoundTrips:
             spec.canonical_json()
 
     def test_mapping_order_does_not_matter(self):
-        a = SolveSpec(dataset="college", params={"a": 1, "b": 2}, engine={"tree_mode": "patch"})
-        b = SolveSpec(dataset="college", params={"b": 2, "a": 1}, engine={"tree_mode": "patch"})
+        a = SolveSpec(dataset="college", params={"a": 1, "b": 2}, engine={"full_peel_threshold": 0.5})
+        b = SolveSpec(dataset="college", params={"b": 2, "a": 1}, engine={"full_peel_threshold": 0.5})
         assert a == b
         assert hash(a) == hash(b)
         assert a.canonical_json() == b.canonical_json()
@@ -151,7 +148,7 @@ class TestSolveSpecValidation:
         with pytest.raises(SpecError, match="unknown engine option"):
             SolveSpec(dataset="college", engine={"mode": "x"})
         with pytest.raises(SpecError, match="must be a scalar"):
-            SolveSpec(dataset="college", engine={"tree_mode": ["patch"]})
+            SolveSpec(dataset="college", engine={"full_peel_threshold": [0.5]})
 
     def test_budget_and_algorithm_types(self):
         with pytest.raises(SpecError, match="budget"):
@@ -236,42 +233,10 @@ class TestOneIngress:
     def test_engine_rejects_mismatched_engine_options(self):
         from repro.utils.errors import InvalidParameterError
 
-        engine = SolverEngine(small_graph(), tree_mode="patch")
-        spec = SolveSpec(algorithm="gas", budget=1, engine={"tree_mode": "rebuild"})
-        with pytest.raises(InvalidParameterError, match="tree_mode"):
+        engine = SolverEngine(small_graph(), full_peel_threshold=0.25)
+        spec = SolveSpec(algorithm="gas", budget=1, engine={"full_peel_threshold": 0.0})
+        with pytest.raises(InvalidParameterError, match="full_peel_threshold"):
             engine.solve_spec(spec)
-
-    def test_profile_spec_threads_engine_options(self):
-        profile = get_profile("quick")
-        spec = profile.spec("gas", 3, candidates="scan")
-        assert spec == SolveSpec(algorithm="gas", budget=3, params={"candidates": "scan"})
-        from dataclasses import replace
-
-        pinned = replace(profile, engine_options=(("tree_mode", "rebuild"),))
-        assert pinned.spec("gas", 3).engine_map == {"tree_mode": "rebuild"}
-
-    def test_profile_solver_applies_engine_options(self):
-        """The harness seam: profile.solver() must honour engine_options."""
-        from dataclasses import replace
-
-        graph = small_graph(21)
-        profile = get_profile("quick")
-        # full_peel_threshold has a deterministic, observable effect on any
-        # graph: 0.0 forces every evaluation with a non-empty dirty closure
-        # onto the full-peel path, 1.0 keeps every one incremental.
-        forced_full = replace(profile, engine_options=(("full_peel_threshold", 0.0),))
-        full_run = forced_full.solver("base")(graph, 2)
-        assert full_run.extra["engine"]["full_gain_evals"] > 0
-        forced_incremental = replace(
-            profile, engine_options=(("full_peel_threshold", 1.0),)
-        )
-        incremental_run = forced_incremental.solver("base")(graph, 2)
-        assert incremental_run.extra["engine"]["full_gain_evals"] == 0
-        assert incremental_run.extra["engine"]["incremental_gain_evals"] > 0
-        assert incremental_run.anchors == full_run.anchors  # timings-only knob
-        # explicit per-call keywords beat the profile default
-        overridden = forced_full.solver("base")(graph, 2, full_peel_threshold=1.0)
-        assert overridden.extra["engine"]["full_gain_evals"] == 0
 
 
 class TestSession:

@@ -19,6 +19,7 @@ from repro.core.engine import (
     solve,
     solver_table,
 )
+from repro.core.component_tree import TrussComponentTree
 from repro.core.exact import exact_atr
 from repro.core.gas import gas
 from repro.core.greedy import base_greedy, base_plus_greedy
@@ -29,6 +30,7 @@ from repro.oracles import base_greedy_reference, exact_atr_reference
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
+from repro.world.invariants import tree_signature
 
 from tests.conftest import anchor_schedule, random_test_graph
 
@@ -185,8 +187,14 @@ class TestIncrementalRePeeling:
         engine = SolverEngine(fig3_graph)
         tree_a = engine.tree()
         assert engine.tree() is tree_a
+        patches = engine.stats["tree_patches"]
         engine.commit_anchor(fig3_graph.edge_list()[0])
-        assert engine.tree() is not tree_a
+        assert tree_signature(engine.tree()) == tree_signature(
+            TrussComponentTree.build(engine.state)
+        )
+        assert engine.stats["tree_patches"] == patches + 1
+        engine.tree()
+        assert engine.stats["tree_patches"] == patches + 1
 
 
 class TestSolverEquivalence:

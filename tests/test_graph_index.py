@@ -15,6 +15,7 @@ kernel and the oracles agree bit-for-bit:
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.component_tree import TrussComponentTree
+from repro.core.engine import SolverEngine
 from repro.core.followers import (
     compute_followers,
     followers_by_recompute,
@@ -30,7 +32,6 @@ from repro.core.followers import (
 )
 from repro.core.gas import gas
 from repro.core.greedy import base_plus_greedy
-from repro.core.reuse import compute_reuse_decision
 from repro.graph.generators import (
     erdos_renyi_graph,
     paper_figure1_graph,
@@ -296,20 +297,24 @@ class TestReuseDecisionEquivalence:
         anchor = random.Random(seed).choice(edges)
         followers = compute_followers(state, anchor, method="recompute")
         new_state = state.with_anchor(anchor)
-        fast = compute_reuse_decision(
-            TrussComponentTree.build(state),
-            TrussComponentTree.build(new_state),
-            anchor,
-            followers,
-        )
         reference = compute_reuse_decision_reference(
             component_tree_reference(state),
             component_tree_reference(new_state),
             anchor,
             followers,
         )
-        assert fast.invalid_edges == reference.invalid_edges
-        assert fast.invalid_node_ids == reference.invalid_node_ids
+        eid_of = GraphIndex.of(graph).eid_of
+        # Both sides of the full-peel threshold: incremental re-peel, then
+        # the full-peel fallback (any non-empty dirty closure exceeds 0).
+        for threshold in (math.inf, 0.0):
+            engine = SolverEngine(graph, full_peel_threshold=threshold)
+            engine.tree()
+            engine.commit_anchor(anchor)
+            fast = engine.take_reuse_decision()
+            assert fast is not None
+            assert fast.decision.invalid_edges == reference.invalid_edges
+            assert fast.decision.invalid_node_ids == reference.invalid_node_ids
+            assert {eid_of[e] for e in reference.invalid_edges} <= fast.dirty_eids
 
 
 class TestSolverEquivalence:

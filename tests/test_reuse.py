@@ -1,26 +1,36 @@
-"""Tests for the follower-reuse bookkeeping (Algorithm 5 / Lemma 5)."""
+"""Tests for the follower-reuse bookkeeping (Algorithm 5 / Lemma 5): the
+decision the engine assembles from its tree patch
+(:meth:`SolverEngine.take_reuse_decision`) after one committed anchor."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.component_tree import TrussComponentTree
+from repro.core.engine import SolverEngine
 from repro.core.followers import followers_support_check
-from repro.core.reuse import ReuseDecision, ReuseStats, classify_reuse, compute_reuse_decision
+from repro.core.reuse import ReuseDecision, ReuseStats, classify_reuse
 from repro.truss.state import TrussState
 
 from tests.conftest import random_test_graph
+
+
+def _commit_and_decide(graph, anchor):
+    """``(new_tree, decision)`` of committing ``anchor`` on a fresh engine."""
+    engine = SolverEngine(graph)
+    engine.tree()
+    engine.commit_anchor(anchor)
+    invalidation = engine.take_reuse_decision()
+    assert invalidation is not None
+    return engine.tree(), invalidation.decision
 
 
 def _decision_after_anchoring(graph, anchor):
     state = TrussState.compute(graph)
     tree = TrussComponentTree.build(state)
     followers = followers_support_check(state, anchor)
-    new_state = state.with_anchor(anchor)
-    new_tree = TrussComponentTree.build(new_state)
-    return state, tree, new_state, new_tree, followers, compute_reuse_decision(
-        tree, new_tree, anchor, followers
-    )
+    new_tree, decision = _commit_and_decide(graph, anchor)
+    return state, tree, new_tree.state, new_tree, followers, decision
 
 
 class TestDecisionOnFigure3:
@@ -83,9 +93,9 @@ class TestReuseSoundness:
         anchor = max(cache, key=lambda e: (sum(len(v) for v in cache[e].values()), -graph.edge_id(e)))
         followers_of_anchor = set().union(*cache[anchor].values()) if cache[anchor] else set()
 
-        new_state = state.with_anchor(anchor)
-        new_tree = TrussComponentTree.build(new_state)
-        decision = compute_reuse_decision(tree, new_tree, anchor, followers_of_anchor)
+        new_tree, decision = _commit_and_decide(graph, anchor)
+        new_state = new_tree.state
+        assert new_state.followers_relative_to(state) == followers_of_anchor
 
         for edge in new_state.non_anchor_edges():
             if edge in decision.invalid_edges:

@@ -72,7 +72,7 @@ class TestProtocol:
             algorithm="base",
             budget=2,
             params={"candidate_pool": "scan"},
-            engine={"tree_mode": "rebuild"},
+            engine={"full_peel_threshold": 0.0},
         )
         parsed = parse_request_line(json.dumps(request.to_dict()))
         assert parsed == request
@@ -82,14 +82,20 @@ class TestProtocol:
             parse_request_line('{"dataset": "college", "budgett": 3}')
 
     def test_unknown_engine_option_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown engine option"):
-            parse_request_line('{"dataset": "college", "engine": {"mode": "x"}}')
+        for line in (
+            '{"dataset": "college", "engine": {"mode": "x"}}',
+            '{"dataset": "college", "engine": {"tree_mode": "rebuild"}}',
+        ):
+            with pytest.raises(
+                ProtocolError, match="unknown engine option.*accepted: full_peel_threshold$"
+            ):
+                parse_request_line(line)
 
     def test_engine_option_value_must_be_scalar(self):
         # A non-scalar value would make the session cache key unhashable.
         with pytest.raises(ProtocolError, match="must be a scalar"):
             parse_request_line(
-                '{"dataset": "college", "engine": {"tree_mode": ["patch"]}}'
+                '{"dataset": "college", "engine": {"full_peel_threshold": [0.5]}}'
             )
 
     def test_graph_source_values_must_be_strings(self):
@@ -254,19 +260,20 @@ class TestSolveService:
         a = SolveSpec(request_id="a", edges=edges, algorithm="gas", budget=2)
         b = SolveSpec(
             request_id="b", edges=edges, algorithm="gas", budget=2,
-            engine={"tree_mode": "rebuild"},
+            engine={"full_peel_threshold": 0.0},
         )
         with SolveService(workers=1) as service:
             first = service.solve(a)
             second = service.solve(b)
             assert service.sessions.stats()["size"] == 2
-        # Different engine modes, identical results.  Only the tree counter
-        # differs: tree_mode="rebuild" counts its first build, which patch
-        # mode takes from the session's baseline tree.
-        patch_engine = first.result["extra"]["engine"]
-        rebuild_engine = second.result["extra"]["engine"]
-        assert rebuild_engine["tree_rebuilds"] == patch_engine["tree_rebuilds"] + 1
-        rebuild_engine["tree_rebuilds"] = patch_engine["tree_rebuilds"]
+        # Different thresholds, identical results.  Only the re-peel
+        # counters differ; both engines patch every commit into their tree.
+        default_engine = first.result["extra"].pop("engine")
+        fallback_engine = second.result["extra"].pop("engine")
+        assert fallback_engine["full_peels"] > 0
+        for stats in (default_engine, fallback_engine):
+            assert stats["tree_rebuilds"] == 0
+            assert stats["tree_patches"] == stats["incremental_peels"] + stats["full_peels"]
         assert canonical_json(first.result) == canonical_json(second.result)
 
     def test_errors_become_responses(self):
@@ -524,7 +531,7 @@ class TestBatching:
         b = SolveSpec(request_id="2", dataset="facebook")
         c = SolveSpec(request_id="3", dataset="college")
         d = SolveSpec(
-            request_id="4", dataset="college", engine={"tree_mode": "rebuild"}
+            request_id="4", dataset="college", engine={"full_peel_threshold": 0.0}
         )
         assert group_requests([a, b, c, d]) == [[0, 2], [1], [3]]
 

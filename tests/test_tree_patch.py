@@ -1,9 +1,11 @@
 """Tests for the incremental component-tree maintenance and the GAS
 candidate heap (PR 3): the patched tree must be structurally identical to a
-from-scratch rebuild after every commit, the patch-assembled reuse decision
-must equal the classic before/after tree diff, and the heap strategy must be
-byte-identical to the full scan — including reuse statistics and recompute
-counts — on randomized anchored graphs with both paths forced.
+from-scratch rebuild after every commit, full-peel fallbacks included, the
+patch-assembled reuse decision must equal the before/after tree diff of
+:func:`repro.oracles.compute_reuse_decision_reference`, and the heap
+strategy must be byte-identical to the full scan — including reuse
+statistics and recompute counts — on randomized anchored graphs with both
+re-peel paths forced.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import random
 import pytest
 
 from repro.api import canonical_result, result_to_json
+from repro.core import engine as engine_module
 from repro.core.component_tree import TrussComponentTree
 from repro.core.engine import SolverEngine, get_solver
 from repro.graph.graph import Graph
-from repro.oracles import component_tree_reference
+from repro.oracles import component_tree_reference, compute_reuse_decision_reference
 from repro.utils.errors import InvalidParameterError
 from repro.world.invariants import tree_signature
 
@@ -26,6 +29,8 @@ from tests.conftest import anchor_schedule, random_test_graph
 
 #: Force the incremental re-peel (the closure can never exceed this).
 ALWAYS_INCREMENTAL = math.inf
+#: Force the full-peel fallback for every commit with a non-empty closure.
+ALWAYS_FULL_PEEL = 0.0
 
 
 def _double_k4_graph() -> Graph:
@@ -93,17 +98,62 @@ class TestTreePatchEquivalence:
         # The baseline tree is a session asset: every commit was a patch.
         assert engine.stats["tree_rebuilds"] == 0
 
-    def test_rebuild_mode_never_patches(self, fig3_graph):
-        engine = SolverEngine(fig3_graph, tree_mode="rebuild")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_peel_fallbacks_are_patched(self, seed):
+        """A commit that fell back to a full peel is patched like any other:
+        no tree is rebuilt, and tree and decision match the oracles."""
+        graph = random_test_graph(seed + 14000, min_n=10, max_n=24)
+        if graph.num_edges < 8:
+            pytest.skip("graph too small")
+        engine = SolverEngine(graph, full_peel_threshold=ALWAYS_FULL_PEEL)
         engine.tree()
-        engine.commit_anchor(fig3_graph.edge_list()[0])
-        engine.tree()
-        assert engine.stats["tree_patches"] == 0
-        assert engine.stats["tree_rebuilds"] == 2
+        previous = engine.state
+        previous_tree = component_tree_reference(previous)
+        for edge in anchor_schedule(graph, seed, length=6):
+            engine.commit_anchor(edge)
+            invalidation = engine.take_reuse_decision()
+            current = engine.state
+            current_tree = component_tree_reference(current)
+            assert tree_signature(engine.tree()) == tree_signature(current_tree)
+            want = compute_reuse_decision_reference(
+                previous_tree, current_tree, edge, current.followers_relative_to(previous)
+            )
+            previous, previous_tree = current, current_tree
+            assert invalidation is not None
+            assert invalidation.decision.invalid_node_ids == want.invalid_node_ids
+            assert invalidation.decision.invalid_edges == want.invalid_edges
+            eid_of = engine.index.eid_of
+            assert {eid_of[e] for e in want.invalid_edges} <= invalidation.dirty_eids
+        stats = engine.stats
+        assert stats["full_peels"] > 0
+        assert stats["tree_rebuilds"] == 0
+        assert stats["tree_patches"] == stats["incremental_peels"] + stats["full_peels"]
 
-    def test_unknown_tree_mode_rejected(self, fig3_graph):
-        with pytest.raises(InvalidParameterError):
-            SolverEngine(fig3_graph, tree_mode="incremental-ish")
+    def test_chain_read_before_the_tree_is_built_once(self, two_communities):
+        """A chain that materialised before the solve's first tree() call
+        kept no states to patch with: tree() builds it once (counted), later
+        commits patch that solve-local tree, and reset() returns to the
+        untouched baseline tree."""
+        engine = SolverEngine(two_communities, full_peel_threshold=ALWAYS_INCREMENTAL)
+        baseline = engine.tree()
+        fresh = tree_signature(baseline)
+        engine.reset()
+        chain = anchor_schedule(two_communities, 5, length=3)
+        engine.commit_anchor(chain[0])
+        engine.state  # materialised before the tree is asked for
+        tree = engine.tree()
+        assert tree is not baseline
+        assert engine.stats["tree_rebuilds"] == 1
+        for edge in chain[1:]:
+            engine.commit_anchor(edge)
+            assert engine.take_reuse_decision() is not None
+            assert tree_signature(engine.tree()) == tree_signature(
+                TrussComponentTree.build(engine.state)
+            )
+        assert engine.stats["tree_patches"] == len(chain) - 1
+        assert tree_signature(baseline) == fresh
+        engine.reset()
+        assert engine.tree() is baseline
 
     def test_patch_requires_kernel_tree(self, fig3_graph):
         engine = SolverEngine(fig3_graph, full_peel_threshold=ALWAYS_INCREMENTAL)
@@ -174,8 +224,7 @@ class TestTreePatchEdgeCases:
 
         heap_run = get_solver("gas")(graph, 2, initial_anchors=[pendant])
         scan_run = get_solver("gas")(
-            graph, 2, initial_anchors=[pendant],
-            tree_mode="rebuild", candidates="scan",
+            graph, 2, initial_anchors=[pendant], candidates="scan",
         )
         assert heap_run.anchors == scan_run.anchors
         assert heap_run.gain == scan_run.gain
@@ -184,9 +233,8 @@ class TestTreePatchEdgeCases:
         # no candidate at all.
         engine.tree()  # take_reuse_decision needs a pre-commit tree to patch
         engine.commit_anchor(pendant)
-        invalidation = engine.take_reuse_decision(pendant, set())
+        invalidation = engine.take_reuse_decision()
         assert invalidation is not None
-        assert invalidation.dirty_eids is not None
         non_anchor_dirty = {
             eid for eid in invalidation.dirty_eids
             if not engine.state.kernel_views()[3][eid]
@@ -195,74 +243,55 @@ class TestTreePatchEdgeCases:
 
 
 class TestAssembledDecision:
-    """The patch-assembled reuse decision equals the before/after tree diff."""
+    """The patch-assembled reuse decision equals the before/after tree diff
+    of the oracle, on both sides of the full-peel threshold."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_tree_diff(self, seed):
         graph = random_test_graph(seed + 15000, min_n=10, max_n=24)
         if graph.num_edges < 8:
             pytest.skip("graph too small")
-        patch = SolverEngine(
-            graph, full_peel_threshold=ALWAYS_INCREMENTAL, tree_mode="patch"
-        )
-        diff = SolverEngine(
-            graph, full_peel_threshold=ALWAYS_INCREMENTAL, tree_mode="rebuild"
-        )
-        patch.tree()
-        diff.tree()
-        previous = patch.state
-        for edge in anchor_schedule(graph, seed, length=5):
-            patch.commit_anchor(edge)
-            diff.commit_anchor(edge)
-            current = patch.state
-            followers = current.followers_relative_to(previous)
-            previous = current
-            from_patch = patch.take_reuse_decision(edge, followers)
-            from_diff = diff.take_reuse_decision(edge, followers)
-            assert from_patch is not None and from_diff is not None
-            assert (
-                from_patch.decision.invalid_node_ids
-                == from_diff.decision.invalid_node_ids
-            )
-            assert from_patch.decision.invalid_edges == from_diff.decision.invalid_edges
-            assert from_patch.dirty_eids is not None  # patched: narrow closure
-            assert from_diff.dirty_eids is None  # rebuilt: re-examine everything
+        for threshold in (ALWAYS_INCREMENTAL, ALWAYS_FULL_PEEL):
+            engine = SolverEngine(graph, full_peel_threshold=threshold)
+            engine.tree()
+            previous = engine.state
+            for edge in anchor_schedule(graph, seed, length=5):
+                engine.commit_anchor(edge)
+                invalidation = engine.take_reuse_decision()
+                current = engine.state
+                want = compute_reuse_decision_reference(
+                    component_tree_reference(previous),
+                    component_tree_reference(current),
+                    edge,
+                    current.followers_relative_to(previous),
+                )
+                previous = current
+                assert invalidation is not None
+                assert invalidation.decision.invalid_node_ids == want.invalid_node_ids
+                assert invalidation.decision.invalid_edges == want.invalid_edges
 
 
 class TestInvalidationLogHygiene:
-    def test_multi_commit_rebuild_is_conservative(self):
-        """A rebuild that absorbed several commits cannot attribute steps
-        2-3 of the reuse rule to one anchor — the decision must be None."""
+    def test_undrained_log_does_not_pin_old_trees(self, monkeypatch):
+        """tree() across commits without take_reuse_decision() drops the log
+        once it outgrows its limit instead of accumulating entries."""
+        monkeypatch.setattr(engine_module, "_INVALIDATION_LOG_LIMIT", 2)
         graph = random_test_graph(555, min_n=12, max_n=18)
-        engine = SolverEngine(graph, tree_mode="rebuild")
-        engine.tree()
-        edges = graph.edge_list()
-        engine.commit_anchor(edges[0])
-        engine.commit_anchor(edges[3])
-        assert engine.take_reuse_decision(edges[3], set()) is None
-        engine.commit_anchor(edges[5])  # single commit: exact diff again
-        invalidation = engine.take_reuse_decision(edges[5], set())
-        assert invalidation is not None
-        assert invalidation.dirty_eids is None
-
-    def test_undrained_log_does_not_pin_old_trees(self):
-        """tree() across commits without take_reuse_decision() collapses the
-        log to a stale marker instead of accumulating whole trees."""
-        graph = random_test_graph(555, min_n=12, max_n=18)
-        engine = SolverEngine(graph, tree_mode="rebuild")
+        engine = SolverEngine(graph, full_peel_threshold=ALWAYS_INCREMENTAL)
         engine.tree()
         for edge in graph.edge_list()[:6]:
             engine.commit_anchor(edge)
             engine.tree()
-        assert engine._invalidation_log == [("stale", None, None)]
-        # the stale marker yields the conservative answer
-        assert engine.take_reuse_decision(graph.edge_list()[5], set()) is None
+        assert engine.stats["tree_patches"] == 6
+        assert engine._invalidation_log is None
+        # the dropped log yields the conservative answer
+        assert engine.take_reuse_decision() is None
 
 
 class TestHeapScanEquivalence:
-    """candidates='heap' is byte-identical to candidates='scan' across tree
-    modes and fallback thresholds — anchors, gains, followers, reuse stats
-    and recompute counts."""
+    """candidates='heap' is byte-identical to candidates='scan' across
+    fallback thresholds — anchors, gains, followers, reuse stats and
+    recompute counts."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("threshold", [ALWAYS_INCREMENTAL, 0.0, None])
@@ -275,24 +304,18 @@ class TestHeapScanEquivalence:
         kwargs = {} if threshold is None else {"full_peel_threshold": threshold}
         spec = get_solver("gas")
         reference = spec(
-            graph, 4, initial_anchors=initial,
-            tree_mode="rebuild", candidates="scan", **kwargs,
+            graph, 4, initial_anchors=initial, candidates="scan", **kwargs,
         )
-        for tree_mode in ("patch", "rebuild"):
-            for candidates in ("heap", "scan"):
-                run = spec(
-                    graph, 4, initial_anchors=initial,
-                    tree_mode=tree_mode, candidates=candidates, **kwargs,
-                )
-                assert run.anchors == reference.anchors
-                assert run.gain == reference.gain
-                assert run.per_round_gain == reference.per_round_gain
-                assert run.followers == reference.followers
-                assert (
-                    run.extra["recomputed_entries_per_round"]
-                    == reference.extra["recomputed_entries_per_round"]
-                )
-                assert run.extra["reuse_stats"] == reference.extra["reuse_stats"]
+        run = spec(graph, 4, initial_anchors=initial, candidates="heap", **kwargs)
+        assert run.anchors == reference.anchors
+        assert run.gain == reference.gain
+        assert run.per_round_gain == reference.per_round_gain
+        assert run.followers == reference.followers
+        assert (
+            run.extra["recomputed_entries_per_round"]
+            == reference.extra["recomputed_entries_per_round"]
+        )
+        assert run.extra["reuse_stats"] == reference.extra["reuse_stats"]
 
     def test_heap_strategy_is_the_default(self, two_communities):
         result = get_solver("gas")(two_communities, 3)
@@ -305,10 +328,7 @@ class TestHeapScanEquivalence:
 
     def test_peel_method_through_heap(self, two_communities):
         a = get_solver("gas")(two_communities, 3, method="peel")
-        b = get_solver("gas")(
-            two_communities, 3, method="peel",
-            tree_mode="rebuild", candidates="scan",
-        )
+        b = get_solver("gas")(two_communities, 3, method="peel", candidates="scan")
         assert a.anchors == b.anchors
         assert a.gain == b.gain
 
@@ -341,8 +361,8 @@ class TestWarmSessionRollback:
         initial = anchor_schedule(graph, seed, length=2) if case == "initial_anchors" else []
         budget = 4
         if case == "fallback":
-            # The first commit patches the baseline tree; every later one
-            # falls back to a full peel and a solve-local rebuild.
+            # The first commit is re-peeled incrementally; every later one
+            # falls back to a full peel.  All of them patch the baseline.
             advance = engine._advance
 
             def advance_then_fall_back(state, anchor):
@@ -393,4 +413,4 @@ class TestWarmSessionRollback:
         engine.solve("base+", 3)
         engine.state  # materialise the whole chain
         assert len(engine._deltas) == 3
-        assert all(d is None or d.state_after is None for d in engine._deltas)
+        assert all(d.state_after is None for d in engine._deltas)

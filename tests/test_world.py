@@ -372,3 +372,31 @@ class TestMutationCaught:
             code = cli_main(["world", "--replay", violation.point.spec()])
         assert code == 1
         assert replay_command(violation.point) in capsys.readouterr().err
+
+    def test_fallback_delta_without_layer_moves_is_caught(self, capsys):
+        # Mutation: a full-peel fallback's delta lists only the anchor and
+        # its followers as changed, missing every edge whose layer moved, so
+        # the patch-assembled decision keeps cache entries it must drop.
+        real = engine_module._fallback_delta
+
+        def without_layer_moves(state, new_state, anchor_eid):
+            delta = real(state, new_state, anchor_eid)
+            delta.changed_eids = frozenset(delta.follower_eids) | {anchor_eid}
+            return delta
+
+        violation = None
+        with mock.patch.object(engine_module, "_fallback_delta", without_layer_moves):
+            for point in TIER1_POINTS:
+                try:
+                    check_world_point(point, invariants=("reuse_decision",))
+                except InvariantViolation as caught:
+                    violation = caught
+                    break
+        assert violation is not None, "fallback delta without layer moves never tripped the rig"
+        assert violation.invariant == "reuse_decision"
+        assert "full_peel_threshold=0.0" in violation.detail
+        assert replay_command(violation.point) in str(violation)
+        with mock.patch.object(engine_module, "_fallback_delta", without_layer_moves):
+            code = cli_main(["world", "--replay", violation.point.spec()])
+        assert code == 1
+        assert replay_command(violation.point) in capsys.readouterr().err
