@@ -38,7 +38,7 @@ def main() -> None:
     tree = TrussComponentTree.build(state)
     print(f"\nTruss component tree: {len(tree)} nodes")
     for node_id, node in sorted(tree.nodes.items()):
-        print(f"  node {node_id}: k={node.k}, {len(node.edges)} edges, parent={node.parent}")
+        print(f"  node {node_id}: k={node.k}, {len(node)} edges, parent={node.parent}")
 
     # 4. Full GAS run with a budget of two anchor edges.
     result = gas(graph, budget=2)

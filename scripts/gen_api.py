@@ -336,11 +336,10 @@ METHOD_ALLOWLIST = {
         "rollback",
         "node_of",
         "sla",
-        "sla_map",
         "subtree_edges",
         "subtree_node_ids",
     ],
-    "GraphIndex": ["of", "from_csr", "edge_support", "triangle_tuples", "neighbors_csr"],
+    "GraphIndex": ["of", "from_csr", "edge_support", "neighbors_csr"],
     "CSRArrays": ["hit_bases"],
     "TrussState": [
         "compute",

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.graph import Edge, normalize_edge
 from repro.graph.index import GraphIndex
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
@@ -83,20 +83,19 @@ class TreeNode:
     """One node of the truss component tree.
 
     Attributes map one-to-one onto the paper's notation (Table II):
-    ``node_id`` is ``TN.I``, ``k`` is ``TN.K``, ``edges`` is ``TN.E``,
+    ``node_id`` is ``TN.I``, ``k`` is ``TN.K``, ``edge_ids`` is ``TN.E`` as
+    dense edge ids of the state's index (``index.edge_of`` names them),
     ``parent`` is ``TN.P`` (as a node id) and ``children`` is ``TN.C``.
-    ``edge_ids`` carries the same edge set as dense kernel ids.
     """
 
     node_id: int
     k: int
-    edges: FrozenSet[Edge]
+    edge_ids: FrozenSet[int]
     parent: Optional[int] = None
     children: List[int] = field(default_factory=list)
-    edge_ids: FrozenSet[int] = frozenset()
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ids)
 
 
 class _TreeJournal:
@@ -114,10 +113,10 @@ class _TreeJournal:
     def __init__(self) -> None:
         #: node id -> the node object under that key, or ``_ABSENT``
         self.nodes: Dict[int, object] = {}
-        #: ``id(node)`` -> (node, node_id, parent, children copy, edges, edge_ids)
+        #: ``id(node)`` -> (node, node_id, parent, children copy, edge_ids)
         self.fields: Dict[int, tuple] = {}
-        #: eid -> (``node_of_eid`` value, ``node_of_edge`` value or ``_ABSENT``)
-        self.eids: Dict[int, Tuple[int, object]] = {}
+        #: eid -> its ``node_of_eid`` value
+        self.eids: Dict[int, int] = {}
         #: eid -> copy of its ``sla`` set (``None`` for no set)
         self.sla: Dict[int, Optional[Set[int]]] = {}
         #: node id -> copy of its reverse-``sla`` entry, or ``_ABSENT``
@@ -137,25 +136,28 @@ class TrussComponentTree:
     test-suite.  A journalled tree (:meth:`start_journal`) records what its
     patches change and :meth:`rollback` restores it; the rolled-back tree
     is asserted identical to a fresh build.
+
+    Membership lives in the dense-id domain only: ``node_of_eid`` maps each
+    edge id to its node (:data:`ANCHOR_NODE` for anchors) and ``sla_sets``
+    holds each edge id's ``sla`` set (``None`` for an empty one).
+    :meth:`node_of`, :meth:`sla` and :meth:`subtree_edges` are the
+    edge-tuple views, named through the state's index.
     """
 
     def __init__(
         self,
         nodes: Dict[int, TreeNode],
-        node_of_edge: Dict[Edge, int],
         state: TrussState,
-        sla_sets: Optional[List[Optional[Set[int]]]] = None,
-        node_of_eid: Optional[List[int]] = None,
+        sla_sets: List[Optional[Set[int]]],
+        node_of_eid: List[int],
     ) -> None:
         self.nodes = nodes
-        self.node_of_edge = node_of_edge
         self.state = state
         # Parentless node ids, derived on read (see :attr:`roots`).
         self._roots: Optional[List[int]] = None
-        # Per-dense-edge-id precomputed sla sets (None for oracle-built
-        # trees, which fall back to the per-edge computation).
+        # Per-dense-edge-id sla sets (None for an empty one).
         self._sla_sets = sla_sets
-        # Dense eid -> node id (-1 for anchors), kernel-built trees only.
+        # Dense eid -> node id (ANCHOR_NODE for anchors).
         self._node_of_eid = node_of_eid
         # Reverse sla index (node id -> eids whose sla contains it), built
         # lazily on the first incremental patch / heap invalidation.
@@ -184,7 +186,6 @@ class TrussComponentTree:
         """
         index, trussness_of, _layer_of, anchor_mask = state.kernel_views()
         m = index.num_edges
-        edge_of = index.edge_of
         stable_ids = index.stable_ids
 
         # Edges grouped by trussness; triangles grouped by the level at which
@@ -235,7 +236,7 @@ class TrussComponentTree:
             union(e1, e3)
 
         nodes: Dict[int, TreeNode] = {}
-        node_of_edge: Dict[Edge, int] = {}
+        node_of_eid = [ANCHOR_NODE] * m
 
         for k in sorted(edges_by_level, reverse=True):
             for e1, e2, e3 in tris_by_level.get(k, ()):
@@ -246,18 +247,11 @@ class TrussComponentTree:
             for eid in edges_by_level[k]:
                 components.setdefault(find(eid), []).append(eid)
 
-            edge_lookup = edge_of.__getitem__
             for root, level_ids in components.items():
                 # level_ids is ascending (edges_by_level preserves eid order),
                 # so the smallest public edge id is the first entry's.
                 node_id = stable_ids[level_ids[0]]
-                level_edges = frozenset(map(edge_lookup, level_ids))
-                node = TreeNode(
-                    node_id=node_id,
-                    k=k,
-                    edges=level_edges,
-                    edge_ids=frozenset(level_ids),
-                )
+                node = TreeNode(node_id=node_id, k=k, edge_ids=frozenset(level_ids))
                 nodes[node_id] = node
                 unclaimed = orphans.get(root)
                 if unclaimed:
@@ -269,22 +263,10 @@ class TrussComponentTree:
                 else:
                     orphans[root] = [node_id]
                 for eid in level_ids:
-                    node_of_edge[edge_of[eid]] = node_id
-
-        node_of_eid = [-1] * m
-        for node in nodes.values():
-            nid = node.node_id
-            for eid in node.edge_ids:
-                node_of_eid[eid] = nid
+                    node_of_eid[eid] = node_id
 
         sla_sets = cls._precompute_sla(index, trussness_of, anchor_mask, node_of_eid)
-        return cls(
-            nodes=nodes,
-            node_of_edge=node_of_edge,
-            state=state,
-            sla_sets=sla_sets,
-            node_of_eid=node_of_eid,
-        )
+        return cls(nodes=nodes, state=state, sla_sets=sla_sets, node_of_eid=node_of_eid)
 
     @staticmethod
     def _precompute_sla(
@@ -337,13 +319,8 @@ class TrussComponentTree:
 
         The engine journals its session's baseline tree: a solve patches it
         in place and the next :meth:`~repro.core.engine.SolverEngine.reset`
-        rolls it back instead of rebuilding the tree.  Only kernel-built
-        trees (:meth:`build`) can be patched, so only they can be journalled.
+        rolls it back instead of rebuilding the tree.
         """
-        if self._node_of_eid is None or self._sla_sets is None:
-            raise InvalidParameterError(
-                "start_journal requires a kernel-built tree (TrussComponentTree.build)"
-            )
         if self._journal is None:
             self._journal = _TreeJournal()
 
@@ -367,11 +344,10 @@ class TrussComponentTree:
         self._roots = None
 
     def _restore_nodes(self, journal: _TreeJournal) -> None:
-        for node, node_id, parent, children, edges, edge_ids in journal.fields.values():
+        for node, node_id, parent, children, edge_ids in journal.fields.values():
             node.node_id = node_id
             node.parent = parent
             node.children = children
-            node.edges = edges
             node.edge_ids = edge_ids
         nodes = self.nodes
         for node_id, node in journal.nodes.items():
@@ -382,19 +358,11 @@ class TrussComponentTree:
 
     def _restore_memberships(self, journal: _TreeJournal) -> None:
         node_of_eid = self._node_of_eid
-        assert node_of_eid is not None
-        node_of_edge = self.node_of_edge
-        edge_of = self.state.index.edge_of
-        for eid, (node_id, edge_node_id) in journal.eids.items():
+        for eid, node_id in journal.eids.items():
             node_of_eid[eid] = node_id
-            if edge_node_id is _ABSENT:
-                node_of_edge.pop(edge_of[eid], None)
-            else:
-                node_of_edge[edge_of[eid]] = edge_node_id  # type: ignore[assignment]
 
     def _restore_sla(self, journal: _TreeJournal) -> None:
         sla_sets = self._sla_sets
-        assert sla_sets is not None
         for eid, entry in journal.sla.items():
             sla_sets[eid] = entry
         ref = self._sla_ref
@@ -411,8 +379,7 @@ class TrussComponentTree:
         journal = self._journal
         if journal is not None and id(node) not in journal.fields:
             journal.fields[id(node)] = (
-                node, node.node_id, node.parent, list(node.children),
-                node.edges, node.edge_ids,
+                node, node.node_id, node.parent, list(node.children), node.edge_ids,
             )
 
     def _save_key(self, node_id: int) -> None:
@@ -426,12 +393,9 @@ class TrussComponentTree:
             return
         saved = journal.eids
         node_of_eid = self._node_of_eid
-        assert node_of_eid is not None
-        node_of_edge = self.node_of_edge
-        edge_of = self.state.index.edge_of
         for eid in eids:
             if eid not in saved:
-                saved[eid] = (node_of_eid[eid], node_of_edge.get(edge_of[eid], _ABSENT))
+                saved[eid] = node_of_eid[eid]
 
     def _save_sla(self, eids: Iterable[int]) -> None:
         journal = self._journal
@@ -439,7 +403,6 @@ class TrussComponentTree:
             return
         saved = journal.sla
         sla_sets = self._sla_sets
-        assert sla_sets is not None
         for eid in eids:
             if eid not in saved:
                 entry = sla_sets[eid]
@@ -465,7 +428,6 @@ class TrussComponentTree:
         ref = self._sla_ref
         if ref is None:
             ref = {}
-            assert self._sla_sets is not None
             for eid, entry in enumerate(self._sla_sets):
                 if entry:
                     for node_id in entry:
@@ -503,7 +465,6 @@ class TrussComponentTree:
         refs = ref.pop(old_id, None)
         if not refs:
             return
-        assert self._sla_sets is not None
         self._save_refs((new_id,))
         self._save_sla(refs)
         for eid in refs:
@@ -547,13 +508,9 @@ class TrussComponentTree:
             self._save_node(child)
             child.parent = new_id
         node_of_eid = self._node_of_eid
-        node_of_edge = self.node_of_edge
-        assert node_of_eid is not None
         self._save_eids(node.edge_ids)
         for eid in node.edge_ids:
             node_of_eid[eid] = new_id
-        for edge in node.edges:
-            node_of_edge[edge] = new_id
         self._rekey_sla_refs(old_id, new_id, sla_dirty)
 
     def _merge_nodes(
@@ -587,7 +544,6 @@ class TrussComponentTree:
                 self._save_node(parent)
                 parent.children.remove(drop_id)
         self._save_node(keep)
-        keep.edges |= drop.edges
         keep.edge_ids |= drop.edge_ids
         for child_id in drop.children:
             child = nodes[child_id]
@@ -595,13 +551,9 @@ class TrussComponentTree:
             child.parent = keep_id
         keep.children.extend(drop.children)
         node_of_eid = self._node_of_eid
-        node_of_edge = self.node_of_edge
-        assert node_of_eid is not None
         self._save_eids(drop.edge_ids)
         for eid in drop.edge_ids:
             node_of_eid[eid] = keep_id
-        for edge in drop.edges:
-            node_of_edge[edge] = keep_id
         self._rekey_sla_refs(drop_id, keep_id, sla_dirty)
         return keep_id
 
@@ -690,10 +642,8 @@ class TrussComponentTree:
 
     def _top_at(self, eid: int, level: int) -> int:
         """Topmost ancestor (node id) of ``eid``'s node with ``k >= level``."""
-        node_of_eid = self._node_of_eid
-        assert node_of_eid is not None
         nodes = self.nodes
-        nid = node_of_eid[eid]
+        nid = self._node_of_eid[eid]
         while True:
             parent = nodes[nid].parent
             if parent is None or nodes[parent].k < level:
@@ -720,7 +670,6 @@ class TrussComponentTree:
         """
         tri = index.edge_triangles
         node_of_eid = self._node_of_eid
-        assert node_of_eid is not None
         tops: Set[int] = set()
         seen_anchors: Set[int] = {seed_eid}
         stack: List[int] = [seed_eid]
@@ -757,9 +706,7 @@ class TrussComponentTree:
         sla_dirty: Set[int],
     ) -> None:
         """Recompute ``sla(eid)`` from scratch and sync the reverse index."""
-        assert self._sla_sets is not None
         node_of_eid = self._node_of_eid
-        assert node_of_eid is not None
         threshold = new_truss[eid]
         fresh: Set[int] = set()
         for a, b, _w in index.edge_triangles[eid]:
@@ -816,15 +763,9 @@ class TrussComponentTree:
         :func:`repro.oracles.compute_reuse_decision_reference` on randomized
         graphs.
         """
-        if self._node_of_eid is None or self._sla_sets is None:
-            raise InvalidParameterError(
-                "apply_commit requires a kernel-built tree (TrussComponentTree.build)"
-            )
         index, new_truss, _new_layer, new_mask = new_state.kernel_views()
         nodes = self.nodes
         node_of_eid = self._node_of_eid
-        node_of_edge = self.node_of_edge
-        edge_of = index.edge_of
         stable_ids = index.stable_ids
         anchor_eid = delta.anchor_eid
         followers = delta.follower_eids
@@ -860,7 +801,6 @@ class TrussComponentTree:
             remaining = node.edge_ids - frozenset(leaving)
             self._save_eids(leaving)
             for eid in leaving:
-                node_of_edge.pop(edge_of[eid], None)
                 node_of_eid[eid] = _PENDING_NODE
             if not remaining:
                 parent_id = node.parent
@@ -888,7 +828,6 @@ class TrussComponentTree:
             else:
                 self._save_node(node)
                 node.edge_ids = remaining
-                node.edges = node.edges - frozenset(edge_of[eid] for eid in leaving)
                 new_id = stable_ids[min(remaining)]
                 if new_id != nid:
                     self._rename_node(nid, new_id, touched, sla_dirty, forward)
@@ -911,9 +850,7 @@ class TrussComponentTree:
                     touched.add(target)
                     self._save_node(node)
                     node.edge_ids |= frozenset((f,))
-                    node.edges |= frozenset((edge_of[f],))
                     node_of_eid[f] = target
-                    node_of_edge[edge_of[f]] = target
                     new_id = stable_ids[f]
                     if new_id < target:
                         self._rename_node(target, new_id, touched, sla_dirty, forward)
@@ -930,14 +867,10 @@ class TrussComponentTree:
                     target = stable_ids[f]
                     self._save_key(target)
                     nodes[target] = TreeNode(
-                        node_id=target,
-                        k=level,
-                        edges=frozenset((edge_of[f],)),
-                        edge_ids=frozenset((f,)),
+                        node_id=target, k=level, edge_ids=frozenset((f,))
                     )
                     touched.add(target)
                     node_of_eid[f] = target
-                    node_of_edge[edge_of[f]] = target
                     self._zip_chains(target, None, base, touched, sla_dirty, forward)
                 self._absorb_higher_tops(target, higher_tops, touched, sla_dirty, forward)
 
@@ -1032,12 +965,16 @@ class TrussComponentTree:
     # Queries
     # ------------------------------------------------------------------
     def node_of(self, edge: Edge) -> TreeNode:
-        """The tree node containing ``edge`` (``T[e]`` in the paper)."""
+        """The tree node containing ``edge`` (``T[e]`` in the paper).
+
+        Raises :class:`InvalidEdgeError` for an edge of no node: one that is
+        not in the graph, or an anchor.
+        """
         edge = normalize_edge(*edge)
-        try:
-            return self.nodes[self.node_of_edge[edge]]
-        except KeyError as exc:
-            raise InvalidEdgeError(edge, f"edge {edge!r} is not assigned to any tree node") from exc
+        eid = self.state.index.eid_of.get(edge)
+        if eid is None or self._node_of_eid[eid] < 0:
+            raise InvalidEdgeError(edge, f"edge {edge!r} is not assigned to any tree node")
+        return self.nodes[self._node_of_eid[eid]]
 
     def subtree_node_ids(self, node_id: int) -> List[int]:
         """Ids of the subtree rooted at ``node_id`` (pre-order)."""
@@ -1056,38 +993,23 @@ class TrussComponentTree:
 
         By construction these induce a (TN.K)-truss component of the graph.
         """
+        edge_of = self.state.index.edge_of
         edges: Set[Edge] = set()
         for nid in self.subtree_node_ids(node_id):
-            edges |= self.nodes[nid].edges
+            edges.update(map(edge_of.__getitem__, self.nodes[nid].edge_ids))
         return edges
 
     def sla(self, edge: Edge) -> Set[int]:
         """Subtree adjacency node ids of ``edge`` (Table II).
 
         ``id ∈ sla(e)`` iff some neighbour-edge ``e'`` of ``e`` has
-        ``t(e') >= t(e)`` and lives in the node with that id.  For trees
-        built by :meth:`build` this is a precomputed O(1) lookup; treat the
+        ``t(e') >= t(e)`` and lives in the node with that id; an anchored
+        edge's set is empty.  An O(1) lookup of :attr:`sla_sets`; treat the
         returned set as read-only.
         """
         edge = self.state.graph.require_edge(edge)
-        if self._sla_sets is not None:
-            entry = self._sla_sets[self.state.index.eid_of[edge]]
-            return entry if entry is not None else set()
-        t_edge = self.state.trussness(edge)
-        result: Set[int] = set()
-        for e1, e2, _w in self.state.triangle_list(edge):
-            for neighbour in (e1, e2):
-                if self.state.is_anchor(neighbour):
-                    continue
-                if self.state.trussness(neighbour) >= t_edge:
-                    result.add(self.node_of_edge[neighbour])
-        return result
-
-    def sla_map(self, edges: Optional[Iterable[Edge]] = None) -> Dict[Edge, Set[int]]:
-        """``sla(e)`` for every requested edge (default: every non-anchored edge)."""
-        if edges is None:
-            edges = list(self.state.non_anchor_edges())
-        return {edge: set(self.sla(edge)) for edge in edges}
+        entry = self._sla_sets[self.state.index.eid_of[edge]]
+        return entry if entry is not None else set()
 
     @property
     def roots(self) -> List[int]:
@@ -1105,15 +1027,14 @@ class TrussComponentTree:
         return roots
 
     @property
-    def node_of_eid(self) -> Optional[List[int]]:
-        """Dense eid -> node id list (``-1`` for anchored edges), or ``None``
-        for oracle-built trees.  Treat as read-only."""
+    def node_of_eid(self) -> List[int]:
+        """Dense eid -> node id list (:data:`ANCHOR_NODE`, ``-1``, for
+        anchored edges).  Treat as read-only."""
         return self._node_of_eid
 
     @property
-    def sla_sets(self) -> Optional[List[Optional[Set[int]]]]:
-        """Precomputed per-eid ``sla`` sets (``None`` entries for edges in no
-        triangle), or ``None`` for oracle-built trees.  Treat as
+    def sla_sets(self) -> List[Optional[Set[int]]]:
+        """Per-eid ``sla`` sets (``None`` entries for empty ones).  Treat as
         read-only; :meth:`sla` is the per-edge public view."""
         return self._sla_sets
 

@@ -133,7 +133,7 @@ class CommitDelta:
     * ``follower_eids`` — its exact follower set (every one gained ``+1``);
     * ``changed_eids`` — every edge whose trussness *or* peeling layer
       differs from the pre-commit state (the anchor itself included); this
-      is exactly the ``invalid_edges`` set of the reuse rule (Algorithm 5);
+      is exactly the ``invalid_eids`` set of the reuse rule (Algorithm 5);
     * ``state_after`` — the materialised post-commit state, kept only once
       the current solve has asked for the tree and cleared once the tree has
       consumed the delta, so chained states do not accumulate.
@@ -594,11 +594,9 @@ class SolverEngine:
             return None
         decision = ReuseDecision()
         dirty: Set[int] = set()
-        edge_of = self.index.edge_of
         for info, delta in log:
             decision.invalid_node_ids |= info.invalid_node_ids
-            for eid in delta.changed_eids:
-                decision.invalid_edges.add(edge_of[eid])
+            decision.invalid_eids |= delta.changed_eids
             dirty |= info.dirty_candidate_eids
         return ReuseInvalidation(decision=decision, dirty_eids=dirty)
 

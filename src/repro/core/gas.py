@@ -101,7 +101,6 @@ def _refresh_entry(
     method: FollowerMethod,
     starters: Optional[bytearray],
     decision: Optional[ReuseDecision],
-    invalid_eids: Optional[Set[int]],
     eid: int,
     edge: Edge,
     sla_ids,
@@ -125,7 +124,7 @@ def _refresh_entry(
     """
     entry = cache.get(eid)
     dirty = False
-    if invalid_eids is None or entry is None or eid in invalid_eids:
+    if decision is None or entry is None or eid in decision.invalid_eids:
         entry = {}
         cache[eid] = entry
         needed = set(sla_ids)
@@ -140,7 +139,7 @@ def _refresh_entry(
             for node_id in sla_ids
             if node_id not in entry or node_id in invalid_node_ids
         }
-        category = classify_reuse(sla_ids, decision, edge)
+        category = classify_reuse(sla_ids, decision, eid)
         if category == "FR" and not needed:
             stats.fully_reusable += 1
         elif needed and len(needed) != len(sla_ids):
@@ -166,9 +165,11 @@ def _refresh_entry(
             followers = compute_followers(
                 state, edge, method=method, candidate_nodes=(tree.node_of_eid, needed)
             )
+            node_of_eid = tree.node_of_eid
+            eid_of = state.index.eid_of
             buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
             for follower in followers:
-                buckets[tree.node_of_edge[follower]].add(follower)
+                buckets[node_of_eid[eid_of[follower]]].add(follower)
             for node_id, bucket in buckets.items():
                 entry[node_id] = frozenset(bucket)
         dirty = True
@@ -249,10 +250,6 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         edge_of = index.edge_of
         sla_sets = tree.sla_sets
         decision = invalidation.decision if invalidation is not None else None
-        invalid_eids: Optional[Set[int]] = None
-        if decision is not None:
-            eid_of = index.eid_of
-            invalid_eids = {eid_of[e] for e in decision.invalid_edges}
         # Algorithm 3's starter screen for every candidate at once (the warm
         # first round refreshes nothing, so it skips the pass).
         starters = None
@@ -281,10 +278,10 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                     continue
                 refreshed += 1
                 edge = edge_of[eid]
-                sla_ids = sla_sets[eid] or _EMPTY_SLA  # type: ignore[index]
+                sla_ids = sla_sets[eid] or _EMPTY_SLA
                 if _refresh_entry(
                     state, tree, cache, totals, method, starters, decision,
-                    invalid_eids, eid, edge, sla_ids, stats,
+                    eid, edge, sla_ids, stats,
                 ):
                     recomputed_entries += 1
                 score = totals[eid] - (
@@ -308,7 +305,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                 sla_ids = sla_sets[eid] or _EMPTY_SLA
                 if _refresh_entry(
                     state, tree, cache, totals, method, starters, decision,
-                    invalid_eids, eid, edge, sla_ids, stats,
+                    eid, edge, sla_ids, stats,
                 ):
                     recomputed_entries += 1
                 # Marginal gain of Definition 4: follower count minus the

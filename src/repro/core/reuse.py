@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-from repro.graph.graph import Edge
-
 
 @dataclass
 class ReuseDecision:
@@ -39,11 +37,9 @@ class ReuseDecision:
 
     #: Node ids whose cached follower entries must be recomputed.
     invalid_node_ids: Set[int] = field(default_factory=set)
-    #: Edges whose whole cache entry must be dropped (their own t/l changed).
-    invalid_edges: Set[Edge] = field(default_factory=set)
-
-    def is_node_valid(self, node_id: int) -> bool:
-        return node_id not in self.invalid_node_ids
+    #: Dense ids of the edges whose whole cache entry must be dropped (their
+    #: own t/l changed, or they became anchors).
+    invalid_eids: Set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -86,14 +82,15 @@ class ReuseStats:
 def classify_reuse(
     cached_ids: Set[int],
     decision: ReuseDecision,
-    edge: Edge,
+    eid: int,
 ) -> str:
-    """Classify one edge's cache entry as "FR", "PR" or "NR" (Fig. 10).
+    """Classify the cache entry of dense edge ``eid`` as "FR", "PR" or "NR"
+    (Fig. 10).
 
     ``cached_ids`` is only read (membership tests), so callers may pass a
     shared set without copying.
     """
-    if edge in decision.invalid_edges or not cached_ids:
+    if eid in decision.invalid_eids or not cached_ids:
         return "NR"
     invalid_node_ids = decision.invalid_node_ids
     invalid = sum(1 for node_id in cached_ids if node_id in invalid_node_ids)

@@ -64,7 +64,6 @@ class GraphIndex:
         "_eid_of",
         "_triangles",
         "_edge_triangles",
-        "_tuple_triangles",
     )
 
     def __init__(self, graph: Graph, csr: Optional[CSRArrays] = None) -> None:
@@ -105,7 +104,6 @@ class GraphIndex:
         self._triangles: Optional[List[Tuple[int, int, int]]] = None
         self._edge_triangles: Optional[List[List[Tuple[int, int, Vertex]]]] = None
         self._eid_of: Optional[Dict[Edge, int]] = None
-        self._tuple_triangles: Optional[List[Optional[List[Tuple[Edge, Edge, Vertex]]]]] = None
 
     # ------------------------------------------------------------------
     # Cache management
@@ -215,26 +213,6 @@ class GraphIndex:
     def edge_support(self, edge: Edge) -> int:
         """O(1) support lookup for a canonical edge tuple."""
         return self.support[self.eid_of[edge]]
-
-    def triangle_tuples(self, eid: int) -> List[Tuple[Edge, Edge, Vertex]]:
-        """Triangles through dense edge ``eid`` in the tuple domain.
-
-        Each entry is ``(other_edge_1, other_edge_2, apex_vertex)``; the list
-        is built once per edge and cached for the lifetime of the index,
-        which amortises the id->tuple conversion across the many repeated
-        queries the follower machinery performs.
-        """
-        cache = self._tuple_triangles
-        if cache is None:
-            cache = self._tuple_triangles = [None] * self.num_edges
-        cached = cache[eid]
-        if cached is None:
-            edge_of = self.edge_of
-            cached = [
-                (edge_of[a], edge_of[b], w) for a, b, w in self.edge_triangles[eid]
-            ]
-            cache[eid] = cached
-        return cached
 
     def neighbors_csr(self, vid: int) -> Tuple[Sequence[int], Sequence[int]]:
         """The CSR slice of vertex ``vid``: (neighbour vids, incident eids)."""

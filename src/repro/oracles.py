@@ -37,14 +37,14 @@ import itertools
 import time
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.component_tree import TreeNode, TrussComponentTree
+from repro.core.component_tree import ANCHOR_NODE, TreeNode, TrussComponentTree
 from repro.core.exact import DEFAULT_MAX_COMBINATIONS, _candidate_pool, _check_enumeration
 from repro.core.greedy import _check_budget
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.core.reuse import ReuseDecision
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.index import GraphIndex
-from repro.graph.triangles import triangles_of_graph
+from repro.graph.triangles import neighbor_edges, triangles_of_graph
 from repro.truss.decomposition import TrussDecomposition
 from repro.truss.state import TrussState
 
@@ -195,14 +195,16 @@ def component_tree_reference(state: TrussState) -> TrussComponentTree:
     Per trussness level ``k``, the triangle-connected components of the
     edges with trussness ``>= k`` (plus the anchors) are recomputed from
     scratch; each component's trussness-``k`` edges form one node whose
-    parent is the node that enclosed them at the previous level.  The tree
-    carries no precomputed ``sla`` sets, so :meth:`TrussComponentTree.sla`
-    answers per edge from the state, and it cannot be patched.
+    parent is the node that enclosed them at the previous level.  Each
+    edge's ``sla`` set is read off its triangles
+    (:func:`~repro.graph.triangles.neighbor_edges`) through the state API.
+    The state's index only names the edges by dense id, so the oracle
+    shares nothing with :meth:`TrussComponentTree.build`.
     """
     graph = state.graph
     trussness = state.decomposition.trussness
     anchors = state.anchors
-    eid_of = state.index.eid_of  # only used to fill TreeNode.edge_ids
+    eid_of = state.index.eid_of
 
     nodes: Dict[int, TreeNode] = {}
     node_of_edge: Dict[Edge, int] = {}
@@ -214,45 +216,59 @@ def component_tree_reference(state: TrussState) -> TrussComponentTree:
         if not member_edges:
             continue
         for component in triangle_connected_components_reference(graph, member_edges):
-            level_edges = frozenset(
-                e for e in component if e not in anchors and trussness[e] == k
-            )
+            level_edges = [e for e in component if e not in anchors and trussness[e] == k]
             if not level_edges:
                 continue
             node_id = min(graph.edge_id(e) for e in level_edges)
-            parent_id = enclosing[next(iter(level_edges))]
-            node = TreeNode(
+            parent_id = enclosing[level_edges[0]]
+            nodes[node_id] = TreeNode(
                 node_id=node_id,
                 k=k,
-                edges=level_edges,
-                parent=parent_id,
                 edge_ids=frozenset(eid_of[e] for e in level_edges),
+                parent=parent_id,
             )
-            nodes[node_id] = node
             if parent_id is not None:
                 nodes[parent_id].children.append(node_id)
             for edge in level_edges:
                 node_of_edge[edge] = node_id
             for edge in component:
                 enclosing[edge] = node_id
-    return TrussComponentTree(nodes=nodes, node_of_edge=node_of_edge, state=state)
+
+    node_of_eid = [ANCHOR_NODE] * len(eid_of)
+    sla_sets: List[Optional[Set[int]]] = [None] * len(eid_of)
+    for edge, node_id in node_of_edge.items():
+        eid = eid_of[edge]
+        node_of_eid[eid] = node_id
+        t_edge = state.trussness(edge)
+        sla = {
+            node_of_edge[neighbour]
+            for e1, e2, _w in neighbor_edges(graph, edge)
+            for neighbour in (e1, e2)
+            if not state.is_anchor(neighbour) and state.trussness(neighbour) >= t_edge
+        }
+        sla_sets[eid] = sla or None
+    return TrussComponentTree(
+        nodes=nodes, state=state, sla_sets=sla_sets, node_of_eid=node_of_eid
+    )
 
 
 # ---------------------------------------------------------------------------
 # Follower reuse (Algorithm 5)
 # ---------------------------------------------------------------------------
 def _signatures_reference(tree: TrussComponentTree):
-    """Per-node ``(edges, sorted (edge, t, l))`` signatures via the state API."""
+    """Per-node ``(edge ids, sorted (edge, t, l))`` signatures via the state API."""
     state = tree.state
+    edge_of = state.index.edge_of
     result = {}
     for node_id, node in tree.nodes.items():
+        edges = [edge_of[eid] for eid in node.edge_ids]
         detail = tuple(
             sorted(
                 (edge, float(state.trussness(edge)), float(state.layer(edge)))
-                for edge in node.edges
+                for edge in edges
             )
         )
-        result[node_id] = (node.edges, detail)
+        result[node_id] = (node.edge_ids, detail)
     return result
 
 
@@ -282,29 +298,26 @@ def compute_reuse_decision_reference(
             decision.invalid_node_ids.add(node_id)
 
     old_state = old_tree.state
+    new_state = new_tree.state
     decision.invalid_node_ids |= old_tree.sla(committed_anchor)
-    if not new_tree.state.is_anchor(committed_anchor):  # pragma: no cover - defensive
+    if not new_state.is_anchor(committed_anchor):  # pragma: no cover - defensive
         decision.invalid_node_ids |= new_tree.sla(committed_anchor)
-    if committed_anchor in old_tree.node_of_edge:
-        decision.invalid_node_ids.add(old_tree.node_of_edge[committed_anchor])
+    if not old_state.is_anchor(committed_anchor):
+        decision.invalid_node_ids.add(old_tree.node_of(committed_anchor).node_id)
 
     for follower in committed_followers:
-        if follower in old_tree.node_of_edge:
-            decision.invalid_node_ids.add(old_tree.node_of_edge[follower])
-        if follower in new_tree.node_of_edge:
-            decision.invalid_node_ids.add(new_tree.node_of_edge[follower])
+        for tree in (old_tree, new_tree):
+            if not tree.state.is_anchor(follower):
+                decision.invalid_node_ids.add(tree.node_of(follower).node_id)
 
-    new_state = new_tree.state
+    eid_of = new_state.index.eid_of
     for edge in old_state.non_anchor_edges():
-        if new_state.is_anchor(edge):
-            decision.invalid_edges.add(edge)
-            continue
         if (
-            old_state.trussness(edge) != new_state.trussness(edge)
+            new_state.is_anchor(edge)
+            or old_state.trussness(edge) != new_state.trussness(edge)
             or old_state.layer(edge) != new_state.layer(edge)
         ):
-            decision.invalid_edges.add(edge)
-
+            decision.invalid_eids.add(eid_of[edge])
     return decision
 
 

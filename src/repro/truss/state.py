@@ -257,14 +257,14 @@ class TrussState:
         return flags
 
     def triangle_list(self, edge: Edge) -> List[Tuple[Edge, Edge, Vertex]]:
-        """The triangles through ``edge`` as a cached list (do not mutate).
+        """The triangles through ``edge`` as ``(edge_uw, edge_vw, w)`` tuples.
 
-        This is the hot-path variant of :meth:`triangles`: the id->tuple
-        conversion happens once per edge per graph snapshot, so the repeated
-        queries of the support-check / retract machinery cost a list lookup.
+        Converted from the index's dense-id ``edge_triangles`` on each call.
         """
         index = self.index
-        return index.triangle_tuples(index.eid_of[self.graph.require_edge(edge)])
+        edge_of = index.edge_of
+        eid = index.eid_of[self.graph.require_edge(edge)]
+        return [(edge_of[a], edge_of[b], w) for a, b, w in index.edge_triangles[eid]]
 
     def triangles(self, edge: Edge) -> Iterator[Tuple[Edge, Edge, Vertex]]:
         """Yield ``(edge_uw, edge_vw, w)`` for every triangle through ``edge``."""

@@ -125,36 +125,14 @@ class InvariantReport:
 
 
 def tree_signature(tree: TrussComponentTree):
-    """Everything that defines a component tree, in comparable form.
-
-    Kernel-built trees carry ``sla`` sets and ``node_of_eid``; for a tree of
-    :func:`repro.oracles.component_tree_reference`, which carries neither,
-    both are derived per edge, so the two kinds compare directly.
-    """
+    """Everything that defines a component tree, in comparable form: its
+    nodes, roots, ``node_of_eid`` and ``sla`` sets."""
     nodes = {
-        nid: (node.k, node.edges, node.edge_ids, node.parent, frozenset(node.children))
+        nid: (node.k, node.edge_ids, node.parent, frozenset(node.children))
         for nid, node in tree.nodes.items()
     }
-    index, _truss, _layer, mask = tree.state.kernel_views()
-    edge_of = index.edge_of
-    m = index.num_edges
-    if tree.sla_sets is not None:
-        sla = tuple(frozenset(tree.sla_sets[eid] or ()) for eid in range(m))
-    else:
-        sla = tuple(
-            frozenset() if mask[eid] else frozenset(tree.sla(edge_of[eid]))
-            for eid in range(m)
-        )
-    node_of_eid = tree.node_of_eid
-    if node_of_eid is None:
-        node_of_eid = [tree.node_of_edge.get(edge, -1) for edge in edge_of]
-    return (
-        nodes,
-        dict(tree.node_of_edge),
-        frozenset(tree.roots),
-        tuple(node_of_eid),
-        sla,
-    )
+    sla = tuple(frozenset(entry or ()) for entry in tree.sla_sets)
+    return (nodes, frozenset(tree.roots), tuple(tree.node_of_eid), sla)
 
 
 def _state_views(state: TrussState):
@@ -255,7 +233,7 @@ def _check_reuse_decision(point: WorldPoint, graph: Graph, schedule) -> None:
                 )
             if (
                 got.decision.invalid_node_ids != want.invalid_node_ids
-                or got.decision.invalid_edges != want.invalid_edges
+                or got.decision.invalid_eids != want.invalid_eids
             ):
                 raise InvariantViolation(
                     point,
@@ -336,7 +314,8 @@ def _check_follower_search(point: WorldPoint, graph: Graph, schedule) -> None:
             )
         searches = [(None, expected)]
         for node_id in sorted(tree.sla_sets[eid] or ()):
-            searches.append((node_id, expected & tree.nodes[node_id].edges))
+            members = {edge_of[e] for e in tree.nodes[node_id].edge_ids}
+            searches.append((node_id, expected & members))
         for node_id, want in searches:
             nodes = None if node_id is None else (node_of_eid, {node_id})
             got = followers_support_check(state, edge_of[eid], candidate_nodes=nodes)

@@ -15,6 +15,12 @@ from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 from tests.conftest import random_test_graph
 
 
+def _edges(tree, node):
+    """The member edges of ``node`` as edge tuples."""
+    edge_of = tree.state.index.edge_of
+    return {edge_of[eid] for eid in node.edge_ids}
+
+
 class TestFigure4Tree:
     """The tree of Fig. 4 (built from the Fig. 3 graph)."""
 
@@ -31,7 +37,7 @@ class TestFigure4Tree:
 
     def test_node_sizes(self, fig3_state):
         tree = TrussComponentTree.build(fig3_state)
-        sizes = {node_id: len(node.edges) for node_id, node in tree.nodes.items()}
+        sizes = {node_id: len(node) for node_id, node in tree.nodes.items()}
         assert sizes == {0: 4, 4: 9, 13: 9, 22: 10}
 
     def test_parent_structure(self, fig3_state):
@@ -72,7 +78,7 @@ class TestStructuralInvariants:
             pytest.skip("empty graph")
         state = TrussState.compute(graph)
         tree = TrussComponentTree.build(state)
-        assigned = [edge for node in tree.nodes.values() for edge in node.edges]
+        assigned = [edge for node in tree.nodes.values() for edge in _edges(tree, node)]
         assert len(assigned) == graph.num_edges
         assert set(assigned) == set(graph.edges())
 
@@ -84,9 +90,10 @@ class TestStructuralInvariants:
         state = TrussState.compute(graph)
         tree = TrussComponentTree.build(state)
         for node in tree.nodes.values():
-            for edge in node.edges:
+            members = _edges(tree, node)
+            for edge in members:
                 assert state.trussness(edge) == node.k
-            assert node.node_id == min(graph.edge_id(e) for e in node.edges)
+            assert node.node_id == min(graph.edge_id(e) for e in members)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_parents_have_strictly_smaller_trussness(self, seed):
@@ -110,7 +117,7 @@ class TestStructuralInvariants:
     def test_anchor_edges_are_not_in_any_node(self, fig3_graph):
         state = TrussState.compute(fig3_graph, anchors=[(9, 10)])
         tree = TrussComponentTree.build(state)
-        assigned = {edge for node in tree.nodes.values() for edge in node.edges}
+        assigned = {edge for node in tree.nodes.values() for edge in _edges(tree, node)}
         assert (9, 10) not in assigned
         assert len(assigned) == fig3_graph.num_edges - 1
 
@@ -129,7 +136,7 @@ class TestLemma4:
                 continue
             allowed = set()
             for node_id in tree.sla(edge):
-                allowed |= tree.nodes[node_id].edges
+                allowed |= _edges(tree, tree.nodes[node_id])
             assert followers <= allowed
 
 
@@ -139,10 +146,12 @@ class TestErrors:
         with pytest.raises(InvalidParameterError):
             tree.subtree_node_ids(999)
 
-    def test_node_of_unknown_edge(self, fig3_state):
-        tree = TrussComponentTree.build(fig3_state)
-        with pytest.raises(InvalidEdgeError):
-            tree.node_of((1, 99))
+    def test_node_of_unknown_edge(self, fig3_graph):
+        """An edge of no node: one not in the graph, or an anchor."""
+        tree = TrussComponentTree.build(TrussState.compute(fig3_graph, anchors=[(9, 10)]))
+        for edge in [(1, 99), (9, 10)]:
+            with pytest.raises(InvalidEdgeError):
+                tree.node_of(edge)
 
     def test_clique_tree_is_single_node(self):
         state = TrussState.compute(complete_graph(6))
@@ -150,4 +159,4 @@ class TestErrors:
         assert len(tree) == 1
         only = next(iter(tree.nodes.values()))
         assert only.k == 6
-        assert len(only.edges) == 15
+        assert len(only) == 15

@@ -54,6 +54,7 @@ from repro.oracles import (
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.peel import peel_trussness_fast
 from repro.truss.state import TrussState
+from repro.world.invariants import tree_signature
 
 from tests.conftest import graph_seeds, random_test_graph
 
@@ -226,36 +227,25 @@ class TestFollowerEquivalence:
     def test_candidate_nodes_matches_tuple_filter(self, fig3_state):
         tree = TrussComponentTree.build(fig3_state)
         truth = followers_by_recompute(fig3_state, (9, 10))
+        edge_of = fig3_state.index.edge_of
         for node in tree.nodes.values():
+            members = {edge_of[eid] for eid in node.edge_ids}
             for method in (followers_support_check, followers_candidate_peel):
-                tuple_result = method(
-                    fig3_state, (9, 10), candidate_filter=set(node.edges)
-                )
+                tuple_result = method(fig3_state, (9, 10), candidate_filter=members)
                 node_result = method(
                     fig3_state,
                     (9, 10),
                     candidate_nodes=(tree.node_of_eid, {node.node_id}),
                 )
                 assert tuple_result == node_result
-                assert tuple_result == truth & node.edges
-
-
-def _tree_shape(tree: TrussComponentTree):
-    return (
-        {
-            node_id: (node.k, node.edges, node.parent, frozenset(node.children))
-            for node_id, node in tree.nodes.items()
-        },
-        frozenset(tree.roots),
-        dict(tree.node_of_edge),
-    )
+                assert tuple_result == truth & members
 
 
 class TestComponentTreeEquivalence:
     def test_fig3_tree(self, fig3_state):
         kernel = TrussComponentTree.build(fig3_state)
         reference = component_tree_reference(fig3_state)
-        assert _tree_shape(kernel) == _tree_shape(reference)
+        assert tree_signature(kernel) == tree_signature(reference)
         for edge in fig3_state.non_anchor_edges():
             assert kernel.sla(edge) == reference.sla(edge)
 
@@ -266,7 +256,7 @@ class TestComponentTreeEquivalence:
         state = TrussState.compute(graph)
         kernel = TrussComponentTree.build(state)
         reference = component_tree_reference(state)
-        assert _tree_shape(kernel) == _tree_shape(reference)
+        assert tree_signature(kernel) == tree_signature(reference)
         for edge in state.non_anchor_edges():
             assert kernel.sla(edge) == reference.sla(edge)
 
@@ -280,7 +270,7 @@ class TestComponentTreeEquivalence:
         state = TrussState.compute(graph, anchors)
         kernel = TrussComponentTree.build(state)
         reference = component_tree_reference(state)
-        assert _tree_shape(kernel) == _tree_shape(reference)
+        assert tree_signature(kernel) == tree_signature(reference)
         for edge in state.non_anchor_edges():
             assert kernel.sla(edge) == reference.sla(edge)
 
@@ -303,7 +293,6 @@ class TestReuseDecisionEquivalence:
             anchor,
             followers,
         )
-        eid_of = GraphIndex.of(graph).eid_of
         # Both sides of the full-peel threshold: incremental re-peel, then
         # the full-peel fallback (any non-empty dirty closure exceeds 0).
         for threshold in (math.inf, 0.0):
@@ -312,9 +301,9 @@ class TestReuseDecisionEquivalence:
             engine.commit_anchor(anchor)
             fast = engine.take_reuse_decision()
             assert fast is not None
-            assert fast.decision.invalid_edges == reference.invalid_edges
+            assert fast.decision.invalid_eids == reference.invalid_eids
             assert fast.decision.invalid_node_ids == reference.invalid_node_ids
-            assert {eid_of[e] for e in reference.invalid_edges} <= fast.dirty_eids
+            assert reference.invalid_eids <= fast.dirty_eids
 
 
 class TestSolverEquivalence:

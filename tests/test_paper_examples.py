@@ -67,7 +67,7 @@ class TestExample4Followers:
 class TestExample5Tree:
     def test_tree_matches_figure4(self, state):
         tree = TrussComponentTree.build(state)
-        by_k = sorted((node.k, len(node.edges)) for node in tree.nodes.values())
+        by_k = sorted((node.k, len(node)) for node in tree.nodes.values())
         assert by_k == [(3, 4), (4, 9), (4, 9), (5, 10)]
 
     def test_sla_values(self, state):

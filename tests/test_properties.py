@@ -124,7 +124,8 @@ class TestTreeProperties:
         graph = build_graph(edges)
         state = TrussState.compute(graph)
         tree = TrussComponentTree.build(state)
-        assigned = [e for node in tree.nodes.values() for e in node.edges]
+        edge_of = state.index.edge_of
+        assigned = [edge_of[e] for node in tree.nodes.values() for e in node.edge_ids]
         assert len(assigned) == graph.num_edges
         assert set(assigned) == set(graph.edges())
 
@@ -134,7 +135,8 @@ class TestTreeProperties:
         graph = build_graph(edges)
         state = TrussState.compute(graph)
         tree = TrussComponentTree.build(state)
+        edge_of = state.index.edge_of
         for node in tree.nodes.values():
             if node.parent is not None:
                 assert tree.nodes[node.parent].k < node.k
-            assert all(state.trussness(e) == node.k for e in node.edges)
+            assert all(state.trussness(edge_of[e]) == node.k for e in node.edge_ids)

@@ -39,9 +39,9 @@ class TestDecisionOnFigure3:
             fig3_graph, (9, 10)
         )
         # the anchor's own node and the follower nodes must be invalid
-        assert tree.node_of_edge[(9, 10)] in decision.invalid_node_ids
+        assert tree.node_of((9, 10)).node_id in decision.invalid_node_ids
         for follower in followers:
-            assert tree.node_of_edge[follower] in decision.invalid_node_ids
+            assert tree.node_of(follower).node_id in decision.invalid_node_ids
 
     def test_sla_of_anchor_is_invalidated(self, fig3_graph):
         _state, tree, _new_state, _new_tree, _followers, decision = _decision_after_anchoring(
@@ -50,9 +50,10 @@ class TestDecisionOnFigure3:
         assert tree.sla((9, 10)) <= decision.invalid_node_ids
 
     def test_followers_own_cache_is_dropped(self, fig3_graph):
-        *_rest, decision = _decision_after_anchoring(fig3_graph, (9, 10))
-        assert (8, 9) in decision.invalid_edges
-        assert (7, 8) in decision.invalid_edges
+        state, *_rest, decision = _decision_after_anchoring(fig3_graph, (9, 10))
+        eid_of = state.index.eid_of
+        assert eid_of[(8, 9)] in decision.invalid_eids
+        assert eid_of[(7, 8)] in decision.invalid_eids
 
     def test_untouched_far_away_node_stays_valid_somewhere(self, clique_chain):
         """On a graph with several separate components, anchoring in one
@@ -86,7 +87,7 @@ class TestReuseSoundness:
             followers = followers_support_check(state, edge)
             entry = {}
             for follower in followers:
-                entry.setdefault(tree.node_of_edge[follower], set()).add(follower)
+                entry.setdefault(tree.node_of(follower).node_id, set()).add(follower)
             cache[edge] = entry
 
         # pick the anchor the greedy would pick
@@ -97,13 +98,14 @@ class TestReuseSoundness:
         new_state = new_tree.state
         assert new_state.followers_relative_to(state) == followers_of_anchor
 
+        eid_of = new_state.index.eid_of
         for edge in new_state.non_anchor_edges():
-            if edge in decision.invalid_edges:
+            if eid_of[edge] in decision.invalid_eids:
                 continue
             fresh = followers_support_check(new_state, edge)
             fresh_by_node = {}
             for follower in fresh:
-                fresh_by_node.setdefault(new_tree.node_of_edge[follower], set()).add(follower)
+                fresh_by_node.setdefault(new_tree.node_of(follower).node_id, set()).add(follower)
             for node_id, cached in cache.get(edge, {}).items():
                 if node_id in decision.invalid_node_ids:
                     continue
@@ -112,12 +114,12 @@ class TestReuseSoundness:
 
 class TestClassification:
     def test_classify_fr_pr_nr(self):
-        decision = ReuseDecision(invalid_node_ids={1, 2}, invalid_edges={(9, 9)})
-        assert classify_reuse({3, 4}, decision, (0, 1)) == "FR"
-        assert classify_reuse({1, 3}, decision, (0, 1)) == "PR"
-        assert classify_reuse({1, 2}, decision, (0, 1)) == "NR"
-        assert classify_reuse(set(), decision, (0, 1)) == "NR"
-        assert classify_reuse({3}, decision, (9, 9)) == "NR"
+        decision = ReuseDecision(invalid_node_ids={1, 2}, invalid_eids={9})
+        assert classify_reuse({3, 4}, decision, 0) == "FR"
+        assert classify_reuse({1, 3}, decision, 0) == "PR"
+        assert classify_reuse({1, 2}, decision, 0) == "NR"
+        assert classify_reuse(set(), decision, 0) == "NR"
+        assert classify_reuse({3}, decision, 9) == "NR"
 
     def test_stats_fractions(self):
         stats = ReuseStats(fully_reusable=8, partially_reusable=1, non_reusable=1)

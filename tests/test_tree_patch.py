@@ -121,9 +121,8 @@ class TestTreePatchEquivalence:
             previous, previous_tree = current, current_tree
             assert invalidation is not None
             assert invalidation.decision.invalid_node_ids == want.invalid_node_ids
-            assert invalidation.decision.invalid_edges == want.invalid_edges
-            eid_of = engine.index.eid_of
-            assert {eid_of[e] for e in want.invalid_edges} <= invalidation.dirty_eids
+            assert invalidation.decision.invalid_eids == want.invalid_eids
+            assert want.invalid_eids <= invalidation.dirty_eids
         stats = engine.stats
         assert stats["full_peels"] > 0
         assert stats["tree_rebuilds"] == 0
@@ -155,16 +154,21 @@ class TestTreePatchEquivalence:
         engine.reset()
         assert engine.tree() is baseline
 
-    def test_patch_requires_kernel_tree(self, fig3_graph):
+    def test_oracle_tree_patches_and_rolls_back(self, fig3_graph):
+        """Every tree carries the dense membership a patch needs: the
+        oracle's tree, journalled and patched with a commit's delta, equals
+        a fresh build, and its rollback equals the oracle's tree again."""
         engine = SolverEngine(fig3_graph, full_peel_threshold=ALWAYS_INCREMENTAL)
+        engine.tree()  # from here on commits keep the states a patch needs
         reference = component_tree_reference(engine.state)
-        engine.commit_anchor(fig3_graph.edge_list()[0])
-        delta = engine._deltas[0] if engine.state else None
-        assert delta is not None
-        with pytest.raises(InvalidParameterError):
-            reference.apply_commit(delta, engine.state)
-        with pytest.raises(InvalidParameterError):
-            reference.start_journal()
+        before = tree_signature(reference)
+        reference.start_journal()
+        engine.commit_anchor((9, 10))
+        new_state = engine.state
+        reference.apply_commit(engine._deltas[0], new_state)
+        assert tree_signature(reference) == tree_signature(TrussComponentTree.build(new_state))
+        reference.rollback()
+        assert tree_signature(reference) == before
 
 
 class TestTreePatchEdgeCases:
@@ -268,7 +272,7 @@ class TestAssembledDecision:
                 previous = current
                 assert invalidation is not None
                 assert invalidation.decision.invalid_node_ids == want.invalid_node_ids
-                assert invalidation.decision.invalid_edges == want.invalid_edges
+                assert invalidation.decision.invalid_eids == want.invalid_eids
 
 
 class TestInvalidationLogHygiene:
