@@ -675,7 +675,7 @@ class TrussComponentTree:
         stack: List[int] = [seed_eid]
         while stack:
             current = stack.pop()
-            for a, b, _w in tri[current]:
+            for a, b in tri[current]:
                 if new_truss[a] < level or new_truss[b] < level:
                     continue
                 for partner in (a, b):
@@ -709,7 +709,7 @@ class TrussComponentTree:
         node_of_eid = self._node_of_eid
         threshold = new_truss[eid]
         fresh: Set[int] = set()
-        for a, b, _w in index.edge_triangles[eid]:
+        for a, b in index.edge_triangles[eid]:
             for neighbour in (a, b):
                 if not new_mask[neighbour] and new_truss[neighbour] >= threshold:
                     fresh.add(node_of_eid[neighbour])
@@ -886,7 +886,7 @@ class TrussComponentTree:
         candidate_levels: Set[int] = set()
         while stack:
             current = stack.pop()
-            for a, b, _w in tri[current]:
+            for a, b in tri[current]:
                 level = min(new_truss[a], new_truss[b])
                 if level != math.inf:
                     candidate_levels.add(int(level))
@@ -916,7 +916,7 @@ class TrussComponentTree:
         # -- phase 4: sla recomputation for the locally affected edges
         local: Set[int] = set(followers)
         for seed in (anchor_eid, *followers):
-            for a, b, _w in tri[seed]:
+            for a, b in tri[seed]:
                 local.add(a)
                 local.add(b)
         for eid in sorted(local):

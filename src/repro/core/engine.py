@@ -76,6 +76,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as _np
@@ -118,6 +119,11 @@ DEFAULT_FULL_PEEL_THRESHOLD = 0.25
 _INVALIDATION_LOG_LIMIT = 64
 
 _INF = math.inf
+
+#: One GAS follower entry ``F[e][*]`` (see :func:`repro.core.gas._refresh_entry`):
+#: the interned node-id key set of an entry without a follower, or the
+#: node id -> follower bucket mapping of an entry with one.
+FollowerEntry = Union[FrozenSet[int], Mapping[int, FrozenSet[Edge]]]
 
 
 @dataclass
@@ -192,7 +198,7 @@ def _dirty_closure(
     t_anchor = truss[anchor_eid]
     seen: Set[int] = {anchor_eid}
     stack: List[int] = []
-    for a, b, _w in tri[anchor_eid]:
+    for a, b in tri[anchor_eid]:
         for eid in (a, b):
             if eid not in seen and t_anchor <= truss[eid] != _INF:
                 seen.add(eid)
@@ -203,7 +209,7 @@ def _dirty_closure(
     while stack:
         eid = stack.pop()
         k = truss[eid]
-        for a, b, _w in tri[eid]:
+        for a, b in tri[eid]:
             for nxt in (a, b):
                 if nxt not in seen and truss[nxt] == k:
                     seen.add(nxt)
@@ -330,17 +336,21 @@ class SolverEngine:
         # (TreePatchInfo, CommitDelta) pair per patched commit, or None once
         # it overflowed (nobody drains it) and can no longer be exact.
         self._invalidation_log: Optional[List[Tuple[TreePatchInfo, CommitDelta]]] = []
-        # GAS per-candidate follower caches: F[eid][node_id] plus the cached
-        # per-candidate totals.  Owned here so a session can span rounds.
-        self.follower_cache: Dict[int, Mapping[int, FrozenSet[Edge]]] = {}
-        self.follower_totals: Dict[int, int] = {}
+        # GAS per-candidate follower caches, indexed by dense edge id (None
+        # for no entry): F[eid] plus the cached per-candidate totals, and the
+        # table that interns the key sets of entries without a follower.
+        # Owned here so a session can span rounds.
+        m = self.index.num_edges
+        self.follower_cache: List[Optional[FollowerEntry]] = [None] * m
+        self.follower_totals: List[Optional[int]] = [None] * m
+        self.follower_key_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # Baseline follower snapshot (the GAS warm-path fix): the follower
         # cache of an *unanchored* first round, captured once per session by
         # :meth:`snapshot_baseline_followers` and surviving :meth:`reset` —
         # a warm session's first GAS round restores it instead of
         # recomputing every candidate's followers from scratch.
         self._baseline_followers: Optional[
-            Tuple[Dict[int, Mapping[int, FrozenSet[Edge]]], Dict[int, int]]
+            Tuple[List[Optional[FollowerEntry]], List[Optional[int]]]
         ] = None
         #: Diagnostics: how often each re-peel path ran for the *current*
         #: solve.  :meth:`reset` folds the counters into
@@ -432,8 +442,10 @@ class SolverEngine:
         self._deltas = []
         self._tree_commit_index = 0
         self._invalidation_log = []
-        self.follower_cache.clear()
-        self.follower_totals.clear()
+        no_entries = [None] * self.index.num_edges
+        self.follower_cache[:] = no_entries
+        self.follower_totals[:] = no_entries
+        self.follower_key_sets.clear()
 
     def snapshot_baseline_followers(self) -> None:
         """Persist the unanchored first-round follower cache for future solves.
@@ -446,19 +458,22 @@ class SolverEngine:
         anchors are present, when a snapshot already exists, or when there
         is nothing to snapshot.
 
-        Nothing is copied: each entry is frozen behind a read-only
-        :class:`~types.MappingProxyType`, which both the snapshot and the
-        live cache hold from then on.  The solver copies an entry before its
-        first edit (copy-on-write), so the snapshot stays pristine.
+        No entry is copied: key sets are immutable already, and each dict
+        entry is frozen behind a read-only :class:`~types.MappingProxyType`,
+        which both the snapshot and the live cache hold from then on.  The
+        solver replaces an entry instead of editing it, so the snapshot
+        stays pristine; the snapshot itself is two list copies.
         """
         if self.anchors or self._baseline_followers is not None:
             return
         cache = self.follower_cache
-        if not cache:
+        totals = self.follower_totals
+        if totals.count(None) == len(totals):
             return
-        for eid, entry in cache.items():
-            cache[eid] = MappingProxyType(entry)
-        self._baseline_followers = (dict(cache), dict(self.follower_totals))
+        for eid, entry in enumerate(cache):
+            if type(entry) is dict:
+                cache[eid] = MappingProxyType(entry)
+        self._baseline_followers = (list(cache), list(totals))
 
     def restore_baseline_followers(self) -> bool:
         """Refill the live follower caches from the baseline snapshot.
@@ -466,18 +481,16 @@ class SolverEngine:
         Returns ``True`` when the snapshot applied: the session is
         unanchored (the snapshot was taken against :attr:`original_state`,
         which every solve chain starts from) and a snapshot exists.  The
-        restore mutates the cache dicts in place, so aliases held by a
+        restore mutates the cache lists in place, so aliases held by a
         running solver stay valid.  The entries are shared read-only with
         the snapshot (see :meth:`snapshot_baseline_followers`), so a restore
-        copies two flat dicts and no entry.
+        copies two flat lists and no entry.
         """
         if self.anchors or self._baseline_followers is None:
             return False
         cache, totals = self._baseline_followers
-        self.follower_cache.clear()
-        self.follower_cache.update(cache)
-        self.follower_totals.clear()
-        self.follower_totals.update(totals)
+        self.follower_cache[:] = cache
+        self.follower_totals[:] = totals
         return True
 
     def commit_anchor(self, edge: Edge) -> None:
@@ -672,7 +685,7 @@ class SolverEngine:
         new_mask[eid] = 1
         # Levels above t(x) where the anchor's new permanent presence closes
         # a triangle with a still-present partner: their waves gain support.
-        for a, b, _w in index.edge_triangles[eid]:
+        for a, b in index.edge_triangles[eid]:
             for c, d in ((a, b), (b, a)):
                 tc = new_truss[c]
                 if t_x < tc != _INF and new_truss[d] >= tc:

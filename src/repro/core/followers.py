@@ -92,7 +92,7 @@ def _initial_candidate_ids(state: TrussState, anchor_id: int, strict: bool) -> S
     t_anchor = trussness[anchor_id]
     l_anchor = layer[anchor_id]
     result: Set[int] = set()
-    for e1, e2, _w in index.edge_triangles[anchor_id]:
+    for e1, e2 in index.edge_triangles[anchor_id]:
         for eid in (e1, e2):
             if eid in result or anchor_mask[eid]:
                 continue
@@ -121,7 +121,7 @@ def _expand_candidate_ids(state: TrussState, seeds: Set[int]) -> Set[int]:
         eid = stack.pop()
         k = trussness[eid]
         l_edge = layer[eid]
-        for e1, e2, _w in edge_triangles[eid]:
+        for e1, e2 in edge_triangles[eid]:
             for nxt in (e1, e2):
                 if nxt in candidates or anchor_mask[nxt]:
                     continue
@@ -240,7 +240,7 @@ def _gfp_level(
     support: Dict[int, int] = {}
     for eid in alive:
         count = 0
-        for a, b, _w in tri[eid]:
+        for a, b in tri[eid]:
             if (a == anchor_eid or truss[a] >= solid or a in alive) and (
                 b == anchor_eid or truss[b] >= solid or b in alive
             ):
@@ -252,7 +252,7 @@ def _gfp_level(
     while queue:
         eid = queue.pop()
         alive.discard(eid)
-        for a, b, _w in tri[eid]:
+        for a, b in tri[eid]:
             for member, partner in ((a, b), (b, a)):
                 if member in alive and (
                     partner == anchor_eid or truss[partner] >= solid or partner in alive
@@ -345,7 +345,7 @@ def followers_support_check(
     l_anchor = layer[anchor_id]
     initial: List[int] = []
     starters: Set[int] = set()
-    for e1, e2, _w in edge_triangles[anchor_id]:
+    for e1, e2 in edge_triangles[anchor_id]:
         for eid, other in ((e1, e2), (e2, e1)):
             if anchor_mask[eid]:
                 continue
@@ -388,7 +388,7 @@ def followers_support_check(
             """Triangles of ``eid`` whose two other edges are both effective."""
             count = 0
             l_edge = layer[eid]
-            for e1, e2, _w in edge_triangles[eid]:
+            for e1, e2 in edge_triangles[eid]:
                 # Inlined effectiveness(eid, other) for both triangle edges:
                 # the anchor and anchored edges always help; eliminated or
                 # lower-trussness edges never do; surviving edges help; an
@@ -420,7 +420,7 @@ def followers_support_check(
             stack = [eid]
             while stack:
                 lost = stack.pop()
-                for e1, e2, _w in edge_triangles[lost]:
+                for e1, e2 in edge_triangles[lost]:
                     for neighbour in (e1, e2):
                         if status[neighbour] == _SURVIVED:
                             if effective_triangles(neighbour) < needed:
@@ -439,7 +439,7 @@ def followers_support_check(
             if effective_triangles(eid) >= needed:
                 status[eid] = _SURVIVED
                 survived.add(eid)
-                for e1, e2, _w in edge_triangles[eid]:
+                for e1, e2 in edge_triangles[eid]:
                     for neighbour in (e1, e2):
                         if pushed[neighbour] or anchor_mask[neighbour]:
                             continue

@@ -56,7 +56,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.api.spec import SolveSpec
 from repro.core.component_tree import TrussComponentTree
-from repro.core.engine import SolverEngine, register_solver
+from repro.core.engine import FollowerEntry, SolverEngine, register_solver
 from repro.core.followers import FollowerMethod, compute_followers
 from repro.core.params import choice_param, flag_param, method_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
@@ -69,8 +69,6 @@ from repro.core.reuse import (
 from repro.graph.graph import Edge, Graph
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
-
-CacheEntry = Dict[int, FrozenSet[Edge]]
 
 #: Shared empty sla set for edges that close no triangle.
 _EMPTY_SLA: FrozenSet[int] = frozenset()
@@ -96,8 +94,9 @@ def _validate(graph: Graph, budget: int, method: FollowerMethod) -> FollowerMeth
 def _refresh_entry(
     state: TrussState,
     tree: TrussComponentTree,
-    cache: Dict[int, CacheEntry],
-    totals: Dict[int, int],
+    cache: List[Optional[FollowerEntry]],
+    totals: List[Optional[int]],
+    key_sets: Dict[FrozenSet[int], FrozenSet[int]],
     method: FollowerMethod,
     starters: Optional[bytearray],
     decision: Optional[ReuseDecision],
@@ -119,20 +118,23 @@ def _refresh_entry(
     is ``support-check``, and is ``None`` for ``peel``.  A candidate
     without a starter has no follower in any scope, so its needed nodes get
     the empty set without a search, exactly what the search would have
-    returned.  Entries restored from the baseline snapshot are shared
-    read-only mappings; one is copied here before its first edit.
+    returned.
+
+    An entry's keys are the tree nodes of its ``sla`` set.  An entry with
+    no follower is stored as that key set alone, a frozenset interned in
+    ``key_sets``; only an entry with a follower keeps its node -> bucket
+    dict, empty buckets included.  Both kinds read the same way (iteration
+    and ``in`` give the keys), and a refresh that changes an entry stores a
+    new one of the kind its followers need, so entries restored from the
+    baseline snapshot (shared, read-only) are never edited.
     """
-    entry = cache.get(eid)
-    dirty = False
+    entry = cache[eid]
     if decision is None or entry is None or eid in decision.invalid_eids:
-        entry = {}
-        cache[eid] = entry
-        needed = set(sla_ids)
-        dirty = True
+        entry = None
+        needed = sla_ids
         if decision is not None:
             stats.non_reusable += 1
     else:
-        stale = [node_id for node_id in entry if node_id not in sla_ids]
         invalid_node_ids = decision.invalid_node_ids
         needed = {
             node_id
@@ -148,38 +150,43 @@ def _refresh_entry(
             stats.non_reusable += 1
         else:
             stats.fully_reusable += 1
-        if (stale or needed) and type(entry) is not dict:
-            entry = dict(entry)
-            cache[eid] = entry
-        for node_id in stale:
-            del entry[node_id]
-            dirty = True
+        if not needed and len(entry) == len(sla_ids):
+            # Every sla node is a valid key and no key is stale.
+            return False
 
-    recomputed = False
-    if needed:
-        recomputed = True
-        if starters is not None and not starters[eid]:
-            for node_id in needed:
-                entry[node_id] = _NO_FOLLOWERS
-        else:
-            followers = compute_followers(
-                state, edge, method=method, candidate_nodes=(tree.node_of_eid, needed)
-            )
-            node_of_eid = tree.node_of_eid
-            eid_of = state.index.eid_of
-            buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
-            for follower in followers:
-                buckets[node_of_eid[eid_of[follower]]].add(follower)
-            for node_id, bucket in buckets.items():
-                entry[node_id] = frozenset(bucket)
-        dirty = True
+    # The refreshed entry's keys are exactly ``sla_ids``: needed nodes get
+    # fresh buckets, the others keep theirs, stale keys are dropped.
+    found: Dict[int, FrozenSet[Edge]] = {}
+    if needed and (starters is None or starters[eid]):
+        followers = compute_followers(
+            state, edge, method=method, candidate_nodes=(tree.node_of_eid, needed)
+        )
+        node_of_eid = tree.node_of_eid
+        eid_of = state.index.eid_of
+        buckets: Dict[int, Set[Edge]] = {}
+        for follower in followers:
+            buckets.setdefault(node_of_eid[eid_of[follower]], set()).add(follower)
+        for node_id, bucket in buckets.items():
+            found[node_id] = frozenset(bucket)
+    if entry is not None and type(entry) is not frozenset:
+        for node_id, bucket in entry.items():
+            if bucket and node_id in sla_ids and node_id not in needed:
+                found[node_id] = bucket
+    if found:
+        fresh = dict.fromkeys(sla_ids, _NO_FOLLOWERS)
+        fresh.update(found)
+        cache[eid] = fresh
+        totals[eid] = sum(len(bucket) for bucket in found.values())
+    else:
+        keys = frozenset(sla_ids)
+        cache[eid] = key_sets.setdefault(keys, keys)
+        totals[eid] = 0
+    return bool(needed)
 
-    if dirty:
-        totals[eid] = sum(len(bucket) for bucket in entry.values())
-    return recomputed
 
-
-def _pop_best(heap: List[Tuple[int, int]], score_of: Dict[int, int]) -> Tuple[int, int]:
+def _pop_best(
+    heap: List[Tuple[int, int]], score_of: List[Optional[int]]
+) -> Tuple[int, int]:
     """Pop the best *fresh* heap entry: max gain, smallest eid on ties.
 
     Entries whose score no longer matches the candidate's current score (or
@@ -189,7 +196,7 @@ def _pop_best(heap: List[Tuple[int, int]], score_of: Dict[int, int]) -> Tuple[in
     """
     while heap:
         neg_score, eid = heapq.heappop(heap)
-        if score_of.get(eid) == -neg_score:
+        if score_of[eid] == -neg_score:
             return eid, -neg_score
     return -1, -1
 
@@ -216,12 +223,14 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     tree = engine.tree()
     state = engine.state
 
-    # Follower cache F[e][node_id], keyed by dense edge id (stable for the
+    # Follower cache F[e][node_id], indexed by dense edge id (stable for the
     # lifetime of the run — the graph is never mutated), plus the cached
-    # total follower count per entry (recomputed only when the entry moves).
-    # Both live on the engine so a session spans rounds (and solves).
+    # total follower count per entry (recomputed only when the entry moves);
+    # None marks a candidate without an entry.  Both live on the engine so
+    # a session spans rounds (and solves), with the key-set intern table.
     cache = engine.follower_cache
     totals = engine.follower_totals
+    key_sets = engine.follower_key_sets
     # Warm path: an unanchored session that solved before restores its
     # baseline follower snapshot — every entry was computed against exactly
     # this first-round state (and the rolled-back baseline tree carries the
@@ -230,9 +239,10 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     warm_baseline = budget > 0 and engine.restore_baseline_followers()
     invalidation: Optional[ReuseInvalidation] = None
     # Lazy candidate max-heap: entries are (-gain, eid); score_of holds each
-    # live candidate's current gain (the freshness check at pop time).
+    # live candidate's current gain by dense edge id (the freshness check at
+    # pop time), None for a candidate never scored or committed.
     heap: List[Tuple[int, int]] = []
-    score_of: Dict[int, int] = {}
+    score_of: List[Optional[int]] = [None] * graph.num_edges
     per_round_gain: List[int] = []
     reuse_rounds: List[Dict[str, float]] = []
     recompute_counts: List[int] = []
@@ -264,8 +274,10 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             # equal a cold first round's, so the pop order of every later
             # round is identical too: keys are (-gain, eid), and the best
             # pop is the max gain with the smallest eid, as the cold scan's.
-            score_of = dict(totals)
-            heap = [(-total, eid) for eid, total in totals.items()]
+            score_of = list(totals)
+            heap = [
+                (-total, eid) for eid, total in enumerate(totals) if total is not None
+            ]
             heapq.heapify(heap)
             best_eid, best_count = _pop_best(heap, score_of)
         elif use_heap and invalidation is not None:
@@ -280,14 +292,14 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                 edge = edge_of[eid]
                 sla_ids = sla_sets[eid] or _EMPTY_SLA
                 if _refresh_entry(
-                    state, tree, cache, totals, method, starters, decision,
-                    eid, edge, sla_ids, stats,
+                    state, tree, cache, totals, key_sets, method, starters,
+                    decision, eid, edge, sla_ids, stats,
                 ):
                     recomputed_entries += 1
                 score = totals[eid] - (
                     current_trussness[eid] - original_trussness[eid]
                 )
-                if score_of.get(eid) != score:
+                if score_of[eid] != score:
                     score_of[eid] = score
                     heapq.heappush(heap, (-score, eid))
             stats.fully_reusable += (
@@ -304,8 +316,8 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                 edge = edge_of[eid]
                 sla_ids = sla_sets[eid] or _EMPTY_SLA
                 if _refresh_entry(
-                    state, tree, cache, totals, method, starters, decision,
-                    eid, edge, sla_ids, stats,
+                    state, tree, cache, totals, key_sets, method, starters,
+                    decision, eid, edge, sla_ids, stats,
                 ):
                     recomputed_entries += 1
                 # Marginal gain of Definition 4: follower count minus the
@@ -313,7 +325,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
                 # earlier anchors (forfeited once it becomes an anchor).
                 accumulated = current_trussness[eid] - original_trussness[eid]
                 total = totals[eid] - accumulated
-                if use_heap and score_of.get(eid) != total:
+                if use_heap and score_of[eid] != total:
                     score_of[eid] = total
                     heapq.heappush(heap, (-total, eid))
                 if total > best_count:
@@ -329,9 +341,9 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             break
         best_edge = edge_of[best_eid]
         engine.commit_anchor(best_edge)
-        cache.pop(best_eid, None)
-        totals.pop(best_eid, None)
-        score_of.pop(best_eid, None)
+        cache[best_eid] = None
+        totals[best_eid] = None
+        score_of[best_eid] = None
         per_round_gain.append(best_count)
         recompute_counts.append(recomputed_entries)
         if collect_reuse_stats and decision is not None:

@@ -12,31 +12,47 @@ Representation
 ``CSRArrays`` holds, for a graph with ``n`` vertices and ``m`` edges (both
 in the dense-id domain of :class:`~repro.graph.index.GraphIndex`):
 
-* ``endpoints`` — ``(m, 2)`` int64 array of (smaller vid, larger vid) per
-  dense edge id;
+* ``endpoints`` — ``(m, 2)`` int64 array of the two endpoint vids of each
+  dense edge id (``GraphIndex`` passes them in canonical-tuple order);
 * ``indptr`` / ``indices`` / ``slot_eids`` — CSR adjacency over ``2 m``
   directed slots, neighbour lists sorted by neighbour vid, each slot
   carrying the incident dense edge id;
 * the *hit table*: for every triangle ``{e, e1, e2}`` and every base edge
   ``e`` of it, one row ``(e1, e2, apex_vid)``.  Rows are grouped by base
   edge (``hit_offsets[e] : hit_offsets[e + 1]``), so each triangle appears
-  exactly three times — once per base edge.  This is the array form of the
-  kernel's ``edge_triangles`` lists;
+  exactly three times — once per base edge.  ``hit_e1`` / ``hit_e2`` are
+  the array form of the kernel's ``edge_triangles`` pairs; ``hit_apex`` is
+  kept for the persisted format;
 * ``support`` — per-edge triangle counts (``hit_offsets`` differences).
 
 Triangle enumeration
 --------------------
-For each edge ``(u, v)`` the enumeration probes the adjacency of the
-smaller-degree endpoint ``s`` and looks the pairs ``(l, w)`` up in the
-globally sorted key array ``src * n + dst`` with one vectorised
-``searchsorted`` — the classic sorted-adjacency merge intersection, batched
-over all edges at once.  Every Python-level loop is over *phases*, never
-over edges or triangles.
+Every edge is oriented from its lower to its higher ``(degree, vid)``
+rank.  For each oriented edge ``u -> v`` the out-neighbours ``w`` of ``v``
+are probed for an oriented edge ``u -> w`` with one vectorised
+``searchsorted`` over the ``m`` sorted oriented keys ``src * n + dst``, so
+each triangle is found exactly once, at its rank-ordered vertices
+``u < v < w`` (Chiba & Nishizeki, "Arboricity and subgraph listing
+algorithms", SIAM J. Comput. 14(1), 1985; Latapy, "Main-memory triangle
+computations for very large (sparse (power-law)) graphs", Theoretical
+Computer Science 407, 2008).  Degree orientation keeps out-degrees small,
+so the probes number far fewer than the per-edge smaller-endpoint scan,
+and the working set is ``O(m + probes)`` arrays — no per-vertex-pair
+table.  Every Python-level loop is over *phases*, never over edges or
+triangles.
+
+Each triangle then emits its three hit rows, sorted by ``base * n +
+apex``: rows are grouped by base edge in ascending apex vid, ``hit_e1`` is
+the edge through the base's smaller-degree endpoint (``endpoints[base,
+0]`` on ties) and ``hit_e2`` the edge through the other endpoint.
+
+All keys are int64: ``src * n + dst`` and the rank ``degree * n + vid``
+stay below ``n * n``, the row key below ``m * n``, so the enumeration is
+exact while ``n * max(n, m) < 2**63`` (about 3e9 vertices).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Mapping, Optional
 
 import numpy as _np
@@ -46,22 +62,6 @@ __all__ = ["CSRArrays", "build_csr_arrays", "csr_payload", "csr_from_payload"]
 #: Bump when the array layout changes: persisted caches with a different
 #: version are rebuilt instead of misread.
 CSR_FORMAT_VERSION = 1
-
-#: Largest n*n for which triangle membership tests use a dense slot table
-#: (int32, 128 MB at the cap) instead of per-probe binary search.  The
-#: table maps ``src * n + dst`` directly to its CSR slot (offset by one, 0
-#: meaning "no such edge"), so a probe resolves membership *and* the hit's
-#: edge id with a single gather — no binary search on the hot path.
-_MEMBERSHIP_TABLE_CAP = 1 << 25
-
-#: Shared scratch for the slot table.  Zeroing (and first-touch page
-#: faulting) tens of MB per build dominates cold index builds, so one table
-#: is kept module-global and *reset by un-scattering the same keys* after
-#: use — O(2m) instead of O(n^2).  The lock is taken non-blocking: a
-#: concurrent build simply allocates its own fresh table instead of waiting.
-_scratch_lock = threading.Lock()
-_scratch_slots = None
-
 
 class CSRArrays:
     """Frozen array-domain snapshot of a graph (see module docs).
@@ -173,98 +173,78 @@ def build_csr_arrays(endpoints, num_vertices: int) -> "CSRArrays":
     b = endpoints[:, 1]
 
     # Directed-slot CSR: both orientations of every edge, sorted by the
-    # combined key ``src * n + dst`` (one argsort beats a two-key lexsort;
-    # int64 keys overflow only past ~3e9 vertices).  slot_eids maps each
-    # slot back to its dense edge id.
+    # combined key ``src * n + dst`` (one argsort beats a two-key lexsort).
+    # slot_eids maps each slot back to its dense edge id.
     eid_range = _np.arange(m, dtype=_np.int64)
     src = _np.concatenate([a, b])
     dst = _np.concatenate([b, a])
-    eids = _np.concatenate([eid_range, eid_range])
     keys = src * n + dst
     order = _np.argsort(keys)
-    sorted_keys = keys[order]
+    keys = keys[order]
+    src = src[order]
     indices = dst[order]
-    slot_eids = eids[order]
+    slot_eids = _np.concatenate([eid_range, eid_range])[order]
+    # Temporaries are dropped once read: the build's peak memory is a few
+    # times its output (tests/test_csr_kernel.py::TestBuildMemory).
+    del dst, order
     degrees = _np.bincount(src, minlength=n)
     indptr = _np.zeros(n + 1, dtype=_np.int64)
     _np.cumsum(degrees, out=indptr[1:])
 
-    # Triangle enumeration: probe the smaller-degree endpoint ``s`` of each
-    # edge and search the pairs (l, w) in the globally sorted key array
-    # src * n + dst.  int64 keys overflow only past ~3e9 vertices.
-    deg_a = degrees[a]
-    deg_b = degrees[b]
-    swap = deg_b < deg_a
-    s = _np.where(swap, b, a)
-    l = _np.where(swap, a, b)
-    lengths = degrees[s]
-    total = int(lengths.sum())
-    if total == 0:
-        support = _np.zeros(m, dtype=_np.int64)
-        return CSRArrays(
-            num_vertices=n,
-            num_edges=m,
-            endpoints=endpoints,
-            indptr=indptr,
-            indices=indices,
-            slot_eids=slot_eids,
-            support=support,
-            hit_offsets=_np.zeros(m + 1, dtype=_np.int64),
-            hit_e1=empty,
-            hit_e2=empty,
-            hit_apex=empty,
-        )
-    seg_end = _np.cumsum(lengths)
-    # Flat slot positions of every probe: for edge e the run covers the CSR
-    # slice of s[e].  (arange + per-run delta) — one repeat, not two.
-    pos = _np.arange(total, dtype=_np.int64) + _np.repeat(
-        indptr[s] - (seg_end - lengths), lengths
-    )
-    probe_w = indices[pos]
-    probe_keys = _np.repeat(l, lengths) * n + probe_w
-    # Probes where w == l (the probed neighbour is the other endpoint) build
-    # the self-loop key l*n+l, which never exists — no filter needed.
-    if n * n <= _MEMBERSHIP_TABLE_CAP:
-        # O(1) membership via the dense slot table (n^2 int32 cells): one
-        # scatter of the 2m edge keys, one gather per probe.  The gathered
-        # value is the hit's CSR slot + 1, so the (l, w) edge id comes for
-        # free — no binary search anywhere on this path.
-        global _scratch_slots
-        slot_plus_one = _np.arange(1, 2 * m + 1, dtype=_np.int32)
-        if _scratch_lock.acquire(blocking=False):
-            try:
-                if _scratch_slots is None or len(_scratch_slots) < n * n:
-                    _scratch_slots = _np.zeros(n * n, dtype=_np.int32)
-                table = _scratch_slots
-                try:
-                    table[sorted_keys] = slot_plus_one
-                    probe_slots = table[probe_keys]
-                finally:
-                    # Restore the all-zeros invariant for the next build.
-                    table[sorted_keys] = 0
-            finally:
-                _scratch_lock.release()
-        else:  # pragma: no cover - only under concurrent index builds
-            table = _np.zeros(n * n, dtype=_np.int32)
-            table[sorted_keys] = slot_plus_one
-            probe_slots = table[probe_keys]
-        hit_pos = _np.nonzero(probe_slots)[0]
-        hit_e2_slots = probe_slots[hit_pos].astype(_np.int64) - 1
-    else:
-        found = _np.searchsorted(sorted_keys, probe_keys)
-        hit = sorted_keys[_np.minimum(found, 2 * m - 1)] == probe_keys
-        hit_pos = _np.nonzero(hit)[0]
-        hit_e2_slots = _np.searchsorted(sorted_keys, probe_keys[hit_pos])
+    # Orientation: keep the slot u -> v of each edge whose source has the
+    # lower (degree, vid) rank.  The kept slots are a subsequence of the
+    # sorted CSR, so their keys stay sorted and their out-lists stay in
+    # ascending vid order.
+    rank = degrees * n + _np.arange(n, dtype=_np.int64)
+    forward = rank[src] < rank[indices]
+    out_src = src[forward]
+    out_dst = indices[forward]
+    out_eid = slot_eids[forward]
+    out_keys = keys[forward]
+    del src, keys, rank, forward
+    out_degrees = _np.bincount(out_src, minlength=n)
+    out_indptr = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(out_degrees, out=out_indptr[1:])
 
-    # Base edge of a flat probe index = the segment it falls in.  A full
-    # repeat + gather beats per-hit binary search on ``seg_end``.  The
-    # result is non-decreasing because hit_pos is ascending.
-    hit_base = _np.repeat(eid_range, lengths)[hit_pos]
-    hit_slots = pos[hit_pos]
-    hit_e1 = slot_eids[hit_slots]  # the (s, w) edge of each hit
-    hit_apex = probe_w[hit_pos]
-    hit_e2 = slot_eids[hit_e2_slots]  # the (l, w) edge of each hit
-    support = _np.bincount(hit_base, minlength=m)
+    # Probes: for each oriented edge u -> v (the m segments) and each
+    # out-neighbour w of v, look the key u * n + w up among the oriented
+    # keys.  A hit is the triangle u < v < w in rank, found exactly once.
+    lengths = out_degrees[out_dst]
+    seg_end = _np.cumsum(lengths)
+    pos = _np.repeat(out_indptr[out_dst] - (seg_end - lengths), lengths)
+    pos += _np.arange(len(pos), dtype=_np.int64)
+    probe_w = out_dst[pos]
+    probe_keys = _np.repeat(out_src, lengths)
+    probe_keys *= n
+    probe_keys += probe_w
+    found = _np.searchsorted(out_keys, probe_keys)
+    hit = _np.flatnonzero(out_keys[_np.minimum(found, m - 1)] == probe_keys)
+    del lengths, probe_keys, out_keys
+    seg = _np.searchsorted(seg_end, hit, side="right")
+    u = out_src[seg]
+    v = out_dst[seg]
+    w = probe_w[hit]
+    e_uv = out_eid[seg]
+    e_vw = out_eid[pos[hit]]
+    e_uw = out_eid[found[hit]]
+    del pos, probe_w, found, hit, seg
+
+    # Three hit rows per triangle, one per base edge: the base's endpoints
+    # p (lower rank) and q, the apex, and the edges p-apex and q-apex.
+    # Rank order puts deg[p] <= deg[q], so p is the smaller-degree
+    # endpoint unless the degrees tie and endpoint 0 is q.
+    base = _np.concatenate([e_uv, e_vw, e_uw])
+    apex = _np.concatenate([w, u, v])
+    p = _np.concatenate([u, v, u])
+    q = _np.concatenate([v, w, w])
+    at_p = _np.concatenate([e_uw, e_uv, e_uv])
+    at_q = _np.concatenate([e_vw, e_uw, e_vw])
+    p_first = (degrees[p] < degrees[q]) | (a[base] == p)
+    row_order = _np.argsort(base * n + apex)
+    hit_e1 = _np.where(p_first, at_p, at_q)[row_order]
+    hit_e2 = _np.where(p_first, at_q, at_p)[row_order]
+    hit_apex = apex[row_order]
+    support = _np.bincount(base, minlength=m)
     hit_offsets = _np.zeros(m + 1, dtype=_np.int64)
     _np.cumsum(support, out=hit_offsets[1:])
     return CSRArrays(

@@ -16,10 +16,12 @@ dense integer domain:
   arrays stay on ``index.csr`` for the vectorised peel in
   :mod:`repro.truss.peel` and the dataset cache;
 * the flat edge-id triples (``triangles``, used by the union-find of
-  triangle connectivity) and the per-edge lists of
-  ``(other_edge, other_edge, apex_vertex)`` entries (``edge_triangles``,
-  used by the follower machinery) are *lazy views* over that enumeration,
-  built on first access so cold decompositions never pay for them;
+  triangle connectivity) and the per-edge tuples of ``(other_edge,
+  other_edge)`` pairs (``edge_triangles``, used by the follower machinery)
+  are *lazy views* over that enumeration, built on first access so cold
+  decompositions never pay for them.  Both take their ints from one
+  ``list(range(m))``, so an edge id is one object per index, not one per
+  row;
 * ``support[e]`` is the triangle count of edge ``e`` — an O(1) lookup.
 
 Immutability / overlay contract
@@ -34,8 +36,8 @@ mutation bumps, so holding ``GraphIndex.of(graph)`` is always safe.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -62,6 +64,7 @@ class GraphIndex:
         "adj_edges",
         "_support",
         "_eid_of",
+        "_edge_ids",
         "_triangles",
         "_edge_triangles",
     )
@@ -101,8 +104,9 @@ class GraphIndex:
         self.adj_vertices = csr.indices
         self.adj_edges = csr.slot_eids
         self._support: Optional[List[int]] = None
+        self._edge_ids: Optional[List[int]] = None
         self._triangles: Optional[List[Tuple[int, int, int]]] = None
-        self._edge_triangles: Optional[List[List[Tuple[int, int, Vertex]]]] = None
+        self._edge_triangles: Optional[List[Tuple[Tuple[int, int], ...]]] = None
         self._eid_of: Optional[Dict[Edge, int]] = None
 
     # ------------------------------------------------------------------
@@ -158,6 +162,15 @@ class GraphIndex:
             self._eid_of = eid_of
         return eid_of
 
+    def _ids(self, values) -> Iterator[int]:
+        """``values`` (an edge-id array) as the index's shared id ints: each
+        dense edge id is one int object per index, however many triangle
+        rows name it."""
+        ids = self._edge_ids
+        if ids is None:
+            ids = self._edge_ids = list(range(self.num_edges))
+        return map(ids.__getitem__, values.tolist())
+
     @property
     def triangles(self) -> List[Tuple[int, int, int]]:
         """Flat list of edge-id triples, one per triangle (lazy view).
@@ -173,36 +186,33 @@ class GraphIndex:
             mask = (base < csr.hit_e1) & (base < csr.hit_e2)
             triangles = list(
                 zip(
-                    base[mask].tolist(),
-                    csr.hit_e1[mask].tolist(),
-                    csr.hit_e2[mask].tolist(),
+                    self._ids(base[mask]),
+                    self._ids(csr.hit_e1[mask]),
+                    self._ids(csr.hit_e2[mask]),
                 )
             )
             self._triangles = triangles
         return triangles
 
     @property
-    def edge_triangles(self) -> List[List[Tuple[int, int, Vertex]]]:
-        """Per-edge ``(other_edge, other_edge, apex_vertex)`` lists (lazy).
+    def edge_triangles(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """Per-edge tuples of ``(e1, e2)`` pairs, one per triangle (lazy).
 
-        The follower machinery iterates these heavily; the list form is built
-        once from the array-domain hit table on first access and cached for
-        the lifetime of the index.
+        ``edge_triangles[e]`` holds the two other edges of every triangle
+        through ``e``, in the hit table's row order: ascending apex vid,
+        ``e1`` through ``e``'s smaller-degree endpoint.  The follower
+        machinery iterates these heavily, so the tuple form is built once
+        from the array-domain hit table on first access and cached for the
+        lifetime of the index; an edge in no triangle holds the shared
+        empty tuple.  The apex vertex is not stored (no reader needs it;
+        ``csr.hit_apex`` has it).
         """
         edge_triangles = self._edge_triangles
         if edge_triangles is None:
             csr = self.csr
-            vertex_of = self.vertex_of
-            e1 = csr.hit_e1.tolist()
-            e2 = csr.hit_e2.tolist()
-            apexes = csr.hit_apex.tolist()
-            offsets = csr.hit_offsets.tolist()
+            rows = zip(self._ids(csr.hit_e1), self._ids(csr.hit_e2))
             edge_triangles = [
-                [
-                    (e1[row], e2[row], vertex_of[apexes[row]])
-                    for row in range(offsets[eid], offsets[eid + 1])
-                ]
-                for eid in range(self.num_edges)
+                tuple(islice(rows, count)) for count in csr.support.tolist()
             ]
             self._edge_triangles = edge_triangles
         return edge_triangles

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 import numpy as _np
 
-from repro.graph.graph import Edge, Graph, Vertex, normalize_edge
+from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.index import GraphIndex
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
@@ -255,28 +255,6 @@ class TrussState:
         )
         self._flags = (index, flags)
         return flags
-
-    def triangle_list(self, edge: Edge) -> List[Tuple[Edge, Edge, Vertex]]:
-        """The triangles through ``edge`` as ``(edge_uw, edge_vw, w)`` tuples.
-
-        Converted from the index's dense-id ``edge_triangles`` on each call.
-        """
-        index = self.index
-        edge_of = index.edge_of
-        eid = index.eid_of[self.graph.require_edge(edge)]
-        return [(edge_of[a], edge_of[b], w) for a, b, w in index.edge_triangles[eid]]
-
-    def triangles(self, edge: Edge) -> Iterator[Tuple[Edge, Edge, Vertex]]:
-        """Yield ``(edge_uw, edge_vw, w)`` for every triangle through ``edge``."""
-        return iter(self.triangle_list(edge))
-
-    def neighbor_edges(self, edge: Edge) -> Set[Edge]:
-        """All edges sharing at least one triangle with ``edge``."""
-        result: Set[Edge] = set()
-        for e1, e2, _w in self.triangle_list(edge):
-            result.add(e1)
-            result.add(e2)
-        return result
 
     # ------------------------------------------------------------------
     # Gain bookkeeping

@@ -333,9 +333,23 @@ class TestWarmGas:
             result_to_json(cold)
         )
 
+    @staticmethod
+    def _buckets(entries):
+        """Snapshot entries as node -> bucket dicts (a key set, the entry of
+        a candidate without a follower, expands to empty buckets)."""
+        return {
+            eid: (
+                dict.fromkeys(entry, frozenset())
+                if isinstance(entry, frozenset)
+                else dict(entry)
+            )
+            for eid, entry in enumerate(entries)
+            if entry is not None
+        }
+
     def test_warm_sequence_equals_fresh_engines_and_keeps_the_snapshot(self):
-        # The restored entries are shared with the snapshot and copied on
-        # first edit, and the warm first round heapifies the snapshot's
+        # The restored entries are shared with the snapshot and replaced,
+        # never edited, and the warm first round heapifies the snapshot's
         # totals: neither may leak into a later answer or the snapshot.
         graph = community_graph([14, 12, 10], p_in=0.6, p_out=0.05, seed=21)
         anchor = graph.edge_list()[3]
@@ -359,14 +373,50 @@ class TestWarmGas:
             ), (algorithm, budget, params)
             if snapshot is None:
                 entries, totals = engine._baseline_followers
-                snapshot = (
-                    {eid: dict(entry) for eid, entry in entries.items()},
-                    dict(totals),
-                )
+                snapshot = (self._buckets(entries), list(totals))
             entries, totals = engine._baseline_followers
-            assert {eid: dict(entry) for eid, entry in entries.items()} == snapshot[0]
+            assert self._buckets(entries) == snapshot[0]
             assert totals == snapshot[1]
         assert engine.solve_count == len(sequence)
+
+    def test_warm_follower_turns_a_restored_key_set_into_a_dict(self):
+        # A warm solve's later round gives a follower to an entry the
+        # snapshot holds as a bare key set: the live entry becomes a
+        # node -> bucket dict, while the snapshot keeps the very same key
+        # set object with the same keys.  On this graph GAS b=3 gains
+        # nothing in its first two rounds and entries 5 and 6, follower-less
+        # at baseline, hold followers in the third.
+        graph = community_graph([8, 7, 6], p_in=0.55, p_out=0.1, seed=48)
+        engine = SolverEngine(graph)
+        engine.solve("gas", 1)
+        entries, totals = engine._baseline_followers
+        key_sets = {
+            eid: (entry, set(entry))
+            for eid, entry in enumerate(entries)
+            if isinstance(entry, frozenset)
+        }
+        assert key_sets and all(totals[eid] == 0 for eid in key_sets)
+        warm = engine.solve("gas", 3)
+        assert warm.extra["recomputed_entries_per_round"][0] == 0
+        grown = [
+            eid
+            for eid in key_sets
+            if type(engine.follower_cache[eid]) is dict
+            and engine.follower_totals[eid] > 0
+        ]
+        assert grown == [5, 6]
+        for eid in grown:
+            buckets = engine.follower_cache[eid].values()
+            assert sum(map(len, buckets)) == engine.follower_totals[eid]
+        assert engine._baseline_followers[0] is entries
+        for eid, (entry, keys) in key_sets.items():
+            assert entries[eid] is entry
+            assert set(entry) == keys
+            assert totals[eid] == 0
+        fresh = SolverEngine(graph).solve("gas", 3)
+        assert canonical_json(result_to_json(warm)) == canonical_json(
+            result_to_json(fresh)
+        )
 
     def test_restore_is_a_noop_without_snapshot(self):
         engine = SolverEngine(small_graph(15))

@@ -223,8 +223,8 @@ class TestTreePatchEdgeCases:
         pendant = graph.require_edge(("pendant-a", "pendant-b"))
 
         engine = SolverEngine(graph, full_peel_threshold=ALWAYS_INCREMENTAL)
-        state = engine.state
-        assert not state.triangle_list(pendant)
+        index = engine.state.index
+        assert index.support[index.eid_of[pendant]] == 0
 
         heap_run = get_solver("gas")(graph, 2, initial_anchors=[pendant])
         scan_run = get_solver("gas")(

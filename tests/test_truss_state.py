@@ -11,6 +11,7 @@ from repro.core.engine import SolverEngine
 from repro.core.followers import compute_followers
 from repro.graph.generators import complete_graph
 from repro.graph.index import GraphIndex
+from repro.graph.triangles import neighbor_edges
 from repro.oracles import dense_peel_reference, truss_decomposition_reference
 from repro.truss.decomposition import trussness_gain
 from repro.truss.state import ANCHOR_TRUSSNESS, TrussState
@@ -63,12 +64,15 @@ class TestDeletionOrder:
 
 
 class TestTriangleQueries:
-    def test_triangles_of_edge(self, fig3_state):
-        apexes = {w for _e1, _e2, w in fig3_state.triangles((9, 10))}
+    def test_triangles_of_edge(self, fig3_graph):
+        apexes = {w for _e1, _e2, w in neighbor_edges(fig3_graph, (9, 10))}
         assert apexes == {8}
 
-    def test_neighbor_edges(self, fig3_state):
-        assert fig3_state.neighbor_edges((9, 10)) == {(8, 9), (8, 10)}
+    def test_neighbor_edges(self, fig3_graph):
+        found = set()
+        for e1, e2, _w in neighbor_edges(fig3_graph, (9, 10)):
+            found |= {e1, e2}
+        assert found == {(8, 9), (8, 10)}
 
 
 class TestAnchoringTransitions:
