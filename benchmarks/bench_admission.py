@@ -2,7 +2,7 @@
 """Steady-state cost of admission control: a gate, not a benchmark row.
 
 The same GAS workload (8 requests, b=2, on the ``college`` stand-in) runs
-through an unbounded ``SolveService(workers=2, memoize=False)`` and through
+through an unbounded ``SolveService(workers=2, store_capacity=0)`` and through
 a bounded one (``max_inflight=2, max_queue_depth=8``) whose window admits
 every request.  Nothing is shed, so the bounded service should cost only
 its counter updates.
@@ -69,9 +69,9 @@ def main() -> int:
         for index in range(REQUESTS)
     ]
     ratios = []
-    with SolveService(workers=WORKERS, memoize=False) as unbounded, SolveService(
+    with SolveService(workers=WORKERS, store_capacity=0) as unbounded, SolveService(
         workers=WORKERS,
-        memoize=False,
+        store_capacity=0,
         max_inflight=WORKERS,
         max_queue_depth=REQUESTS,
     ) as bounded:

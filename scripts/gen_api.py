@@ -295,7 +295,6 @@ COMPOSITE_SECTIONS = {
 METHOD_ALLOWLIST = {
     "SolveSpec": [
         "param",
-        "engine_key",
         "require_source",
         "source_label",
         "signature",

@@ -26,19 +26,15 @@ module can import it without a cycle); the session/resolver symbols — which
 """
 
 from repro.api.spec import (
-    ENGINE_OPTION_FIELDS,
     SCHEMA_VERSION,
     SolveOutcome,
     SolveSpec,
     SpecError,
     canonical_result,
-    parse_spec,
-    parse_spec_line,
     result_to_json,
 )
 
 __all__ = [
-    "ENGINE_OPTION_FIELDS",
     "SCHEMA_VERSION",
     "GraphResolver",
     "Session",
@@ -46,8 +42,6 @@ __all__ = [
     "SolveSpec",
     "SpecError",
     "canonical_result",
-    "parse_spec",
-    "parse_spec_line",
     "resolve_graph",
     "result_to_json",
     "solve",

@@ -68,11 +68,6 @@ class Session:
         session = Session(edge_list="data/roadnet.txt")
         session = Session(edges=[(1, 2), (2, 3), (1, 3)])
 
-    The engine-construction option (``full_peel_threshold``) fixes the
-    engine for the session's lifetime; a spec carrying a *different* value
-    is rejected (the serving layer routes such specs to a different session
-    instead).
-
     A spec's graph source, when present, must match the session's source
     (same dataset name / path / edge tuple) — solving a spec that names a
     different graph on this session would silently answer the wrong
@@ -85,7 +80,6 @@ class Session:
         dataset: Optional[str] = None,
         edge_list: Optional[str] = None,
         edges: Optional[Tuple[Tuple[object, object], ...]] = None,
-        full_peel_threshold: Optional[float] = None,
         memoize: bool = True,
     ) -> None:
         sources = [s for s in (graph, dataset, edge_list, edges) if s is not None]
@@ -94,9 +88,6 @@ class Session:
                 "exactly one session source required: graph, dataset, "
                 "edge_list or edges"
             )
-        engine_options: Dict[str, object] = {}
-        if full_peel_threshold is not None:
-            engine_options["full_peel_threshold"] = full_peel_threshold
         self._source = SolveSpec(dataset=dataset, edge_list=edge_list, edges=edges) if graph is None else None
         if graph is not None:
             self.graph = graph
@@ -104,8 +95,7 @@ class Session:
         else:
             assert self._source is not None
             self.graph, self.fingerprint = resolve_graph(self._source)
-        self.engine = SolverEngine(self.graph, **engine_options)  # type: ignore[arg-type]
-        self._engine_options = tuple(sorted(engine_options.items()))
+        self.engine = SolverEngine(self.graph)
         self.memoize = memoize
         # Same memo primitive as the serving layer's per-session memo and
         # result store (one definition of the deepcopy-LRU semantics);
@@ -132,11 +122,6 @@ class Session:
                     f"spec names {spec.source_label()}, which does not match "
                     "this session's graph"
                 )
-        if spec.engine and spec.engine != self._engine_options:
-            raise SpecError(
-                f"spec engine options {spec.engine_map!r} differ from this "
-                f"session's {dict(self._engine_options)!r}"
-            )
 
     def solve_result(
         self, spec: Optional[SolveSpec] = None, **spec_fields: object
@@ -222,14 +207,11 @@ def solve(
         if graph is not None:
             if spec.has_source:
                 raise SpecError("pass either a graph or a spec with a source, not both")
-            session = Session(graph=graph, **dict(spec.engine))  # type: ignore[arg-type]
+            session = Session(graph=graph)
         else:
             spec.require_source()
             session = Session(
-                dataset=spec.dataset,
-                edge_list=spec.edge_list,
-                edges=spec.edges,
-                **dict(spec.engine),  # type: ignore[arg-type]
+                dataset=spec.dataset, edge_list=spec.edge_list, edges=spec.edges
             )
         return session.solve(spec)
     except ReproError as exc:

@@ -9,7 +9,7 @@ them into one **versioned, typed, serializable** pair:
 * :class:`SolveSpec` — everything needed to reproduce one solve: the graph
   source (dataset name, edge-list path or inline edges — or none, for specs
   bound to a caller-supplied graph), the solver name, the budget, solver
-  parameters and engine-construction options.  Frozen, strictly validated,
+  parameters and initial anchors.  Frozen, strictly validated,
   and round-trippable through **canonical JSON** and **pickle** — the pickle
   path is what lets :class:`~repro.service.scheduler.SolveService` ship
   specs to ``ProcessPoolExecutor`` workers for true cross-graph parallelism.
@@ -22,6 +22,10 @@ them into one **versioned, typed, serializable** pair:
 
 Both carry ``schema_version`` (currently ``1``); a payload from a newer
 schema fails loudly instead of being half-understood.
+
+How the engine solves — its full-peel threshold — is not part of a spec: it
+changes timings, never answers, and is set where the engine is built
+(:class:`~repro.core.engine.SolverEngine`).
 
 (The pre-v1 ``SolveRequest`` / ``ServiceRequest`` adapters served their
 one-release deprecation window and are gone; construct :class:`SolveSpec`
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -43,13 +48,10 @@ from repro.utils.errors import ReproError
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ENGINE_OPTION_FIELDS",
     "ERROR_KINDS",
     "SpecError",
     "SolveSpec",
     "SolveOutcome",
-    "parse_spec",
-    "parse_spec_line",
     "result_to_json",
     "canonical_result",
 ]
@@ -57,11 +59,6 @@ __all__ = [
 #: The wire/schema version this build speaks.  Bump on any incompatible
 #: change to the :class:`SolveSpec` / :class:`SolveOutcome` JSON layout.
 SCHEMA_VERSION = 1
-
-#: Engine-construction options a spec may set.  They are part of the
-#: serving layer's session cache key; the full-peel threshold changes
-#: timings only, never results (asserted by the engine equivalence tests).
-ENGINE_OPTION_FIELDS = ("full_peel_threshold",)
 
 #: The structured error taxonomy carried by failed :class:`SolveOutcome`\ s
 #: (``error_kind``).  ``timeout`` / ``overloaded`` / ``worker_crash`` are
@@ -84,7 +81,6 @@ _SPEC_JSON_FIELDS = (
     "budget",
     "params",
     "initial_anchors",
-    "engine",
     "deadline_s",
     "trace_id",
 )
@@ -175,11 +171,9 @@ class SolveSpec:
     :class:`~repro.api.session.Session`'s native mode); the serving layer
     requires a source (:meth:`require_source`).
 
-    ``params`` and ``engine`` accept mappings and are normalised to sorted
-    tuples of items, so two specs built from differently-ordered dicts are
-    equal, hash alike, and render the same canonical JSON.  Engine options
-    are restricted to :data:`ENGINE_OPTION_FIELDS` with scalar values (they
-    feed the hashable session cache key).
+    ``params`` accepts a mapping and is normalised to a sorted tuple of
+    items, so two specs built from differently-ordered dicts are equal,
+    hash alike, and render the same canonical JSON.
 
     Serialization contract (the test-suite round-trips randomized specs):
 
@@ -197,7 +191,6 @@ class SolveSpec:
     dataset: Optional[str] = None
     edge_list: Optional[str] = None
     edges: Optional[Tuple[Tuple[object, object], ...]] = None
-    engine: Tuple[Tuple[str, object], ...] = ()
     request_id: str = ""
     deadline_s: Optional[float] = None
     trace_id: Optional[str] = None
@@ -220,10 +213,12 @@ class SolveSpec:
             if (
                 not isinstance(self.deadline_s, (int, float))
                 or isinstance(self.deadline_s, bool)
-                or self.deadline_s <= 0
+                # NaN fails both comparisons; infinity and ints past the
+                # float range fail the upper one.
+                or not 0 < self.deadline_s <= sys.float_info.max
             ):
                 raise SpecError(
-                    f"deadline_s must be a positive number of seconds, "
+                    f"deadline_s must be a positive, finite number of seconds, "
                     f"got {self.deadline_s!r}"
                 )
             set_(self, "deadline_s", float(self.deadline_s))
@@ -246,19 +241,6 @@ class SolveSpec:
             set_(self, "edges", _edge_pairs(self.edges, "edges"))
         set_(self, "initial_anchors", _edge_pairs(self.initial_anchors, "initial_anchors"))
         set_(self, "params", _normalized_items(self.params, "params"))
-        set_(self, "engine", _normalized_items(self.engine, "engine"))
-        unknown = {key for key, _v in self.engine} - set(ENGINE_OPTION_FIELDS)
-        if unknown:
-            raise SpecError(
-                f"unknown engine option(s): {', '.join(sorted(unknown))}; "
-                f"accepted: {', '.join(ENGINE_OPTION_FIELDS)}"
-            )
-        for option, value in self.engine:
-            # Engine options feed the (hashable) session cache key.
-            if not isinstance(value, (str, int, float, bool)) and value is not None:
-                raise SpecError(
-                    f"engine option {option!r} must be a scalar, got {value!r}"
-                )
 
     # -- equality spans subclasses ------------------------------------------
     def _identity(self) -> Tuple[object, ...]:
@@ -282,15 +264,6 @@ class SolveSpec:
     def params_map(self) -> Dict[str, object]:
         """The solver parameters as a plain dict."""
         return dict(self.params)
-
-    @property
-    def engine_map(self) -> Dict[str, object]:
-        """The engine-construction options as a plain dict."""
-        return dict(self.engine)
-
-    def engine_key(self) -> Tuple[Tuple[str, object], ...]:
-        """The engine options as a stable, hashable cache-key component."""
-        return self.engine
 
     def reject_initial_anchors(self, solver_name: str) -> None:
         """Fail fast for solvers that cannot honour pre-set anchors.
@@ -337,11 +310,9 @@ class SolveSpec:
         """A stable, hashable digest of everything that determines the result.
 
         Excludes ``request_id`` (two ids asking the same question must share
-        one cache slot) but **includes** the engine options — built-in
-        solvers provably ignore them for results, but a third-party solver
-        could observe them, so cache layers stay conservative.  The graph is
-        identified separately (by fingerprint), so the source fields are
-        excluded too: two routes to the same graph share cached results.
+        one cache slot).  The graph is identified separately (by
+        fingerprint), so the source fields are excluded too: two routes to
+        the same graph share cached results.
         ``deadline_s`` is also excluded: it bounds *serving*, never the
         result — a cached answer is served instantly and therefore always
         within any deadline, so deadline'd and deadline-free repeats of one
@@ -355,12 +326,11 @@ class SolveSpec:
             self.budget,
             _params_text(self.params),
             self.initial_anchors,
-            self.engine,
         )
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self) -> dict:
-        """The JSON-lines rendering (inverse of :func:`parse_spec`)."""
+        """The JSON-lines rendering (inverse of :meth:`from_json_dict`)."""
         payload: Dict[str, object] = {
             "schema_version": self.schema_version,
             "id": self.request_id,
@@ -377,8 +347,6 @@ class SolveSpec:
             payload["params"] = {key: _thaw(value) for key, value in self.params}
         if self.initial_anchors:
             payload["initial_anchors"] = _thaw(self.initial_anchors)
-        if self.engine:
-            payload["engine"] = dict(self.engine)
         if self.deadline_s is not None:
             # Emitted only when set, so pre-deadline specs render the exact
             # bytes they always did (the schema-compatibility contract).
@@ -421,9 +389,6 @@ class SolveSpec:
         params = payload.get("params", {})
         if not isinstance(params, Mapping):
             raise SpecError("params must be a JSON object")
-        engine = payload.get("engine", {})
-        if not isinstance(engine, Mapping):
-            raise SpecError("engine must be a JSON object")
         raw_id = payload.get("id")
         # Presence, not truthiness: an explicit id of 0 must stay "0".
         request_id = default_id if raw_id is None or raw_id == "" else str(raw_id)
@@ -441,7 +406,6 @@ class SolveSpec:
             budget=payload.get("budget", 5),  # type: ignore[arg-type]
             params=params,
             initial_anchors=payload.get("initial_anchors", ()),
-            engine=engine,
             deadline_s=payload.get("deadline_s"),  # type: ignore[arg-type]
             trace_id=payload.get("trace_id"),  # type: ignore[arg-type]
         )
@@ -454,20 +418,6 @@ class SolveSpec:
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(payload, default_id=default_id)
-
-    # Back-compat spelling used by the ServiceRequest era.
-    def to_dict(self) -> dict:
-        return self.to_json_dict()
-
-
-def parse_spec(payload: Mapping[str, object], default_id: str = "") -> SolveSpec:
-    """Module-level alias of :meth:`SolveSpec.from_json_dict` + source check."""
-    return SolveSpec.from_json_dict(payload, default_id=default_id).require_source()
-
-
-def parse_spec_line(line: str, default_id: str = "") -> SolveSpec:
-    """Module-level alias of :meth:`SolveSpec.from_json_line` + source check."""
-    return SolveSpec.from_json_line(line, default_id=default_id).require_source()
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +579,6 @@ class SolveOutcome:
             payload["error_kind"] = self.error_kind
             payload["retryable"] = bool(self.retryable)
         return payload
-
-    # Back-compat spelling used by the ServiceResponse era.
-    def to_dict(self) -> dict:
-        return self.to_json_dict()
 
     def to_json_line(self) -> str:
         """One-line JSON rendering (the ``serve`` / ``batch`` output format)."""

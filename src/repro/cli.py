@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -82,12 +83,14 @@ _SOLVERS = solver_table()
 
 
 def _at_least(minimum: float, kind: type = int, strict: bool = False):
-    """An argparse ``type=`` for a number ``>= minimum`` (``> minimum`` when
-    ``strict``): a value out of range is a usage error naming the flag
-    (exit 2), not a traceback from deep inside the service."""
+    """An argparse ``type=`` for a finite number ``>= minimum`` (``>
+    minimum`` when ``strict``): a value out of range is a usage error naming
+    the flag (exit 2), not a traceback from deep inside the service."""
 
     def parse(text: str):
         value = kind(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
         if not (value > minimum if strict else value >= minimum):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {minimum}, got {text}"
@@ -146,17 +149,12 @@ def _build_parser() -> argparse.ArgumentParser:
             help="warm engine sessions to keep (LRU; 0 disables session reuse)",
         )
         command.add_argument(
-            "--no-memo",
-            action="store_true",
-            help="disable the shared result store, which answers repeated "
-            "deterministic solves from cache",
-        )
-        command.add_argument(
             "--store-capacity",
             type=_at_least(0),
             default=256,
             help="entries in the shared cross-graph result store, which "
-            "survives session eviction (0 disables just the store)",
+            "answers repeated deterministic solves and survives session "
+            "eviction (0 disables it)",
         )
         command.add_argument(
             "--max-inflight",
@@ -226,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a sharded multi-backend cluster behind a "
         "fingerprint-hash router (same line protocol, one TCP port)",
     )
-    # The service knobs thread through to every spawned backend; --no-memo
-    # and --store-capacity additionally size the router-tier result store.
+    # The service knobs thread through to every spawned backend;
+    # --store-capacity additionally sizes the router-tier result store.
     _service_args(cluster)
     cluster.add_argument(
         "--backends",
@@ -261,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--probe-interval",
-        type=float,
+        type=_at_least(0, float, strict=True),
         default=1.0,
         help="seconds between backend health probes (mark-down/respawn cycle)",
     )
@@ -327,7 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics in the Prometheus text exposition format",
     )
     obs.add_argument(
-        "--timeout", type=float, default=30.0, help="socket timeout in seconds"
+        "--timeout",
+        type=_at_least(0, float, strict=True),
+        default=30.0,
+        help="socket timeout in seconds",
     )
 
     experiment = sub.add_parser("experiment", help="run one experiment of the harness")
@@ -347,7 +348,6 @@ def _make_service(args: argparse.Namespace):
     return SolveService(
         workers=args.workers,
         session_capacity=args.session_cache,
-        memoize=not args.no_memo,
         executor=args.executor,
         store_capacity=args.store_capacity,
         max_inflight=args.max_inflight,
@@ -503,8 +503,6 @@ def _backend_serve_args(args: argparse.Namespace) -> List[str]:
         "--session-cache", str(args.session_cache),
         "--store-capacity", str(args.store_capacity),
     ]
-    if args.no_memo:
-        serve_args.append("--no-memo")
     if args.max_inflight is not None:
         serve_args += ["--max-inflight", str(args.max_inflight)]
     if args.max_queue is not None:
@@ -546,7 +544,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
             pool,
             replicas=args.replicas,
             workers=args.router_workers,
-            memoize=not args.no_memo,
             store_capacity=args.store_capacity,
         )
         # Machine-readable fleet roster (ids, addresses, pids) so smoke

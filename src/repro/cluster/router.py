@@ -158,7 +158,6 @@ class RouterService:
         pool: BackendPool,
         replicas: int = DEFAULT_REPLICAS,
         workers: int = 8,
-        memoize: bool = True,
         store_capacity: int = 256,
         request_timeout_s: float = 120.0,
         max_route_attempts: Optional[int] = None,
@@ -167,14 +166,11 @@ class RouterService:
     ) -> None:
         self.pool = pool
         self.ring = HashRing(pool.ids(), replicas=replicas)
-        self.memoize = memoize
         self.request_timeout_s = request_timeout_s
         self.max_route_attempts = max_route_attempts
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._resolver = GraphResolver(capacity=resolver_capacity)
-        self.store = ResultStore(
-            store_capacity if memoize else 0, registry=self.metrics
-        )
+        self.store = ResultStore(store_capacity, registry=self.metrics)
         self._connections = _ConnectionPool()
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="router"
@@ -253,7 +249,7 @@ class RouterService:
                 retryable=retryable,
             )
         store_key = (fingerprint, spec.signature())
-        cacheable = self.memoize and memoizable(spec)
+        cacheable = self.store.enabled and memoizable(spec)
         if cacheable:
             payload = self.store.get(store_key)
             if payload is not None:

@@ -435,10 +435,6 @@ class TrussComponentTree:
             self._sla_ref = ref
         return ref
 
-    def sla_referencing(self, node_id: int) -> Set[int]:
-        """Eids whose ``sla`` set contains ``node_id`` (read-only view)."""
-        return self._ensure_sla_ref().get(node_id, set())
-
     def _attach(self, child_id: int, parent_id: Optional[int]) -> None:
         """Point ``child.parent`` at ``parent_id``, keeping children lists in sync."""
         node = self.nodes[child_id]

@@ -285,6 +285,11 @@ class SolverEngine:
     GAS follower caches.  Solvers access it through :meth:`solve` or drive
     the primitives (:meth:`commit_anchor`, :meth:`evaluate_gain`,
     :meth:`tree`) directly.
+
+    ``full_peel_threshold`` is the engine's one tuning knob and this
+    constructor the one place it is set: ``0.0`` sends every commit with a
+    non-empty dirty closure to the full-peel fallback, ``math.inf`` none.
+    It changes timings, never answers, so requests do not carry it.
     """
 
     def __init__(
@@ -865,9 +870,7 @@ class SolverEngine:
         all end up here).  The spec's graph *source*, if any, is the
         caller's responsibility — :class:`repro.api.Session` and the
         serving layer verify it resolves to this engine's graph before
-        calling.  Engine-construction options in the spec must match this
-        engine (a mismatch would silently solve under different knobs than
-        the spec asked for).  The session is reset first, so one engine can
+        calling.  The session is reset first, so one engine can
         serve many solves while reusing its :class:`GraphIndex`, baseline
         state and baseline follower snapshot.
         """
@@ -879,13 +882,6 @@ class SolverEngine:
                     f"unknown parameter(s) for solver {spec.algorithm!r}: "
                     f"{', '.join(sorted(unknown))}; accepted: "
                     f"{', '.join(sorted(solver.params)) or '(none)'}"
-                )
-        for option, value in spec.engine:
-            own = getattr(self, option)
-            if own != value:
-                raise InvalidParameterError(
-                    f"spec engine option {option}={value!r} does not match "
-                    f"this engine's {option}={own!r}"
                 )
         self.solve_count += 1
         with _span("engine.solve_spec", algorithm=spec.algorithm, budget=spec.budget):
@@ -923,11 +919,6 @@ class SolverEngine:
 # ---------------------------------------------------------------------------
 SolverFn = Callable[[SolverEngine, SolveSpec], AnchorResult]
 
-#: Engine-construction keywords accepted by :meth:`SolverSpec.__call__` and
-#: stripped from the solver params.
-_ENGINE_KWARGS = ("baseline_state", "full_peel_threshold")
-
-
 @dataclass(frozen=True)
 class SolverSpec:
     """One registry entry: a named solver with its engine-level entry point.
@@ -951,13 +942,15 @@ class SolverSpec:
     randomized: bool = False
 
     def __call__(
-        self, graph: Graph, budget: int, initial_anchors: Iterable[Edge] = (), **params: object
+        self,
+        graph: Graph,
+        budget: int,
+        initial_anchors: Iterable[Edge] = (),
+        baseline_state: Optional[TrussState] = None,
+        **params: object,
     ) -> AnchorResult:
         """Convenience graph-level invocation (builds a one-shot engine)."""
-        engine_kwargs = {
-            key: params.pop(key) for key in _ENGINE_KWARGS if key in params
-        }
-        engine = SolverEngine(graph, **engine_kwargs)  # type: ignore[arg-type]
+        engine = SolverEngine(graph, baseline_state=baseline_state)
         return engine.solve(self.name, budget, initial_anchors=initial_anchors, **params)
 
 
@@ -1060,9 +1053,8 @@ def solver_table() -> Mapping[str, SolverSpec]:
 def solve(graph: Graph, budget: int, algorithm: str = "gas", **params: object) -> AnchorResult:
     """One-shot convenience: build an engine and run ``algorithm``.
 
-    Equivalent to ``SolverEngine(graph).solve(algorithm, budget, **params)``
-    with engine-construction keywords (``baseline_state``,
-    ``full_peel_threshold``) split off automatically.  Use a
+    Equivalent to ``SolverEngine(graph).solve(algorithm, budget, **params)``;
+    ``baseline_state`` goes to the engine instead of the solver.  Use a
     long-lived :class:`SolverEngine` instead when running several solves
     over the same graph.
     """

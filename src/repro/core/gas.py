@@ -58,7 +58,7 @@ from repro.api.spec import SolveSpec
 from repro.core.component_tree import TrussComponentTree
 from repro.core.engine import FollowerEntry, SolverEngine, register_solver
 from repro.core.followers import FollowerMethod, compute_followers
-from repro.core.params import choice_param, flag_param, method_param
+from repro.core.params import choice_param, method_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.core.reuse import (
     ReuseDecision,
@@ -204,7 +204,7 @@ def _pop_best(
 @register_solver(
     "gas",
     description="greedy with per-tree-node follower reuse (Algorithm 6)",
-    params=("method", "collect_reuse_stats", "candidates"),
+    params=("method", "candidates"),
 )
 def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     graph = engine.graph
@@ -212,7 +212,6 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     method = _validate(
         graph, budget, method_param(request, "method", FollowerMethod.SUPPORT_CHECK)
     )
-    collect_reuse_stats = flag_param(request, "collect_reuse_stats", True)
     strategy = choice_param(request, "candidates", ("heap", "scan"), "heap")
     use_heap = strategy == "heap"
 
@@ -346,7 +345,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         score_of[best_eid] = None
         per_round_gain.append(best_count)
         recompute_counts.append(recomputed_entries)
-        if collect_reuse_stats and decision is not None:
+        if decision is not None:
             reuse_rounds.append(stats.fractions())
 
         if _round + 1 < budget:
@@ -375,8 +374,7 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     result.extra["candidate_strategy"] = strategy
     result.extra["recomputed_entries_per_round"] = recompute_counts
     result.extra["cumulative_seconds_per_round"] = cumulative_seconds
-    if collect_reuse_stats:
-        result.extra["reuse_stats"] = reuse_rounds
+    result.extra["reuse_stats"] = reuse_rounds
     result.extra["engine"] = dict(engine.stats)
     return result
 
@@ -386,7 +384,6 @@ def gas(
     budget: int,
     initial_anchors: Iterable[Edge] = (),
     method: FollowerMethod | str = FollowerMethod.SUPPORT_CHECK,
-    collect_reuse_stats: bool = True,
     candidates: str = "heap",
 ) -> AnchorResult:
     """Select ``budget`` anchor edges with the GAS algorithm.
@@ -402,9 +399,6 @@ def gas(
     method:
         Follower-computation strategy used for the per-node recomputations
         (``support-check`` by default; ``peel`` for the ablation study).
-    collect_reuse_stats:
-        When true, the per-round FR/PR/NR reuse statistics (Fig. 10) are
-        recorded in ``result.extra["reuse_stats"]``.
     candidates:
         Candidate-selection strategy: ``"heap"`` (default, lazily-invalidated
         max-heap — only the dirty closure of each commit is re-examined) or
@@ -417,6 +411,5 @@ def gas(
         budget,
         initial_anchors=initial_anchors,
         method=method,
-        collect_reuse_stats=collect_reuse_stats,
         candidates=candidates,
     )

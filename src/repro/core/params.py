@@ -6,8 +6,8 @@ and returns it typed; a violation raises
 :class:`~repro.utils.errors.InvalidParameterError` naming the parameter.
 The serving layer classifies that as an ``invalid`` request, and
 :class:`repro.api.Session` returns it as a failed outcome.  No reader
-coerces: ``repetitions: 2.7`` or ``collect_reuse_stats: "no"`` is an error,
-not a different request than the client sent.
+coerces: ``repetitions: 2.7`` or ``candidates: 1`` is an error, not a
+different request than the client sent.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ def rng_param(request: SolveSpec, name: str) -> random.Random:
     if not (value is None or isinstance(value, random.Random) or _is_int(value)):
         raise _invalid(name, "an int, a random.Random or null", value)
     return make_rng(int(value) if _is_int(value) else value)  # type: ignore[arg-type]
-
-
-def flag_param(request: SolveSpec, name: str, default: bool) -> bool:
-    """A bool (``collect_reuse_stats``)."""
-    value = request.param(name, default)
-    if not isinstance(value, bool):
-        raise _invalid(name, "a bool", value)
-    return value
 
 
 def choice_param(

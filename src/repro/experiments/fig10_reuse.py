@@ -21,7 +21,7 @@ def run_fig10(profile: Optional[ExperimentProfile] = None) -> Dict[str, object]:
     datasets: Dict[str, Dict[str, float]] = {}
     for name in profile.reuse_datasets:
         graph = load_dataset(name)
-        result = gas(graph, profile.reuse_budget, collect_reuse_stats=True)
+        result = gas(graph, profile.reuse_budget)
         rounds: List[Dict[str, float]] = result.extra.get("reuse_stats", [])
         if rounds:
             averaged = {

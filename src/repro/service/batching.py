@@ -4,8 +4,8 @@ A batch is a file of one request per line (the :mod:`repro.service.protocol`
 format).  Running it naively — submitting every line independently — already
 works, but interleaved requests against many graphs can thrash an LRU
 session cache smaller than the number of distinct graphs.  The batcher
-therefore **groups** requests by their session identity (graph source +
-engine options) and submits each group as one sequential unit
+therefore **groups** requests by their session identity (graph source)
+and submits each group as one sequential unit
 (:meth:`SolveService.submit_sequence`): the first request of a group warms
 the session, the rest reuse it back-to-back, and distinct groups still run
 concurrently across the worker pool.  Responses are reassembled into input
@@ -74,7 +74,7 @@ def read_request_file(path: PathLike) -> List[ParsedLine]:
 
 
 def _session_identity(request: SolveSpec) -> Hashable:
-    """The grouping key: requests that would share a session group together.
+    """The grouping key: requests on one graph source group together.
 
     Purely a scheduling heuristic — computed without loading the graph, so
     two routes to the same graph (dataset name vs file path) may land in
@@ -82,12 +82,10 @@ def _session_identity(request: SolveSpec) -> Hashable:
     key once resolved.
     """
     if request.dataset is not None:
-        source: Hashable = ("dataset", request.dataset)
-    elif request.edge_list is not None:
-        source = ("path", str(Path(request.edge_list).resolve()))
-    else:
-        source = ("edges", request.edges)
-    return (source, request.engine_key())
+        return ("dataset", request.dataset)
+    if request.edge_list is not None:
+        return ("path", str(Path(request.edge_list).resolve()))
+    return ("edges", request.edges)
 
 
 def group_requests(

@@ -127,11 +127,14 @@ def remaining_deadline(
     admitted the request), so time spent waiting in the queue counts — a
     request can expire before it ever dispatches, which is exactly the
     queue-side enforcement point.  Returns a non-positive number once
-    expired (callers raise :class:`DeadlineExceeded`).
+    expired (callers raise :class:`DeadlineExceeded`), and at most
+    ``threading.TIMEOUT_MAX`` (~292 years), the longest wait a future
+    accepts.
     """
     if deadline_s is None:
         return None
-    return deadline_s - ((now if now is not None else time.perf_counter()) - submitted)
+    elapsed = (now if now is not None else time.perf_counter()) - submitted
+    return min(deadline_s - elapsed, threading.TIMEOUT_MAX)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ interleaving, executor choice, transport or cache state.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -130,9 +131,9 @@ class SolveService:
     ``"process"`` (pickled jobs, per-worker session caches — real
     cross-graph parallelism).  ``session_capacity`` bounds the warm-engine
     cache (``0`` = a cold engine per request; for the process executor it
-    bounds each *worker's* cache); ``memoize=False`` disables the shared
-    result store, the one answer cache (session reuse still applies);
-    ``store_capacity`` bounds it (``0`` disables it too).
+    bounds each *worker's* cache); ``store_capacity`` bounds the shared
+    result store, the one answer cache (``0`` disables it; session reuse
+    still applies).
 
     Resilience knobs: ``max_inflight`` bounds concurrently-executing
     requests (default: the worker count) and ``max_queue_depth`` the
@@ -156,7 +157,6 @@ class SolveService:
         self,
         workers: int = DEFAULT_WORKERS,
         session_capacity: int = 8,
-        memoize: bool = True,
         executor: str = "thread",
         store_capacity: int = 256,
         max_inflight: Optional[int] = None,
@@ -171,9 +171,12 @@ class SolveService:
             raise SpecError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
-        if default_deadline_s is not None and default_deadline_s <= 0:
+        if default_deadline_s is not None and not (
+            math.isfinite(default_deadline_s) and default_deadline_s > 0
+        ):
             raise ValueError(
-                f"default_deadline_s must be > 0, got {default_deadline_s!r}"
+                f"default_deadline_s must be finite and > 0, "
+                f"got {default_deadline_s!r}"
             )
         self.executor = executor
         self.workers = workers
@@ -188,10 +191,7 @@ class SolveService:
                 f"metrics must be None, False or a MetricsRegistry, got {metrics!r}"
             )
         self.sessions = EngineSessionCache(session_capacity, registry=self.metrics)
-        self.memoize = memoize
-        self.store = ResultStore(
-            store_capacity if memoize else 0, registry=self.metrics
-        )
+        self.store = ResultStore(store_capacity, registry=self.metrics)
         self.admission = AdmissionControl(workers, max_inflight, max_queue_depth)
         self.default_deadline_s = (
             float(default_deadline_s) if default_deadline_s is not None else None

@@ -11,9 +11,9 @@ cost the kernel benchmarks flag (``BENCH_kernel.json`` ``decomposition``
 
 Keys and collisions
 -------------------
-A session key is ``(graph fingerprint, engine options)`` — see
-:func:`~repro.datasets.graph_fingerprint`.  Fingerprints are content
-hashes, so a collision (two different graphs, one key) is astronomically
+A session key is the graph fingerprint — see
+:func:`~repro.datasets.graph_fingerprint`; every session runs a default
+:class:`SolverEngine`.  Fingerprints are content hashes, so a collision (two different graphs, one key) is astronomically
 unlikely but *checked anyway*: every hit verifies the cached graph against
 the requested one (an ``is`` check in the common case — dataset loaders
 memoise their graphs — and a structural comparison otherwise).  A mismatch
@@ -136,12 +136,7 @@ class EngineSessionCache:
             snapshot["capacity"] = self.capacity
             return snapshot
 
-    def acquire(
-        self,
-        key: Hashable,
-        graph: Graph,
-        engine_options: Dict[str, object],
-    ) -> Tuple[EngineSession, str]:
+    def acquire(self, key: Hashable, graph: Graph) -> Tuple[EngineSession, str]:
         """Return a session for ``(key, graph)`` and how it was obtained.
 
         The status is ``"hit"`` (cached session reused), ``"miss"`` (session
@@ -166,7 +161,7 @@ class EngineSessionCache:
 
         # Build outside the cache lock: engine construction (index build) is
         # the expensive part and must not serialise unrelated requests.
-        session = EngineSession(key, graph, SolverEngine(graph, **engine_options))  # type: ignore[arg-type]
+        session = EngineSession(key, graph, SolverEngine(graph))
         if collided or self.capacity == 0:
             return session, "bypass"
 
@@ -205,9 +200,7 @@ class EngineSessionCache:
         same-graph request queued on the lock finds it.  Process workers
         pass neither: the coordinating service reads and fills its store.
         """
-        session, status = self.acquire(
-            (fingerprint, spec.engine_key()), graph, spec.engine_map
-        )
+        session, status = self.acquire(fingerprint, graph)
         stats: Optional[Dict[str, int]] = None
         with session.lock:
             payload = lookup(status) if lookup is not None else None

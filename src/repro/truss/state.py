@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -297,10 +297,6 @@ class TrussState:
         changed, deltas = self._trussness_deltas(baseline)
         edge_of = self.index.edge_of
         return {edge_of[eid] for eid in changed[deltas > 0].tolist()}
-
-    def trussness_values(self) -> Dict[Edge, int]:
-        """A copy of the trussness mapping for non-anchored edges."""
-        return dict(self.decomposition.trussness)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

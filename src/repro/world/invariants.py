@@ -247,16 +247,18 @@ def _check_candidate_heap(point: WorldPoint, graph: Graph) -> None:
     budget = min(3, graph.num_edges)
     if budget < 1:
         return
-    gas = engine_module.get_solver("gas")
-    reference = gas(
-        graph, budget, candidates="scan", full_peel_threshold=_ALWAYS_INCREMENTAL
-    )
+
+    def gas(threshold: float, candidates: str):
+        engine = engine_module.SolverEngine(graph, full_peel_threshold=threshold)
+        return engine.solve("gas", budget, candidates=candidates)
+
+    reference = gas(_ALWAYS_INCREMENTAL, "scan")
     for threshold, candidates in (
         (_ALWAYS_INCREMENTAL, "heap"),
         (_ALWAYS_FULL_PEEL, "heap"),
         (_ALWAYS_FULL_PEEL, "scan"),
     ):
-        run = gas(graph, budget, candidates=candidates, full_peel_threshold=threshold)
+        run = gas(threshold, candidates)
         if (
             run.anchors != reference.anchors
             or run.gain != reference.gain

@@ -63,9 +63,6 @@ def random_spec(rng: random.Random) -> SolveSpec:
         params["repetitions"] = rng.randrange(1, 50)
     if rng.random() < 0.3:
         params["weights"] = [rng.random() for _ in range(3)]
-    engine = {}
-    if rng.random() < 0.3:
-        engine["full_peel_threshold"] = rng.choice([0.1, 0.25, 0.5])
     return SolveSpec(
         request_id=rng.choice(["", "r1", "0", "line-7"]),
         algorithm=rng.choice(["gas", "base", "base+", "rand", "sup"]),
@@ -74,7 +71,6 @@ def random_spec(rng: random.Random) -> SolveSpec:
         initial_anchors=tuple(
             (rng.randrange(30), rng.randrange(30)) for _ in range(rng.randrange(0, 3))
         ),
-        engine=engine,
         **kwargs,
     )
 
@@ -105,8 +101,8 @@ class TestSolveSpecRoundTrips:
             spec.canonical_json()
 
     def test_mapping_order_does_not_matter(self):
-        a = SolveSpec(dataset="college", params={"a": 1, "b": 2}, engine={"full_peel_threshold": 0.5})
-        b = SolveSpec(dataset="college", params={"b": 2, "a": 1}, engine={"full_peel_threshold": 0.5})
+        a = SolveSpec(dataset="college", params={"a": 1, "b": 2})
+        b = SolveSpec(dataset="college", params={"b": 2, "a": 1})
         assert a == b
         assert hash(a) == hash(b)
         assert a.canonical_json() == b.canonical_json()
@@ -145,10 +141,13 @@ class TestSolveSpecValidation:
             SolveSpec.from_json_dict({"dataset": "college", "budgett": 3})
 
     def test_engine_options_validated(self):
-        with pytest.raises(SpecError, match="unknown engine option"):
-            SolveSpec(dataset="college", engine={"mode": "x"})
-        with pytest.raises(SpecError, match="must be a scalar"):
-            SolveSpec(dataset="college", engine={"full_peel_threshold": [0.5]})
+        # Engine options are not part of a request: the full-peel threshold
+        # is set where the engine is built, so every engine member is refused.
+        for engine in ({"mode": "x"}, {"full_peel_threshold": [0.5]}, {"full_peel_threshold": 0.5}):
+            with pytest.raises(SpecError, match=r"unknown request field\(s\): engine;"):
+                SolveSpec.from_json_dict({"dataset": "college", "engine": engine})
+        with pytest.raises(TypeError, match="engine"):
+            SolveSpec(dataset="college", engine={"full_peel_threshold": 0.5})  # type: ignore[call-arg]
 
     def test_budget_and_algorithm_types(self):
         with pytest.raises(SpecError, match="budget"):
@@ -229,14 +228,6 @@ class TestOneIngress:
         assert not outcome.ok
         assert "unknown solver" in (outcome.error or "")
         assert api.solve(dataset="no-such-dataset").ok is False
-
-    def test_engine_rejects_mismatched_engine_options(self):
-        from repro.utils.errors import InvalidParameterError
-
-        engine = SolverEngine(small_graph(), full_peel_threshold=0.25)
-        spec = SolveSpec(algorithm="gas", budget=1, engine={"full_peel_threshold": 0.0})
-        with pytest.raises(InvalidParameterError, match="full_peel_threshold"):
-            engine.solve_spec(spec)
 
 
 class TestSession:

@@ -200,6 +200,8 @@ BAD_SERVICE_FLAGS = [
     ("--max-queue", "-1"),
     ("--deadline-default", "-1"),
     ("--deadline-default", "0"),
+    ("--deadline-default", "nan"),
+    ("--deadline-default", "inf"),
 ]
 
 #: Out-of-range values of the flags only ``cluster`` has.
@@ -208,6 +210,8 @@ BAD_CLUSTER_FLAGS = [
     ("--workers", "0"),
     ("--replicas", "0"),
     ("--router-workers", "0"),
+    ("--probe-interval", "0"),
+    ("--probe-interval", "nan"),
 ]
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -252,6 +256,13 @@ class TestServiceFlagBounds:
         )
         assert completed.returncode == 2, completed.stderr
         _single_error_line(completed.stderr, flag)
+
+    def test_obs_timeout_must_be_finite_and_positive(self, capsys):
+        for value in ("0", "nan", "inf"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["obs", "--port", "1", "--timeout", value])
+            assert exit_info.value.code == 2
+            _single_error_line(capsys.readouterr().err, "--timeout")
 
     def test_defaults_and_boundary_values_are_accepted(self):
         parser = _build_parser()

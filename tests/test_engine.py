@@ -139,6 +139,22 @@ class TestIncrementalRePeeling:
         assert full.stats["incremental_peels"] == 0
         assert full.stats["full_peels"] > 0
 
+    def test_invalid_full_peel_threshold_is_rejected(self, fig3_graph):
+        """A non-numeric, boolean, negative or NaN threshold fails when the
+        engine is built, before any solve runs."""
+        for value in ("abc", True, -5, float("nan")):
+            with pytest.raises(InvalidParameterError, match="full_peel_threshold"):
+                SolverEngine(fig3_graph, full_peel_threshold=value)  # type: ignore[arg-type]
+
+    def test_threshold_is_set_on_the_engine_only(self, fig3_graph):
+        """The registry call and ``solve`` hand their keywords to the solver,
+        which has no such parameter: the engine constructor is the one
+        place the threshold is set."""
+        with pytest.raises(InvalidParameterError, match="full_peel_threshold"):
+            get_solver("gas")(fig3_graph, 1, full_peel_threshold=ALWAYS_FULL)
+        with pytest.raises(InvalidParameterError, match="full_peel_threshold"):
+            solve(fig3_graph, 1, "base", full_peel_threshold=ALWAYS_FULL)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_evaluate_gain_matches_recompute(self, seed):
         graph = random_test_graph(seed + 4400, min_n=10, max_n=16)
@@ -241,7 +257,7 @@ class TestSolverEquivalence:
     @pytest.mark.parametrize("threshold", [ALWAYS_INCREMENTAL, ALWAYS_FULL])
     def test_base_both_peel_paths(self, threshold):
         graph = random_test_graph(4811, min_n=12, max_n=16)
-        fast = get_solver("base")(graph, 3, full_peel_threshold=threshold)
+        fast = SolverEngine(graph, full_peel_threshold=threshold).solve("base", 3)
         reference = base_greedy_reference(graph, 3)
         assert fast.anchors == reference.anchors
         assert fast.gain == reference.gain
@@ -249,7 +265,7 @@ class TestSolverEquivalence:
     @pytest.mark.parametrize("threshold", [ALWAYS_INCREMENTAL, ALWAYS_FULL])
     def test_gas_both_peel_paths(self, threshold):
         graph = random_test_graph(4812, min_n=12, max_n=16)
-        fast = get_solver("gas")(graph, 3, full_peel_threshold=threshold)
+        fast = SolverEngine(graph, full_peel_threshold=threshold).solve("gas", 3)
         reference = base_greedy_reference(graph, 3)
         assert fast.anchors == reference.anchors
         assert fast.gain == reference.gain

@@ -76,16 +76,12 @@ class TestEquivalenceWithBasePlus:
 
 class TestDiagnostics:
     def test_reuse_stats_are_collected(self, two_communities):
-        result = gas(two_communities, 3, collect_reuse_stats=True)
+        result = gas(two_communities, 3)
         stats = result.extra["reuse_stats"]
         assert len(stats) == 2  # recorded from the second round onwards
         for entry in stats:
             assert set(entry) == {"FR", "PR", "NR"}
             assert sum(entry.values()) == pytest.approx(1.0)
-
-    def test_reuse_stats_can_be_disabled(self, two_communities):
-        result = gas(two_communities, 2, collect_reuse_stats=False)
-        assert "reuse_stats" not in result.extra
 
     def test_recompute_counts_shrink_after_first_round(self, two_communities):
         result = gas(two_communities, 3)

@@ -390,7 +390,7 @@ class TestTracePropagation:
         trace_id = new_trace_id(f"prop-{executor}-{transport}")
         workers = 1 if executor == "thread" else 2
         with SolveService(
-            workers=workers, executor=executor, memoize=False
+            workers=workers, executor=executor, store_capacity=0
         ) as service:
             body = self._serve_one(service, transport, _request_line(trace_id))
         assert body["ok"] is True
@@ -420,7 +420,7 @@ class TestTracePropagation:
             }
         )
         with SolveService(
-            workers=workers, executor=executor, memoize=False
+            workers=workers, executor=executor, store_capacity=0
         ) as service:
             body = self._serve_one(service, transport, line)
         assert body["ok"] is True
@@ -444,7 +444,7 @@ class TestObsIdentity:
 
     def test_all_solvers_byte_identical_obs_on_off(self):
         results_off: dict = {}
-        with SolveService(workers=1, memoize=False, metrics=False) as service:
+        with SolveService(workers=1, store_capacity=0, metrics=False) as service:
             assert service.metrics.enabled is False
             for name in available_solvers():
                 outcome = service.solve(self._spec(name, f"off-{name}"))
@@ -454,7 +454,7 @@ class TestObsIdentity:
         armed = MetricsRegistry()
         previous = set_default_registry(armed)
         try:
-            with SolveService(workers=1, memoize=False) as service:
+            with SolveService(workers=1, store_capacity=0) as service:
                 for name in available_solvers():
                     outcome = service.solve(
                         self._spec(name, f"on-{name}", trace_id=new_trace_id("id"))

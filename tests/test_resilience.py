@@ -105,9 +105,13 @@ class TestSchemaCompatibility:
         spec = SolveSpec(dataset="college", deadline_s=1.5)
         assert spec.to_json_dict()["deadline_s"] == 1.5
         assert SolveSpec.from_json_dict(spec.to_json_dict()) == spec
-        for bad in (0, -1, "soon", True):
+        for bad in (0, -1, "soon", True, float("nan"), float("inf"), 10**400):
             with pytest.raises(SpecError, match="deadline_s"):
                 SolveSpec(dataset="college", deadline_s=bad)
+        # JSON decoders read NaN, Infinity and 1e309 as non-finite floats.
+        for text in ("NaN", "Infinity", "1e309"):
+            with pytest.raises(SpecError, match="deadline_s"):
+                SolveSpec.from_json_line(f'{{"dataset": "college", "deadline_s": {text}}}')
 
     def test_success_outcomes_keep_their_byte_shape(self):
         outcome = SolveOutcome(request_id="r", ok=True, result=None)
@@ -187,6 +191,7 @@ class TestTaxonomy:
         assert remaining_deadline(None, 0.0) is None
         assert remaining_deadline(5.0, 1.0, now=2.0) == 4.0
         assert remaining_deadline(1.0, 0.0, now=2.0) < 0
+        assert remaining_deadline(1e10, 0.0, now=1.0) == threading.TIMEOUT_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +211,26 @@ class TestDeadlines:
             assert blocker.result().ok
             assert service.stats()["expired"] == 1
 
+    def test_default_deadline_must_be_finite_and_positive(self):
+        for bad in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="default_deadline_s"):
+                SolveService(workers=1, default_deadline_s=bad)
+
     def test_default_deadline_applies_to_bare_specs(self):
         with SolveService(workers=1, default_deadline_s=0.05) as service:
             blocker = service.submit(fault_spec("slow", sleep_s=0.4))
             outcome = service.submit(fault_spec("bare")).result()
             assert outcome.error_kind == "timeout"
             assert blocker.result().ok
+
+    def test_deadline_past_the_longest_wait_is_served_by_processes(self):
+        # 1e10 s is finite but past threading.TIMEOUT_MAX (~292 years), the
+        # longest wait a future accepts: the dispatch waits that long
+        # instead of failing as an internal OverflowError.
+        with SolveService(workers=1, executor="process") as service:
+            outcome = service.solve(fault_spec("long", deadline_s=1e10))
+            assert outcome.ok, outcome.error
+            assert service.stats()["pool_rebuilds"] == 0
 
     @pytest.mark.slow
     def test_dispatch_side_timeout_kills_and_rebuilds_process_pool(self):

@@ -49,8 +49,7 @@ def canonical_json(payload: dict) -> str:
 
 def single_shot(graph: Graph, request: SolveSpec) -> str:
     """The ground truth: a fresh engine solving the same request."""
-    engine = SolverEngine(graph, **request.engine_map)  # type: ignore[arg-type]
-    result = engine.solve_spec(request)
+    result = SolverEngine(graph).solve_spec(request)
     return canonical_json(result_to_json(result))
 
 
@@ -72,9 +71,8 @@ class TestProtocol:
             algorithm="base",
             budget=2,
             params={"candidate_pool": "scan"},
-            engine={"full_peel_threshold": 0.0},
         )
-        parsed = parse_request_line(json.dumps(request.to_dict()))
+        parsed = parse_request_line(json.dumps(request.to_json_dict()))
         assert parsed == request
 
     def test_unknown_field_rejected(self):
@@ -82,18 +80,22 @@ class TestProtocol:
             parse_request_line('{"dataset": "college", "budgett": 3}')
 
     def test_unknown_engine_option_rejected(self):
+        # Requests carry no engine options: the full-peel threshold is set
+        # where the engine is built, so an ``engine`` member is a typo'd
+        # field like any other, whatever it holds.
         for line in (
             '{"dataset": "college", "engine": {"mode": "x"}}',
             '{"dataset": "college", "engine": {"tree_mode": "rebuild"}}',
+            '{"dataset": "college", "engine": {"full_peel_threshold": 0}}',
+            '{"dataset": "college", "engine": {}}',
         ):
-            with pytest.raises(
-                ProtocolError, match="unknown engine option.*accepted: full_peel_threshold$"
-            ):
+            with pytest.raises(ProtocolError, match=r"unknown request field\(s\): engine;"):
                 parse_request_line(line)
 
     def test_engine_option_value_must_be_scalar(self):
-        # A non-scalar value would make the session cache key unhashable.
-        with pytest.raises(ProtocolError, match="must be a scalar"):
+        # The value an engine member holds is never read: a non-scalar one
+        # is refused as an unknown field, before it could reach a cache key.
+        with pytest.raises(ProtocolError, match=r"unknown request field\(s\): engine;"):
             parse_request_line(
                 '{"dataset": "college", "engine": {"full_peel_threshold": [0.5]}}'
             )
@@ -154,8 +156,8 @@ class TestEngineSessionCache:
     def test_hit_returns_same_session(self):
         cache = EngineSessionCache(capacity=2)
         graph = small_graph(1)
-        first, status1 = cache.acquire("k", graph, {})
-        second, status2 = cache.acquire("k", graph, {})
+        first, status1 = cache.acquire("k", graph)
+        second, status2 = cache.acquire("k", graph)
         assert first is second
         assert (status1, status2) == ("miss", "hit")
         assert cache.stats()["hits"] == 1
@@ -164,19 +166,19 @@ class TestEngineSessionCache:
         cache = EngineSessionCache(capacity=2)
         graphs = {name: small_graph(i) for i, name in enumerate("abc")}
         for name, graph in graphs.items():
-            cache.acquire(name, graph, {})
+            cache.acquire(name, graph)
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["size"] == 2
         # "a" (the LRU entry) was evicted: re-acquiring is a miss
-        _session, status = cache.acquire("a", graphs["a"], {})
+        _session, status = cache.acquire("a", graphs["a"])
         assert status == "miss"
 
     def test_zero_capacity_bypasses(self):
         cache = EngineSessionCache(capacity=0)
         graph = small_graph(2)
-        first, status1 = cache.acquire("k", graph, {})
-        second, status2 = cache.acquire("k", graph, {})
+        first, status1 = cache.acquire("k", graph)
+        second, status2 = cache.acquire("k", graph)
         assert status1 == status2 == "bypass"
         assert first is not second
 
@@ -184,14 +186,14 @@ class TestEngineSessionCache:
         cache = EngineSessionCache(capacity=2)
         graph_a = small_graph(3)
         graph_b = overlapping_cliques_graph(3, 5, 2, noise_edges=4, seed=4)
-        cached, _ = cache.acquire("same-key", graph_a, {})
-        collided, status = cache.acquire("same-key", graph_b, {})
+        cached, _ = cache.acquire("same-key", graph_a)
+        collided, status = cache.acquire("same-key", graph_b)
         assert status == "bypass"
         assert collided is not cached
         assert collided.graph is graph_b
         assert cache.stats()["collisions"] == 1
         # the original session is still cached and still serves graph_a
-        again, status = cache.acquire("same-key", graph_a, {})
+        again, status = cache.acquire("same-key", graph_a)
         assert again is cached and status == "hit"
 
 
@@ -228,7 +230,7 @@ class TestSolveService:
         request = SolveSpec(
             request_id="r", edges=tuple(graph.edge_list()), algorithm="gas", budget=2
         )
-        with SolveService(workers=1, memoize=False) as service:
+        with SolveService(workers=1, store_capacity=0) as service:
             responses = [service.solve(request) for _ in range(2)]
         assert [r.cache["store"] for r in responses] == [False, False]
         assert canonical_json(responses[0].result) == canonical_json(responses[1].result)
@@ -254,28 +256,6 @@ class TestSolveService:
                 True,
             ]
 
-    def test_engine_options_split_sessions(self):
-        graph = small_graph(8)
-        edges = tuple(graph.edge_list())
-        a = SolveSpec(request_id="a", edges=edges, algorithm="gas", budget=2)
-        b = SolveSpec(
-            request_id="b", edges=edges, algorithm="gas", budget=2,
-            engine={"full_peel_threshold": 0.0},
-        )
-        with SolveService(workers=1) as service:
-            first = service.solve(a)
-            second = service.solve(b)
-            assert service.sessions.stats()["size"] == 2
-        # Different thresholds, identical results.  Only the re-peel
-        # counters differ; both engines patch every commit into their tree.
-        default_engine = first.result["extra"].pop("engine")
-        fallback_engine = second.result["extra"].pop("engine")
-        assert fallback_engine["full_peels"] > 0
-        for stats in (default_engine, fallback_engine):
-            assert stats["tree_rebuilds"] == 0
-            assert stats["tree_patches"] == stats["incremental_peels"] + stats["full_peels"]
-        assert canonical_json(first.result) == canonical_json(second.result)
-
     def test_errors_become_responses(self):
         graph = small_graph(9)
         edges = tuple(graph.edge_list())
@@ -293,23 +273,6 @@ class TestSolveService:
         assert [r.ok for r in responses] == [False] * 4
         assert all(r.error for r in responses)
         assert service.stats()["errors"] == 4
-
-    def test_invalid_full_peel_threshold_is_rejected(self):
-        """A non-numeric, boolean, negative or NaN ``full_peel_threshold`` is
-        a bad request, rejected before any solve runs."""
-        bad = [
-            SolveSpec(
-                request_id=f"threshold-{i}", dataset="college", algorithm="gas",
-                budget=3, engine={"full_peel_threshold": value},
-            )
-            for i, value in enumerate(["abc", True, -5, float("nan")])
-        ]
-        with SolveService(workers=1) as service:
-            responses = service.solve_many(bad)
-        for response in responses:
-            assert not response.ok, response.request_id
-            assert response.error_kind == "invalid", (response.request_id, response.error)
-            assert "full_peel_threshold" in response.error, response.error
 
     def test_unusable_route_sizes_are_invalid_over_the_wire(self):
         """JSON cannot key ``route_sizes`` by edges: every wire spelling is
@@ -530,10 +493,9 @@ class TestBatching:
         a = SolveSpec(request_id="1", dataset="college")
         b = SolveSpec(request_id="2", dataset="facebook")
         c = SolveSpec(request_id="3", dataset="college")
-        d = SolveSpec(
-            request_id="4", dataset="college", engine={"full_peel_threshold": 0.0}
-        )
-        assert group_requests([a, b, c, d]) == [[0, 2], [1], [3]]
+        # Only the graph source groups: solver and budget do not split.
+        d = SolveSpec(request_id="4", dataset="college", algorithm="base", budget=2)
+        assert group_requests([a, b, c, d]) == [[0, 2, 3], [1]]
 
     def test_run_batch_preserves_input_order(self):
         graphs = [small_graph(60 + i) for i in range(2)]

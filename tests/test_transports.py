@@ -27,6 +27,7 @@ from repro.service import (
     request_lines_over_tcp,
     result_to_json,
     run_batch,
+    run_batch_file,
     serve_stream,
 )
 from repro.graph.generators import community_graph
@@ -103,6 +104,42 @@ class TestServeStream:
         assert [d["id"] for d in decoded] == [s.request_id for s in specs[:2]]
         for d in decoded:
             assert canonical_json(d["result"]) == expected[d["id"]]
+
+
+class TestEngineMember:
+    """Requests carry no engine options (the full-peel threshold is set
+    where the engine is built): a line with an ``engine`` member is refused
+    as an unknown field on every ingress, never solved."""
+
+    LINE = json.dumps(
+        {"id": "e", "dataset": "college", "budget": 1,
+         "engine": {"full_peel_threshold": 0}}
+    )
+
+    def test_refused_through_batch_stdio_and_tcp(self, tmp_path):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(self.LINE + "\n")
+        output = tmp_path / "responses.jsonl"
+        stdout = io.StringIO()
+        with SolveService(workers=1) as service:
+            run_batch_file(service, requests, output)
+            StdioTransport(stdin=io.StringIO(self.LINE + "\n"), stdout=stdout).serve(
+                service
+            )
+            tcp = TcpTransport(port=0)
+            host, port = tcp.start(service)
+            try:
+                over_tcp = request_lines_over_tcp(host, port, [self.LINE])
+            finally:
+                tcp.close()
+            assert service.sessions.stats()["misses"] == 0  # nothing solved
+        lines = output.read_text().splitlines() + stdout.getvalue().splitlines() + over_tcp
+        assert len(lines) == 3
+        for decoded in map(json.loads, lines):
+            assert decoded["ok"] is False, decoded
+            assert decoded["error_kind"] == "invalid", decoded
+            assert decoded["retryable"] is False, decoded
+            assert "unknown request field(s): engine;" in decoded["error"], decoded
 
 
 class TestTcpTransport:
@@ -273,7 +310,7 @@ class TestProcessExecutor:
                     builder=lambda: g_old, size_class="small",
                 )
             )
-            with SolveService(workers=1, executor="process", memoize=False) as service:
+            with SolveService(workers=1, executor="process", store_capacity=0) as service:
                 spec = SolveSpec(request_id="r", dataset=name, budget=1)
                 first = service.solve(spec)  # forks the worker with g_old
                 assert first.ok
@@ -311,7 +348,7 @@ def grid_services():
     behind both transports (so a transport answer is solved, not read back)."""
     with SolveService(workers=2) as thread_service, SolveService(
         workers=2, executor="process"
-    ) as process_service, SolveService(workers=2, memoize=False) as wire_service:
+    ) as process_service, SolveService(workers=2, store_capacity=0) as wire_service:
         tcp = TcpTransport(port=0)
         address = tcp.start(wire_service)
         try:
@@ -429,8 +466,8 @@ class TestResultStore:
             )
             second = service.solve(unseeded)
             assert second.cache["store"] is False
-        with SolveService(workers=1, memoize=False) as service:
-            assert not service.store.enabled  # memoize=False disables the store
+        with SolveService(workers=1, store_capacity=0) as service:
+            assert not service.store.enabled  # store_capacity=0 disables the store
 
     def test_capacity_zero_bypass_keeps_the_store_live(self):
         """session_capacity=0 is the cold per-request mode, not a collision:

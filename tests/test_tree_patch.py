@@ -306,11 +306,13 @@ class TestHeapScanEquivalence:
         rng = random.Random(seed)
         initial = rng.sample(graph.edge_list(), 2) if seed % 3 == 0 else []
         kwargs = {} if threshold is None else {"full_peel_threshold": threshold}
-        spec = get_solver("gas")
-        reference = spec(
-            graph, 4, initial_anchors=initial, candidates="scan", **kwargs,
-        )
-        run = spec(graph, 4, initial_anchors=initial, candidates="heap", **kwargs)
+
+        def gas(candidates):
+            engine = SolverEngine(graph, **kwargs)
+            return engine.solve("gas", 4, initial_anchors=initial, candidates=candidates)
+
+        reference = gas("scan")
+        run = gas("heap")
         assert run.anchors == reference.anchors
         assert run.gain == reference.gain
         assert run.per_round_gain == reference.per_round_gain
