@@ -49,6 +49,7 @@ from repro.service import result_store as service_result_store  # noqa: E402
 from repro.service import scheduler as service_scheduler  # noqa: E402
 from repro.service import session_cache as service_session_cache  # noqa: E402
 from repro.service import transports as service_transports  # noqa: E402
+from repro.truss import decomposition as decomposition_module  # noqa: E402
 from repro.truss import peel as peel_module  # noqa: E402
 from repro.truss import state as state_module  # noqa: E402
 from repro.world import axes as world_axes  # noqa: E402
@@ -167,6 +168,10 @@ GRAPH_SURFACE = [
         ["CSRArrays", "build_csr_arrays", "csr_payload", "csr_from_payload"],
     ),
     (peel_module, ["peel_trussness_fast", "peel_trussness_arrays"]),
+    (
+        decomposition_module,
+        ["truss_decomposition", "TrussDecomposition", "EdgeValues"],
+    ),
     (state_module, ["TrussState"]),
 ]
 
@@ -231,7 +236,6 @@ OBS_SURFACE = [
         obs_metrics,
         [
             "MetricsRegistry",
-            "NullMetricsRegistry",
             "Counter",
             "Gauge",
             "Histogram",
@@ -340,6 +344,7 @@ METHOD_ALLOWLIST = {
     ],
     "GraphIndex": ["of", "from_csr", "edge_support", "neighbors_csr"],
     "CSRArrays": ["hit_bases"],
+    "TrussDecomposition": ["hull", "hulls", "layers_of_hull"],
     "TrussState": [
         "compute",
         "with_anchor",

@@ -102,6 +102,23 @@ def _at_least(minimum: float, kind: type = int, strict: bool = False):
     return parse
 
 
+def _port(minimum: int):
+    """An argparse ``type=`` for a TCP port from ``minimum`` to 65535: a
+    port the socket layer would refuse is a usage error, not a traceback
+    after the service has started."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not minimum <= value <= 65535:
+            raise argparse.ArgumentTypeError(
+                f"must be a port from {minimum} to 65535, got {text}"
+            )
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-atr",
@@ -194,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="TCP bind host")
     serve.add_argument(
-        "--port", type=int, default=0, help="TCP bind port (0 = ephemeral)"
+        "--port", type=_port(0), default=0, help="TCP bind port (0 = ephemeral)"
     )
     serve.add_argument(
         "--metrics",
@@ -249,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--host", default="127.0.0.1", help="router bind host")
     cluster.add_argument(
-        "--port", type=int, default=0, help="router bind port (0 = ephemeral)"
+        "--port", type=_port(0), default=0, help="router bind port (0 = ephemeral)"
     )
     cluster.add_argument(
         "--router-workers",
@@ -310,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dump a running server's telemetry (metrics or health) over TCP",
     )
     obs.add_argument("--host", default="127.0.0.1", help="server host")
-    obs.add_argument("--port", type=int, required=True, help="server port")
+    obs.add_argument("--port", type=_port(1), required=True, help="server port")
     obs.add_argument(
         "--op",
         choices=("metrics", "health"),

@@ -39,7 +39,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.service.resilience import RetryPolicy
 from repro.service.scheduler import SolveService
 from repro.service.transports import TcpTransport, request_lines_over_tcp
@@ -270,6 +270,10 @@ class BackendPool:
     backend stays a member and simply stops receiving traffic until its
     respawn is marked up, which is what keeps shard ownership (and
     session warmth everywhere else) stable across a crash.
+
+    The supervision counters (``cluster.respawns``, ``cluster.markdowns``,
+    ``cluster.backends_up``) live in the pool's :attr:`metrics` registry,
+    which the router reports into too, so they reach the cluster scrape.
     """
 
     def __init__(
@@ -277,13 +281,12 @@ class BackendPool:
         probe_interval_s: float = 1.0,
         probe_timeout_s: float = 5.0,
         retry_policy: Optional[RetryPolicy] = None,
-        metrics: Optional[MetricsRegistry] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.probe_interval_s = probe_interval_s
         self.probe_timeout_s = probe_timeout_s
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.metrics = MetricsRegistry()
         self._sleep = sleep
         self._lock = threading.RLock()
         self._backends: Dict[str, Backend] = {}

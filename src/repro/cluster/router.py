@@ -53,7 +53,6 @@ from repro.cluster.backends import BackendPool
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
 from repro.cluster.telemetry import merge_metrics_snapshots
 from repro.datasets.registry import dataset_fingerprint
-from repro.obs.metrics import MetricsRegistry
 from repro.service.resilience import classify_exception
 from repro.service.result_store import ResultStore
 from repro.service.scheduler import memoizable
@@ -162,13 +161,14 @@ class RouterService:
         request_timeout_s: float = 120.0,
         max_route_attempts: Optional[int] = None,
         resolver_capacity: int = 32,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.pool = pool
         self.ring = HashRing(pool.ids(), replicas=replicas)
         self.request_timeout_s = request_timeout_s
         self.max_route_attempts = max_route_attempts
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # One registry for the router tier: the pool's supervision counters
+        # and the router's own metrics land in the same scrape.
+        self.metrics = pool.metrics
         self._resolver = GraphResolver(capacity=resolver_capacity)
         self.store = ResultStore(store_capacity, registry=self.metrics)
         self._connections = _ConnectionPool()

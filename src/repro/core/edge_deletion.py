@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.result import AnchorResult, evaluate_anchor_set
 from repro.graph.graph import Edge, Graph
-from repro.graph.triangles import support_map
+from repro.graph.index import GraphIndex
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
@@ -60,7 +60,8 @@ def edge_deletion_baseline(
         raise InvalidParameterError("budget must be non-negative")
     start = time.perf_counter()
     baseline_state = baseline_state or TrussState.compute(graph)
-    supports = support_map(graph)
+    index = GraphIndex.of(graph)
+    support, eid_of = index.support, index.eid_of
 
     working = graph.copy()
     chosen: List[Edge] = []
@@ -68,7 +69,7 @@ def edge_deletion_baseline(
         decomposition = truss_decomposition(working)
         candidates = sorted(
             decomposition.trussness,
-            key=lambda e: (-decomposition.trussness[e], -supports.get(e, 0), working.edge_id(e)),
+            key=lambda e: (-decomposition.trussness[e], -support[eid_of[e]], working.edge_id(e)),
         )
         if max_candidates is not None:
             candidates = candidates[:max_candidates]

@@ -317,8 +317,8 @@ class SolverEngine:
         # state costs nothing, mirroring the solvers' old skip-last-round
         # optimisation).
         self.anchors: List[Edge] = []
-        self._materialized_state: Optional[TrussState] = None
-        self._materialized_count = 0
+        self._chain_state: Optional[TrussState] = None
+        self._chain_count = 0
         # The session's baseline component tree: built once from
         # original_state, journalled, patched by each solve and rolled back
         # by reset().
@@ -397,13 +397,13 @@ class SolverEngine:
         of them, regardless of whether the state was first read before or
         after the commits.
         """
-        state = self._materialized_state
+        state = self._chain_state
         if state is None:
             state = self.original_state
-        while self._materialized_count < len(self.anchors):
-            state = self._advance(state, self.anchors[self._materialized_count])
-            self._materialized_count += 1
-        self._materialized_state = state
+        while self._chain_count < len(self.anchors):
+            state = self._advance(state, self.anchors[self._chain_count])
+            self._chain_count += 1
+        self._chain_state = state
         return state
 
     def reset(self, initial_anchors: Iterable[Edge] = ()) -> None:
@@ -437,8 +437,8 @@ class SolverEngine:
             if edge not in seen:
                 seen.add(edge)
                 self.anchors.append(edge)
-        self._materialized_state = None
-        self._materialized_count = 0
+        self._chain_state = None
+        self._chain_count = 0
         if self._baseline_tree is not None:
             self._baseline_tree.rollback()
         self._tree = None
@@ -520,14 +520,14 @@ class SolverEngine:
         """
         if self._tree_wanted:
             return self._advance_tree()
-        if self._materialized_count:
+        if self._chain_count:
             # The chain materialised first: its deltas kept no states.
             state = self.state
             with _span("engine.tree_rebuild"):
                 self._tree = TrussComponentTree.build(state)
             self.stats["tree_rebuilds"] += 1
             self._tree_state = state
-            self._tree_commit_index = self._materialized_count
+            self._tree_commit_index = self._chain_count
         else:
             self._tree = self._session_tree()
             self._tree_state = self.original_state
@@ -716,15 +716,10 @@ class SolverEngine:
             for e2, value in zip(moved_eids.tolist(), moved_layers.tolist()):
                 new_layer[e2] = value
                 changed.add(e2)
-        new_truss_arr.flags.writeable = False
-        new_layer_arr.flags.writeable = False
         k_max = int(new_truss_arr.max(where=new_truss_arr != _INF, initial=1))
 
         anchor_set = frozenset(state.anchors | {new_anchor})
-        # Anchors already hold inf in the dense views; the tuple-domain
-        # dicts materialise lazily from them if a consumer ever asks.
-        decomposition = TrussDecomposition.from_dense(
-            index.edge_of,
+        decomposition = TrussDecomposition(
             anchor_set,
             k_max,
             (index, new_truss, new_layer, new_mask),

@@ -34,8 +34,8 @@ from repro.graph.generators import (
     watts_strogatz_graph,
 )
 from repro.graph.graph import Graph
-from repro.graph.triangles import support_map
 from repro.truss.decomposition import truss_decomposition
+from repro.truss.ktruss import max_support
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import make_rng
 
@@ -238,13 +238,12 @@ def dataset_statistics(name: str) -> Dict[str, object]:
     """The Table III statistics columns for one dataset."""
     graph = load_dataset(name)
     decomposition = truss_decomposition(graph)
-    supports = support_map(graph)
     return {
         "dataset": DATASETS[name].paper_name,
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,
         "k_max": decomposition.k_max,
-        "sup_max": max(supports.values(), default=0),
+        "sup_max": max_support(graph),
     }
 
 

@@ -22,9 +22,8 @@ Design invariants (asserted by ``tests/test_obs.py``):
   on, off or absent, and ``trace_id`` is excluded from
   :meth:`repro.api.SolveSpec.signature` and from wire bytes when unset.
 * **Disabled-path overhead is near zero.**  ``span()`` without an active
-  trace is a no-op, the :data:`~repro.obs.metrics.NULL_REGISTRY` swallows
-  every update, and kernel-level hooks fire only when the process-global
-  default registry is armed.
+  trace is a no-op, and kernel-level hooks fire only when the
+  process-global default registry is armed.
 * This package imports **nothing** from the rest of ``repro``, so every
   layer (spec, engine, service, kernel) can depend on it without cycles.
 """
@@ -37,13 +36,11 @@ from repro.obs.logs import (
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_REGISTRY,
     SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     default_registry,
     now,
     prometheus_from_snapshot,
@@ -66,14 +63,12 @@ from repro.obs.tracing import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "NULL_REGISTRY",
     "SIZE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
     "JsonLineFormatter",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "Trace",
     "TraceBuffer",
     "configure_json_logging",

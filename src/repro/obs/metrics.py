@@ -246,58 +246,6 @@ def quantile_from_snapshot(snapshot: Dict[str, object], q: float) -> float:
     return hi_seen
 
 
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    @property
-    def value(self) -> int:
-        return 0
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "null"
-    bounds: Tuple[float, ...] = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        yield
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"count": 0, "sum": 0.0, "min": None, "max": None, "buckets": [],
-                "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
     """A named family of counters, gauges and histograms.
 
@@ -308,8 +256,6 @@ class MetricsRegistry:
     so hot paths should hold onto the object rather than re-resolve the
     name per update.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -382,40 +328,6 @@ class MetricsRegistry:
         """Render the registry in the Prometheus text exposition format."""
         return prometheus_from_snapshot(self.snapshot())
 
-
-class NullMetricsRegistry(MetricsRegistry):
-    """A registry that swallows everything — the obs-off code path.
-
-    Handing a service ``metrics=False`` wires every counter, gauge and
-    histogram to shared no-op singletons, so the instrumented call sites
-    run with effectively zero bookkeeping.  ``snapshot()`` is empty.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # no tables, nothing to lock
-        pass
-
-    def counter(self, name: str) -> Counter:
-        return _NULL_COUNTER  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:
-        return _NULL_GAUGE  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        return _NULL_HISTOGRAM  # type: ignore[return-value]
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_prometheus_text(self) -> str:
-        return ""
-
-
-#: Shared obs-off registry; pass ``metrics=False`` to a service to use it.
-NULL_REGISTRY = NullMetricsRegistry()
 
 _default_lock = threading.Lock()
 _default_registry: Optional[MetricsRegistry] = None

@@ -34,8 +34,11 @@ asserts both the agreement and the import boundary.  The scenario rig
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as _np
 
 from repro.core.component_tree import ANCHOR_NODE, TreeNode, TrussComponentTree
 from repro.core.exact import DEFAULT_MAX_COMBINATIONS, _candidate_pool, _check_enumeration
@@ -127,8 +130,17 @@ def truss_decomposition_reference(
         k += 1
 
     k_max = max(trussness.values(), default=1)
+    # The one dense layout every decomposition carries, named through the
+    # index's edge order only (anchors hold inf).
+    index = GraphIndex.of(graph)
+    dense_truss = [trussness.get(edge, math.inf) for edge in index.edge_of]
+    dense_layer = [layer.get(edge, math.inf) for edge in index.edge_of]
+    anchor_mask = bytearray(edge in anchor_set for edge in index.edge_of)
     return TrussDecomposition(
-        trussness=trussness, layer=layer, anchors=anchor_set, k_max=k_max
+        anchor_set,
+        k_max,
+        (index, dense_truss, dense_layer, anchor_mask),
+        (_np.array(dense_truss, dtype=_np.float64), _np.array(dense_layer, dtype=_np.float64)),
     )
 
 
@@ -141,9 +153,10 @@ def dense_peel_reference(
     """
     edge_of = GraphIndex.of(graph).edge_of
     oracle = truss_decomposition_reference(graph, [edge_of[eid] for eid in anchor_eids])
+    _index, trussness, layer, anchor_mask = oracle.dense_views
     return (
-        [oracle.trussness.get(edge, 0) for edge in edge_of],
-        [oracle.layer.get(edge, 0) for edge in edge_of],
+        [0 if anchored else value for value, anchored in zip(trussness, anchor_mask)],
+        [0 if anchored else value for value, anchored in zip(layer, anchor_mask)],
         oracle.k_max,
     )
 

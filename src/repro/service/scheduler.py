@@ -60,11 +60,7 @@ from repro.api.session import memoizable
 from repro.api.spec import SolveOutcome, SolveSpec, SpecError
 from repro.graph.graph import Graph
 from repro.obs.logs import get_logger, log_event
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry
 from repro.obs.tracing import (
     current_trace,
     record_foreign_trace,
@@ -144,13 +140,10 @@ class SolveService:
     ``deadline_s``; ``retry_policy`` bounds the re-dispatch of jobs lost to
     process-pool worker crashes.
 
-    ``metrics`` selects the telemetry sink: ``None`` (default) gives the
-    service its own private :class:`~repro.obs.metrics.MetricsRegistry`
-    (so two services in one process never share counters), ``False`` wires
-    everything to the shared no-op registry (the obs-off configuration the
-    overhead benchmark measures against), and an explicit registry is used
-    as-is.  The session cache and result store report into the same
-    registry, so :meth:`metrics_snapshot` covers the whole stack.
+    The service owns a private :class:`~repro.obs.metrics.MetricsRegistry`
+    (so two services in one process never share counters); the session
+    cache and result store report into it too, so :meth:`metrics_snapshot`
+    covers the whole stack.
     """
 
     def __init__(
@@ -163,7 +156,6 @@ class SolveService:
         max_queue_depth: Optional[int] = None,
         default_deadline_s: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        metrics: object = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -180,16 +172,7 @@ class SolveService:
             )
         self.executor = executor
         self.workers = workers
-        if metrics is None:
-            self.metrics: MetricsRegistry = MetricsRegistry()
-        elif metrics is False:
-            self.metrics = NULL_REGISTRY
-        elif isinstance(metrics, MetricsRegistry):
-            self.metrics = metrics
-        else:
-            raise TypeError(
-                f"metrics must be None, False or a MetricsRegistry, got {metrics!r}"
-            )
+        self.metrics = MetricsRegistry()
         self.sessions = EngineSessionCache(session_capacity, registry=self.metrics)
         self.store = ResultStore(store_capacity, registry=self.metrics)
         self.admission = AdmissionControl(workers, max_inflight, max_queue_depth)

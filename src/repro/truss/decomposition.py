@@ -25,8 +25,10 @@ and is the one under which the upward-route characterisation of followers
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import compress
+from operator import not_
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 import numpy as _np
 
@@ -35,102 +37,121 @@ from repro.graph.index import GraphIndex
 from repro.truss.peel import peel_trussness_fast
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 
+_MISSING = object()
+
+
+class EdgeValues(Mapping):
+    """Read-only ``edge -> value`` view over one dense per-edge list.
+
+    ``values[eid]`` belongs to ``index.edge_of[eid]``; an edge whose
+    ``anchor_mask`` byte is set is not a key (anchors have no trussness and
+    no layer).  Lookups go through ``index.eid_of`` and iteration walks the
+    list in dense-id order, so the view holds no per-edge data of its own.
+    It compares equal to the ``dict`` with the same items.
+    """
+
+    __slots__ = ("_index", "_values", "_mask")
+
+    def __init__(self, index: GraphIndex, values: List[float], anchor_mask: bytearray) -> None:
+        self._index = index
+        self._values = values
+        self._mask = anchor_mask
+
+    def __getitem__(self, edge: Edge) -> int:
+        eid = self._index.eid_of.get(edge)
+        if eid is None or self._mask[eid]:
+            raise KeyError(edge)
+        return self._values[eid]
+
+    def __iter__(self) -> Iterator[Edge]:
+        return compress(self._index.edge_of, map(not_, self._mask))
+
+    def __len__(self) -> int:
+        return len(self._mask) - self._mask.count(1)
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def values(self) -> "_Values":
+        return _Values(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            other.get(edge, _MISSING) == value for edge, value in self.items()
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"EdgeValues({len(self)} edges)"
+
+
+# The item and value views walk the lists directly; the generic ones would
+# look every key up through ``index.eid_of`` again.
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[Edge, int]]:
+        view = self._mapping
+        return compress(zip(view._index.edge_of, view._values), map(not_, view._mask))
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        view = self._mapping
+        return compress(view._values, map(not_, view._mask))
+
 
 class TrussDecomposition:
     """Result of a (possibly anchored) truss decomposition.
 
     Attributes
     ----------
-    trussness:
-        ``t(e)`` for every non-anchored edge.
-    layer:
-        ``l(e)``: the synchronous peeling round (1-based) within the phase
-        that removed ``e``.
+    dense_views:
+        ``(index, trussness, layer, anchor_mask)`` per dense edge id of
+        ``index``: ``t(e)`` and ``l(e)`` (the synchronous peeling round,
+        1-based, within the phase that removed ``e``) as lists of Python
+        ints, ``inf`` at anchors, and a 0/1 anchor byte per edge.
+    dense_arrays:
+        The same trussness and layer as read-only float64 NumPy arrays
+        ``(trussness, layer)``, equal to the lists element for element.
+    trussness, layer:
+        Read-only ``edge -> value`` views of the two lists without the
+        anchors (:class:`EdgeValues`).
     anchors:
         The anchored edges (kept forever; they have no trussness entry).
     k_max:
         The largest trussness value assigned (2 if the graph has no
         non-anchored edges in triangles; 1 for an empty graph).
 
-    The object behaves like the frozen dataclass it used to be (keyword
-    construction, equality over the four attributes above), but the kernel
-    paths construct it through :meth:`from_dense` with the tuple-domain
-    dicts *deferred*: cold decompositions return without ever paying the
-    ``m``-entry dict builds, and the dicts materialise from the dense
-    arrays on first access.  The dense views are treated as immutable after
-    construction (the overlay contract), so materialising late always
-    yields the same dicts an eager build would have.
+    Every producer — the kernel peel, the engine's incremental advance and
+    the from-scratch oracle — hands over this one dense layout.  Treat all
+    of it as read-only (the overlay contract); equality compares the
+    anchors, ``k_max`` and the two edge views.
     """
+
+    __slots__ = ("anchors", "k_max", "dense_views", "dense_arrays", "trussness", "layer")
 
     def __init__(
         self,
-        trussness: Optional[Dict[Edge, int]] = None,
-        layer: Optional[Dict[Edge, int]] = None,
-        anchors: FrozenSet[Edge] = frozenset(),
-        k_max: int = 1,
-        dense_views: object = None,
-        dense_arrays: object = None,
-    ) -> None:
-        self._trussness = trussness
-        self._layer = layer
-        self.anchors = anchors
-        self.k_max = k_max
-        #: Dense per-edge-id views ``(index, trussness, layer, anchor_mask)``
-        #: attached by the kernel decomposition (``None`` when constructed by
-        #: the oracle or by hand).  Anchored edges hold
-        #: ``inf`` in the arrays.  A cache, not data: excluded from equality.
-        self.dense_views = dense_views
-        #: The same trussness and layer as read-only float64 NumPy arrays
-        #: ``(trussness, layer)``, equal element for element to the lists of
-        #: :attr:`dense_views` (``None`` when those are absent).
-        self.dense_arrays = dense_arrays
-        self._edge_of: Optional[Sequence[Edge]] = None
-
-    @classmethod
-    def from_dense(
-        cls,
-        edge_of: Sequence[Edge],
         anchors: FrozenSet[Edge],
         k_max: int,
-        dense_views: object,
-        dense_arrays: object,
-    ) -> "TrussDecomposition":
-        """Kernel constructor: dense per-eid views now, dicts on demand.
-
-        ``edge_of`` maps dense edge ids to canonical tuples; anchors carry
-        ``inf`` in the views and are dropped from the dicts when they
-        materialise.
-        """
-        result = cls(
-            anchors=anchors, k_max=k_max, dense_views=dense_views, dense_arrays=dense_arrays
-        )
-        result._edge_of = edge_of
-        return result
-
-    def _materialize(self) -> None:
-        edge_of = self._edge_of
-        index, trussness_arr, layer_arr, _mask = self.dense_views
-        # C-level dict construction over all edges, then drop the (few)
-        # anchors, which carry inf in the dense views.
-        trussness: Dict[Edge, int] = dict(zip(edge_of, trussness_arr))
-        layer: Dict[Edge, int] = dict(zip(edge_of, layer_arr))
-        for edge in self.anchors:
-            del trussness[edge]
-            del layer[edge]
-        self._trussness = trussness
-        self._layer = layer
-
-    @property
-    def trussness(self) -> Dict[Edge, int]:
-        if self._trussness is None:
-            self._materialize()
-        return self._trussness
-
-    @property
-    def layer(self) -> Dict[Edge, int]:
-        if self._layer is None:
-            self._materialize()
-        return self._layer
+        dense_views: Tuple[GraphIndex, List[float], List[float], bytearray],
+        dense_arrays: Tuple[_np.ndarray, _np.ndarray],
+    ) -> None:
+        index, trussness, layer, anchor_mask = dense_views
+        for values in dense_arrays:
+            values.flags.writeable = False
+        self.anchors = anchors
+        self.k_max = k_max
+        self.dense_views = dense_views
+        self.dense_arrays = dense_arrays
+        self.trussness = EdgeValues(index, trussness, anchor_mask)
+        self.layer = EdgeValues(index, layer, anchor_mask)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrussDecomposition):
@@ -142,7 +163,7 @@ class TrussDecomposition:
             and self.layer == other.layer
         )
 
-    __hash__ = None  # mutable caches inside; matches the old unhashable dataclass
+    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -150,38 +171,24 @@ class TrussDecomposition:
             f"anchors={len(self.anchors)}, k_max={self.k_max})"
         )
 
-    @cached_property
-    def _hull_index(self) -> Dict[int, FrozenSet[Edge]]:
-        """Edges grouped by trussness, computed once (the decomposition is
-        frozen, so the grouping can never go stale)."""
-        grouped: Dict[int, Set[Edge]] = {}
-        for edge, value in self.trussness.items():
-            grouped.setdefault(value, set()).add(edge)
-        return {k: frozenset(members) for k, members in grouped.items()}
-
-    @cached_property
-    def _layer_index(self) -> Dict[int, Dict[int, FrozenSet[Edge]]]:
-        """Hull edges further grouped by peeling layer, computed once."""
-        grouped: Dict[int, Dict[int, Set[Edge]]] = {}
-        layer = self.layer
-        for edge, value in self.trussness.items():
-            grouped.setdefault(value, {}).setdefault(layer[edge], set()).add(edge)
-        return {
-            k: {i: frozenset(members) for i, members in layers.items()}
-            for k, layers in grouped.items()
-        }
-
     def hull(self, k: int) -> Set[Edge]:
         """The k-hull: all (non-anchored) edges with trussness exactly k."""
-        return set(self._hull_index.get(k, frozenset()))
+        return {edge for edge, value in self.trussness.items() if value == k}
 
     def hulls(self) -> Dict[int, Set[Edge]]:
         """All k-hulls keyed by k."""
-        return {k: set(members) for k, members in self._hull_index.items()}
+        grouped: Dict[int, Set[Edge]] = {}
+        for edge, value in self.trussness.items():
+            grouped.setdefault(value, set()).add(edge)
+        return grouped
 
     def layers_of_hull(self, k: int) -> Dict[int, Set[Edge]]:
         """The layers ``L_k^i`` of the k-hull, keyed by layer index ``i``."""
-        return {i: set(members) for i, members in self._layer_index.get(k, {}).items()}
+        grouped: Dict[int, Set[Edge]] = {}
+        for (edge, value), layer in zip(self.trussness.items(), self.layer.values()):
+            if value == k:
+                grouped.setdefault(layer, set()).add(edge)
+        return grouped
 
 
 def truss_decomposition(
@@ -217,9 +224,8 @@ def truss_decomposition(
     truss_ints, layer_ints, k_max = peel_trussness_fast(index, anchor_eids)
     # The kernel arrays become the dense per-eid views shared with the
     # follower machinery and the component tree: Python-int lists for the
-    # scalar loops, read-only float64 arrays for the batched passes.
-    # Anchors switch from the peeling sentinel 0 to the inf the state-level
-    # API reports.  The tuple-domain dicts materialise lazily from the lists.
+    # scalar loops, float64 arrays for the batched passes.  Anchors switch
+    # from the peeling sentinel 0 to the inf the state-level API reports.
     trussness: List[float] = truss_ints.tolist()
     layer: List[float] = layer_ints.tolist()
     truss_arr = truss_ints.astype(_np.float64)
@@ -232,14 +238,8 @@ def truss_decomposition(
         layer[eid] = inf
     truss_arr[anchor_eids] = inf
     layer_arr[anchor_eids] = inf
-    truss_arr.flags.writeable = False
-    layer_arr.flags.writeable = False
-    return TrussDecomposition.from_dense(
-        index.edge_of,
-        anchor_set,
-        k_max,
-        (index, trussness, layer, anchor_mask),
-        (truss_arr, layer_arr),
+    return TrussDecomposition(
+        anchor_set, k_max, (index, trussness, layer, anchor_mask), (truss_arr, layer_arr)
     )
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.graph.graph import Edge, Graph
-from repro.graph.triangles import support_map, triangle_connected_components
+from repro.graph.index import GraphIndex
+from repro.graph.triangles import triangle_connected_components
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
 from repro.utils.errors import InvalidParameterError
 
@@ -69,8 +70,7 @@ def max_trussness(graph: Graph, decomposition: Optional[TrussDecomposition] = No
 
 def max_support(graph: Graph) -> int:
     """The maximum edge support ``sup_max`` reported for each dataset in Table III."""
-    supports = support_map(graph)
-    return max(supports.values(), default=0)
+    return max(GraphIndex.of(graph).support, default=0)
 
 
 def trussness_histogram(

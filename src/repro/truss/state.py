@@ -15,8 +15,8 @@ is "persistently in any truss structure".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 import numpy as _np
 
@@ -34,6 +34,16 @@ def _held(t_other, l_other, t_edge, l_edge):
     the edge: anchored (``inf``), of higher trussness, or of the same
     trussness and a layer no lower (elementwise over NumPy arrays)."""
     return (t_other > t_edge) | ((t_other == t_edge) & (l_other >= l_edge))
+
+
+def _eid(index: GraphIndex, edge: Edge) -> int:
+    """The dense id of ``edge`` in ``index``; :class:`InvalidEdgeError` if
+    the graph has no such edge."""
+    edge = normalize_edge(*edge)
+    eid = index.eid_of.get(edge)
+    if eid is None:
+        raise InvalidEdgeError(edge)
+    return eid
 
 
 @dataclass
@@ -72,23 +82,13 @@ class TrussState:
 
     def trussness(self, edge: Edge) -> float:
         """``t(e)``; anchored edges report :data:`ANCHOR_TRUSSNESS`."""
-        edge = normalize_edge(*edge)
-        if edge in self.anchors:
-            return ANCHOR_TRUSSNESS
-        try:
-            return self.decomposition.trussness[edge]
-        except KeyError as exc:
-            raise InvalidEdgeError(edge) from exc
+        index, trussness, _layer, _mask = self.kernel_views()
+        return trussness[_eid(index, edge)]
 
     def layer(self, edge: Edge) -> float:
         """``l(e)``; anchored edges report ``+inf`` (they are never peeled)."""
-        edge = normalize_edge(*edge)
-        if edge in self.anchors:
-            return math.inf
-        try:
-            return self.decomposition.layer[edge]
-        except KeyError as exc:
-            raise InvalidEdgeError(edge) from exc
+        index, _trussness, layer, _mask = self.kernel_views()
+        return layer[_eid(index, edge)]
 
     def precedes(self, first: Edge, second: Edge) -> bool:
         """The deletion order ``first ≺ second`` (Section III-B).
@@ -117,45 +117,35 @@ class TrussState:
     # ------------------------------------------------------------------
     @property
     def index(self) -> GraphIndex:
-        """The shared integer-indexed kernel snapshot of the graph.
+        """The integer-indexed kernel snapshot the decomposition is stated on.
 
-        The index is cached on the graph itself (invalidated by mutation), so
-        every state, follower computation and greedy round over the same
-        graph shares one set of precomputed triangle lists.
+        It is the graph's cached index (:meth:`GraphIndex.of`) of the moment
+        the state was computed, so every state, follower computation and
+        greedy round over the same graph shares one set of precomputed
+        triangle lists.
         """
-        return GraphIndex.of(self.graph)
+        return self.kernel_views()[0]
 
     def kernel_views(self) -> Tuple[GraphIndex, List[float], List[float], bytearray]:
         """Dense per-edge-id views ``(index, trussness, layer, anchor_mask)``.
 
         ``trussness[eid]`` / ``layer[eid]`` mirror :meth:`trussness` /
         :meth:`layer` (anchored edges hold ``inf``), and ``anchor_mask`` is a
-        0/1 byte per edge.  Built once per state (the decomposition is fixed)
-        and shared by the follower machinery and the component tree, which
-        replaces per-query tuple hashing with list indexing.  Treat all three
-        as read-only.
+        0/1 byte per edge.  They are the decomposition's own data, shared by
+        the follower machinery and the component tree, which replaces
+        per-query tuple hashing with list indexing.  Treat all three as
+        read-only.
+
+        Raises :class:`InvalidParameterError` once the graph has been
+        mutated after the state was computed: the views describe the old
+        edge set, so no reading of them is right for the new one.
         """
-        index = GraphIndex.of(self.graph)
-        attached = self.decomposition.dense_views
-        if attached is not None and attached[0] is index:
-            return attached
-        cached = getattr(self, "_kernel_views", None)
-        if cached is not None and cached[0] is index:
-            return cached
-        m = index.num_edges
-        eid_of = index.eid_of
-        trussness: List[float] = [math.inf] * m
-        layer: List[float] = [math.inf] * m
-        layer_dict = self.decomposition.layer
-        for edge, value in self.decomposition.trussness.items():
-            eid = eid_of[edge]
-            trussness[eid] = value
-            layer[eid] = layer_dict[edge]
-        anchor_mask = bytearray(m)
-        for edge in self.anchors:
-            anchor_mask[eid_of[edge]] = 1
-        views = (index, trussness, layer, anchor_mask)
-        self._kernel_views = views
+        views = self.decomposition.dense_views
+        if views[0].version != self.graph._version:
+            raise InvalidParameterError(
+                "the graph was mutated after this truss state was computed; "
+                "compute a new state"
+            )
         return views
 
     def array_views(self) -> Tuple[_np.ndarray, _np.ndarray]:
@@ -163,23 +153,11 @@ class TrussState:
 
         The NumPy twins of :meth:`kernel_views`' lists, equal to them element
         for element (anchored edges hold ``inf``), for the passes that read
-        every edge at once.  Kernel decompositions and incremental advances
-        hand their arrays over; a state without them (an oracle or
-        hand-built decomposition) converts its lists once and caches them.
+        every edge at once.  Raises like :meth:`kernel_views` on a state
+        whose graph was mutated.
         """
-        index, truss, layer, _mask = self.kernel_views()
-        decomposition = self.decomposition
-        attached = decomposition.dense_arrays
-        if attached is not None and decomposition.dense_views[0] is index:
-            return attached
-        cached = getattr(self, "_array_views", None)
-        if cached is not None and cached[0] is index:
-            return cached[1]
-        arrays = (_np.array(truss, dtype=_np.float64), _np.array(layer, dtype=_np.float64))
-        for values in arrays:
-            values.flags.writeable = False
-        self._array_views = (index, arrays)
-        return arrays
+        self.kernel_views()
+        return self.decomposition.dense_arrays
 
     def tight_flags(self) -> bytearray:
         """Per-edge-id 0/1 flags: which non-anchored edges are *tight*.
@@ -230,8 +208,8 @@ class TrussState:
         """
         index = self.index
         cached = getattr(self, "_flags", None)
-        if cached is not None and cached[0] is index:
-            return cached[1]
+        if cached is not None:
+            return cached
         csr = index.csr
         truss, layer = self.array_views()
         base = csr.hit_bases()
@@ -253,7 +231,7 @@ class TrussState:
             bytearray(tight.astype(_np.uint8).tobytes()),
             bytearray(starter.astype(_np.uint8).tobytes()),
         )
-        self._flags = (index, flags)
+        self._flags = flags
         return flags
 
     # ------------------------------------------------------------------

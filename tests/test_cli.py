@@ -212,6 +212,8 @@ BAD_CLUSTER_FLAGS = [
     ("--router-workers", "0"),
     ("--probe-interval", "0"),
     ("--probe-interval", "nan"),
+    ("--port", "70000"),
+    ("--port", "-1"),
 ]
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -257,6 +259,21 @@ class TestServiceFlagBounds:
         assert completed.returncode == 2, completed.stderr
         _single_error_line(completed.stderr, flag)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--transport", "tcp", "--port", "70000"],
+            ["serve", "--transport", "tcp", "--port", "-1"],
+            ["obs", "--port", "0"],
+            ["obs", "--port", "65536"],
+        ],
+    )
+    def test_port_out_of_range_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        _single_error_line(capsys.readouterr().err, "--port")
+
     def test_obs_timeout_must_be_finite_and_positive(self, capsys):
         for value in ("0", "nan", "inf"):
             with pytest.raises(SystemExit) as exit_info:
@@ -278,3 +295,13 @@ class TestServiceFlagBounds:
         ])
         assert (edge.workers, edge.session_cache, edge.store_capacity) == (1, 0, 0)
         assert (edge.max_inflight, edge.max_queue, edge.deadline_default) == (1, 0, 0.25)
+        ports = [
+            parser.parse_args(argv).port
+            for argv in (
+                ["cluster", "--port", "0"],
+                ["serve", "--port", "65535"],
+                ["obs", "--port", "1"],
+                ["obs", "--port", "65535"],
+            )
+        ]
+        assert ports == [0, 65535, 1, 65535]

@@ -335,6 +335,24 @@ class TestFailover:
             router.close()
             pool.close()
 
+    def test_supervision_counters_reach_the_router_scrape(self):
+        pool = BackendPool(probe_interval_s=30.0)
+        for index in range(2):
+            pool.add_managed(
+                f"b{index}", InProcessBackend(workers=1, session_capacity=2)
+            )
+        router = RouterService(pool, workers=2)
+        try:
+            pool.kill("b0")
+            assert pool.probe_once() == {"b0": "up", "b1": "up"}
+            snapshot = router.metrics_snapshot()
+            assert snapshot["counters"]["cluster.respawns"] >= 1
+            assert snapshot["counters"]["cluster.markdowns"] >= 1
+            assert snapshot["gauges"]["cluster.backends_up"] == 2
+        finally:
+            router.close()
+            pool.close()
+
     def test_mid_batch_kill_leaves_survivors_byte_identical(self):
         """Kill one backend between two waves of a batch: every request
         not owned by the dead backend is untouched, the dead backend's

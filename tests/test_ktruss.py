@@ -5,8 +5,10 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.datasets import dataset_statistics, load_dataset
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
+from repro.graph.triangles import support_map
 from repro.truss.ktruss import (
     k_hull,
     k_truss,
@@ -17,7 +19,7 @@ from repro.truss.ktruss import (
 )
 from repro.utils.errors import InvalidParameterError
 
-from tests.conftest import random_test_graph
+from tests.conftest import random_test_graph, world_sweep_graphs
 
 
 class TestKTruss:
@@ -88,6 +90,13 @@ class TestStatistics:
 
     def test_max_support_of_empty_graph(self):
         assert max_support(Graph()) == 0
+
+    def test_max_support_matches_the_pure_python_count(self):
+        for name, graph in world_sweep_graphs():
+            assert max_support(graph) == max(support_map(graph).values(), default=0), name
+        expected = max(support_map(load_dataset("college")).values())
+        assert max_support(load_dataset("college")) == expected
+        assert dataset_statistics("college")["sup_max"] == expected
 
     def test_trussness_histogram_sums_to_edge_count(self):
         graph = random_test_graph(34, min_n=12, max_n=18)

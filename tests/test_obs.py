@@ -31,7 +31,6 @@ from repro.graph.io import write_edge_list
 from repro.graph.generators import paper_figure3_graph
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
     default_registry,
@@ -158,20 +157,6 @@ class TestRegistry:
         assert hist.quantile(0.5) == 0.0
         snap = hist.snapshot()
         assert snap["count"] == 0 and snap["min"] is None
-
-    def test_null_registry_is_a_noop(self):
-        NULL_REGISTRY.counter("x").inc(100)
-        NULL_REGISTRY.gauge("g").set(5.0)
-        with NULL_REGISTRY.histogram("h").time():
-            pass
-        assert NULL_REGISTRY.counter("x").value == 0
-        assert NULL_REGISTRY.enabled is False
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-        assert NULL_REGISTRY.to_prometheus_text() == ""
 
     def test_default_registry_arm_and_restore(self):
         registry = MetricsRegistry()
@@ -444,8 +429,8 @@ class TestObsIdentity:
 
     def test_all_solvers_byte_identical_obs_on_off(self):
         results_off: dict = {}
-        with SolveService(workers=1, store_capacity=0, metrics=False) as service:
-            assert service.metrics.enabled is False
+        with SolveService(workers=1, store_capacity=0) as service:
+            assert default_registry() is None
             for name in available_solvers():
                 outcome = service.solve(self._spec(name, f"off-{name}"))
                 assert outcome.ok, outcome.error

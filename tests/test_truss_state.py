@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
 
 from repro.core.engine import SolverEngine
 from repro.core.followers import compute_followers
+from repro.datasets import load_dataset
 from repro.graph.generators import complete_graph
 from repro.graph.index import GraphIndex
 from repro.graph.triangles import neighbor_edges
 from repro.oracles import dense_peel_reference, truss_decomposition_reference
-from repro.truss.decomposition import trussness_gain
+from repro.truss.decomposition import truss_decomposition, trussness_gain
 from repro.truss.state import ANCHOR_TRUSSNESS, TrussState
 from repro.utils.errors import InvalidEdgeError, InvalidParameterError
 
@@ -278,13 +281,72 @@ class TestArrayViews:
             with pytest.raises(ValueError):
                 values[0] = 0
 
-    def test_a_hand_built_decomposition_converts_once(self, fig3_graph):
-        oracle = truss_decomposition_reference(fig3_graph)
-        state = TrussState(graph=fig3_graph, anchors=frozenset(), decomposition=oracle)
-        truss_arr, layer_arr = state.array_views()
-        assert state.array_views()[0] is truss_arr
-        _index, truss, layer, _mask = state.kernel_views()
-        assert truss_arr.tolist() == truss and layer_arr.tolist() == layer
+    def test_the_oracle_carries_the_kernel_dense_views(self):
+        for name, graph in world_sweep_graphs():
+            m = graph.num_edges
+            edge_of = GraphIndex.of(graph).edge_of
+            for anchor_eids in anchor_eid_sets(m, seed=m):
+                anchors = [edge_of[eid] for eid in anchor_eids]
+                kernel = truss_decomposition(graph, anchors)
+                oracle = truss_decomposition_reference(graph, anchors)
+                assert oracle.dense_views[0] is kernel.dense_views[0], name
+                assert oracle.dense_views[1:] == kernel.dense_views[1:], name
+                for got, want in zip(oracle.dense_arrays, kernel.dense_arrays):
+                    assert got.dtype == np.float64 and not got.flags.writeable, name
+                    assert got.tolist() == want.tolist(), name
+
+
+class TestMutatedGraph:
+    def test_a_state_of_a_mutated_graph_raises(self):
+        graph = complete_graph(5)
+        state = TrussState.compute(graph)
+        graph.add_edge(0, 5)
+        graph.add_edge(1, 5)
+        reads = (
+            state.kernel_views,
+            state.array_views,
+            lambda: state.index,
+            lambda: state.trussness((0, 1)),
+            lambda: state.layer((0, 5)),
+            state.starter_flags,
+            lambda: TrussState.compute(graph).trussness_gain_from(state),
+        )
+        for read in reads:
+            with pytest.raises(InvalidParameterError, match="mutated"):
+                read()
+        # A state computed after the mutation reads the new edges.
+        fresh = TrussState.compute(graph)
+        assert fresh.trussness((0, 5)) == 3
+        assert fresh.kernel_views()[3] == bytearray(graph.num_edges)
+
+
+def _dicts_reachable(root, skip=(type, types.ModuleType, GraphIndex)):
+    """Every dict reachable from ``root`` through object references,
+    without entering a type, a module or a graph index (the index owns the
+    shared ``eid_of``)."""
+    seen, stack, dicts = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            dicts.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return dicts
+
+
+class TestNoEdgeDicts:
+    def test_a_warm_baseline_holds_no_per_edge_dict(self):
+        graph = load_dataset("pokec")
+        engine = SolverEngine(graph)
+        engine.solve("gas", 1)
+        m = graph.num_edges
+        decomposition = engine.original_state.decomposition
+        # evaluate_anchor_set reads the baseline per follower edge; the
+        # reads go through the index, so nothing edge-sized is built.
+        assert [len(d) for d in _dicts_reachable(decomposition) if len(d) >= m] == []
+        assert decomposition.trussness == dict(decomposition.trussness.items())
 
 
 class TestCliqueState:
