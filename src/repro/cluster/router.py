@@ -25,8 +25,13 @@ Routing invariants (tested in ``tests/test_cluster.py``):
 * **Failover** — transport failures and retryable ``worker_crash`` /
   ``overloaded`` outcomes re-route to the ring successor (deterministic
   order), the failed backend is reported to the pool for mark-down and
-  respawn, and non-retryable outcomes (``invalid``, ``timeout``,
-  ``internal``) return immediately — re-sending those cannot succeed.
+  respawn, and every other outcome (``invalid``, ``timeout``,
+  ``internal``) returns immediately — re-sending those cannot succeed.
+  A backend that took the request but sent no reply within the request
+  timeout is slow, not dead: the router closes that one connection and
+  returns a retryable ``timeout`` without marking the backend down or
+  re-running the solve elsewhere.  Refused, reset or closed connections
+  and connect timeouts are transport failures.
 * **Repeats** — deterministic requests (the
   :func:`~repro.api.session.memoizable` rule) are answered from a
   router-tier cross-backend :class:`~repro.service.result_store.ResultStore`
@@ -61,6 +66,15 @@ __all__ = ["RouterService"]
 
 _METRICS_LINE = json.dumps({"op": "metrics"}, sort_keys=True)
 _HEALTH_LINE = json.dumps({"op": "health"}, sort_keys=True)
+
+
+class _ReplyTimeout(TimeoutError):
+    """A backend took a request but sent no reply within the timeout.
+
+    Still an :class:`OSError`, so a control request (health, metrics) that
+    times out reports the backend down as any transport failure does; only
+    :meth:`RouterService._route` tells a slow solve from a dead backend.
+    """
 
 
 class _ConnectionPool:
@@ -108,12 +122,22 @@ class _ConnectionPool:
     def request(
         self, host: str, port: int, line: str, timeout: float = 60.0
     ) -> str:
-        """One line out, one line back, socket reused on success."""
+        """One line out, one line back, socket reused on success.
+
+        A read that times out after the line was sent raises
+        :class:`_ReplyTimeout`; the socket is closed, so the late reply can
+        never be read as the answer to a later request.
+        """
         address = (host, int(port))
         conn, reader = self._checkout(address, timeout)
         try:
             conn.sendall((line + "\n").encode("utf-8"))
-            reply = reader.readline()
+            try:
+                reply = reader.readline()
+            except TimeoutError as exc:
+                raise _ReplyTimeout(
+                    f"backend {host}:{port} sent no reply within {timeout:g}s"
+                ) from exc
         except BaseException:
             reader.close()
             conn.close()
@@ -276,6 +300,17 @@ class RouterService:
             try:
                 reply = self._connections.request(host, port, line, timeout=timeout)
                 outcome = SolveOutcome.from_json_dict(json.loads(reply))
+            except _ReplyTimeout as exc:
+                # Slow, not dead: the backend is still solving, so neither
+                # mark it down nor re-run the solve on its successor.
+                return SolveOutcome(
+                    request_id=spec.request_id,
+                    ok=False,
+                    error=str(exc),
+                    error_kind="timeout",
+                    retryable=True,
+                    cache={"backend": backend_id},
+                )
             except (OSError, ValueError) as exc:
                 self._counters["backend_failures"].inc()
                 self._connections.invalidate(host, port)

@@ -58,6 +58,36 @@ component tree.  A solve patches that tree in place — initial anchors first,
 one patch per commit, full-peel fallbacks included — and the tree journals
 what it changed; :meth:`SolverEngine.reset` rolls it back to the baseline
 instead of rebuilding it.
+
+The engine also keeps the *GAS trajectory*: the recorded rounds of the
+longest unanchored GAS solve it has run (:class:`GasTrajectory`).  Round
+``r`` of GAS depends only on the rounds before it — the budget only bounds
+the loop, since ``_round + 1 < budget`` only skips the last round's advance
+— and a warm round equals a cold one canonically, so each recorded round
+equals the same round of any later solve with the same key
+``(method, candidates, full_peel_threshold)``.  The threshold is part of
+the key because ``extra.engine`` counts full-peel fallbacks.
+
+* *Record.*  After each round's commit and before the next round's
+  advance, GAS records the anchor, the round's gain, how many
+  ``reuse_stats`` entries exist so far and the :attr:`SolverEngine.stats`
+  counters — exactly what a solve with that budget reports.  Only a solve
+  that started with no committed or initial anchors, ran to completion,
+  ended at the ``full_peel_threshold`` it started at (the library sets it
+  only in the constructor) and ran more rounds than the held recording
+  replaces it (:meth:`SolverEngine.keep_gas_trajectory`).
+* *Replay.*  An unanchored request with the same key and ``budget`` at
+  most the recorded rounds (:meth:`SolverEngine.gas_trajectory`) commits
+  the recorded anchors lazily, runs no round, and ends with the one
+  ``evaluate_anchor_set`` every GAS solve ends with; ``per_round_gain``,
+  ``extra.reuse_stats`` and ``extra.engine`` come from the recording, so
+  the canonical answer is byte-identical.  The volatile fields describe
+  the replay itself: ``recomputed_entries_per_round`` reads 0 for every
+  round, the timings are its own, and :attr:`SolverEngine.stats` (hence
+  the lifetime counters) counts no work.  A longer budget runs from the
+  baseline follower snapshot and replaces the recording; a request with
+  initial anchors neither reads nor writes it.  :meth:`SolverEngine.reset`
+  keeps it; it lives and dies with the engine.
 """
 
 from __future__ import annotations
@@ -98,6 +128,8 @@ from repro.utils.errors import InvalidParameterError
 
 __all__ = [
     "CommitDelta",
+    "GasRound",
+    "GasTrajectory",
     "SolveSpec",
     "SolverEngine",
     "SolverSpec",
@@ -149,6 +181,35 @@ class CommitDelta:
     follower_eids: Tuple[int, ...]
     changed_eids: FrozenSet[int]
     state_after: Optional[TrussState]
+
+
+@dataclass(frozen=True)
+class GasRound:
+    """One recorded GAS round, as a solve whose budget ends at it reports it.
+
+    ``reuse_count`` is how many ``extra.reuse_stats`` entries exist after
+    the round; ``stats`` holds :attr:`SolverEngine.stats` after the round's
+    commit, before the next round's advance.
+    """
+
+    anchor: Edge
+    gain: int
+    reuse_count: int
+    stats: Mapping[str, int]
+
+
+@dataclass(frozen=True)
+class GasTrajectory:
+    """The recorded rounds of one unanchored GAS solve (see "Warm sessions").
+
+    ``key`` is ``(method, candidates, full_peel_threshold)``; ``reuse_stats``
+    holds the solve's per-round reuse fractions, of which a replay of
+    budget ``b`` reports the first ``rounds[b - 1].reuse_count``.
+    """
+
+    key: Tuple[str, str, float]
+    rounds: Tuple[GasRound, ...]
+    reuse_stats: Tuple[Mapping[str, float], ...]
 
 
 def _fallback_delta(
@@ -357,6 +418,9 @@ class SolverEngine:
         self._baseline_followers: Optional[
             Tuple[List[Optional[FollowerEntry]], List[Optional[int]]]
         ] = None
+        # The GAS trajectory: the recorded rounds of the longest unanchored
+        # GAS solve so far (see "Warm sessions"), surviving reset().
+        self._gas_trajectory: Optional[GasTrajectory] = None
         #: Diagnostics: how often each re-peel path ran for the *current*
         #: solve.  :meth:`reset` folds the counters into
         #: :attr:`lifetime_stats` and zeroes them, so a warm (cached) engine
@@ -412,7 +476,8 @@ class SolverEngine:
 
         The expensive session assets — the :class:`GraphIndex`, the
         anchor-free baseline state, the baseline component tree, the
-        baseline follower snapshot and the upward-route sizes — survive,
+        baseline follower snapshot, the GAS trajectory and the
+        upward-route sizes — survive,
         which is exactly what a warm (cached) engine amortises across
         requests.  Everything a solver can observe is restored: the state
         chain, the component tree (its undo journal rolls back every patch
@@ -497,6 +562,37 @@ class SolverEngine:
         self.follower_cache[:] = cache
         self.follower_totals[:] = totals
         return True
+
+    def gas_trajectory(
+        self, key: Tuple[str, str, float], budget: int
+    ) -> Optional[GasTrajectory]:
+        """The GAS trajectory, if it can answer this request by replay.
+
+        ``key`` is the request's ``(method, candidates,
+        full_peel_threshold)``.  Returns the held :class:`GasTrajectory`
+        when the session is unanchored (no initial anchors), the keys match
+        and ``1 <= budget <=`` its recorded rounds; ``None`` otherwise, and
+        the request runs its rounds.
+        """
+        trajectory = self._gas_trajectory
+        if (
+            self.anchors
+            or trajectory is None
+            or trajectory.key != key
+            or not 0 < budget <= len(trajectory.rounds)
+        ):
+            return None
+        return trajectory
+
+    def keep_gas_trajectory(self, trajectory: GasTrajectory) -> None:
+        """Hold ``trajectory`` if it recorded more rounds than the held one.
+
+        GAS calls this at the end of an unanchored solve that ended at the
+        threshold it started at (see "Warm sessions" in the module docstring).
+        """
+        held = self._gas_trajectory
+        if held is None or len(trajectory.rounds) > len(held.rounds):
+            self._gas_trajectory = trajectory
 
     def commit_anchor(self, edge: Edge) -> None:
         """Append ``edge`` to the anchor chain (state advances lazily)."""
@@ -740,6 +836,12 @@ class SolverEngine:
         This is BASE's per-candidate evaluation: a re-peel restricted to the
         dirty region (with the full-peel fallback), diffed against the
         current state.  By Lemma 1 the diff equals the follower count.
+
+        A candidate the state's :meth:`~repro.truss.state.TrussState.starter_flags`
+        leaves unflagged has no follower, so it gains 0 without the
+        re-peel.  Its dirty closure is still walked up to the threshold
+        limit, so it counts as the same full or incremental evaluation as
+        the re-peel would (``extra.engine`` is part of the canonical result).
         """
         state = self.state
         index = self.index
@@ -749,8 +851,11 @@ class SolverEngine:
             raise InvalidParameterError(f"edge {edge!r} is already anchored")
         m = index.num_edges
         dirty = _dirty_closure(index, truss, eid, self.full_peel_threshold * m)
+        has_starter = state.starter_flags()[eid]
         if dirty is None:
             self.stats["full_gain_evals"] += 1
+            if not has_starter:
+                return 0
             eid_of = index.eid_of
             anchor_eids = [eid_of[a] for a in state.anchors]
             anchor_eids.append(eid)
@@ -759,6 +864,8 @@ class SolverEngine:
             counted[eid] = False
             return int((new_truss[counted] - state.array_views()[0][counted]).sum())
         self.stats["incremental_gain_evals"] += 1
+        if not has_starter:
+            return 0
         return len(_followers_on_arrays(index, truss, eid, dirty))
 
     def apply_anchor_to_arrays(

@@ -41,6 +41,19 @@ full-scan oracle); both strategies share the per-candidate refresh helper, so
 anchors, gains, reuse statistics and recompute counts are byte-identical —
 asserted by the test-suite on randomized anchored graphs.
 
+Warm sessions
+-------------
+A session that solved unanchored GAS before restores its baseline follower
+snapshot, so its first round reads cached totals instead of searching.  It
+also keeps the *GAS trajectory* (see "Warm sessions" in
+:mod:`repro.core.engine`): round ``r`` depends only on the rounds before it,
+because the budget only bounds the loop (``_round + 1 < budget`` only skips
+the last round's advance), and a warm round equals a cold one canonically.
+So each round recorded by an unanchored solve equals the same round of any
+later solve with the key ``(method, candidates, full_peel_threshold)``, and
+a request with that key and a budget the recording covers replays the
+recorded prefix instead of running any round.
+
 The public :func:`gas` is a thin wrapper over the solver registry: the round
 loop runs against a :class:`~repro.core.engine.SolverEngine`, which owns the
 state (advanced by incremental re-peeling after each committed anchor), the
@@ -52,11 +65,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.api.spec import SolveSpec
 from repro.core.component_tree import TrussComponentTree
-from repro.core.engine import FollowerEntry, SolverEngine, register_solver
+from repro.core.engine import (
+    FollowerEntry,
+    GasRound,
+    GasTrajectory,
+    SolverEngine,
+    register_solver,
+)
 from repro.core.followers import FollowerMethod, compute_followers
 from repro.core.params import choice_param, method_param
 from repro.core.result import AnchorResult, evaluate_anchor_set
@@ -201,6 +220,66 @@ def _pop_best(
     return -1, -1
 
 
+def _gas_result(
+    engine: SolverEngine,
+    elapsed: float,
+    per_round_gain: List[int],
+    diagnostics: Mapping[str, object],
+) -> AnchorResult:
+    """The end of every GAS solve, run or replayed.
+
+    Evaluates the committed anchors against the engine's own baseline: no
+    redundant recompute, and with an anchored ``baseline_state`` the
+    reported gain measures the same problem the rounds actually scored.
+    """
+    result = evaluate_anchor_set(
+        engine.graph,
+        engine.anchors,
+        algorithm="GAS",
+        elapsed_seconds=elapsed,
+        baseline_state=engine.original_state,
+    )
+    result.per_round_gain = per_round_gain
+    result.extra.update(diagnostics)
+    return result
+
+
+def _replay(
+    engine: SolverEngine,
+    trajectory: GasTrajectory,
+    budget: int,
+    method: FollowerMethod,
+    strategy: str,
+) -> AnchorResult:
+    """Answer an unanchored request from the session's recorded rounds.
+
+    Commits the first ``budget`` recorded anchors (lazily: no state advance)
+    and runs no round; the canonical fields come from the recording, the
+    volatile ones describe this replay — no entry recomputed, its own
+    timings — and :attr:`SolverEngine.stats` counts no work.
+    """
+    start = time.perf_counter()
+    rounds = trajectory.rounds[:budget]
+    cumulative_seconds: List[float] = []
+    for step in rounds:
+        engine.commit_anchor(step.anchor)
+        cumulative_seconds.append(time.perf_counter() - start)
+    last = rounds[-1]
+    return _gas_result(
+        engine,
+        time.perf_counter() - start,
+        [step.gain for step in rounds],
+        {
+            "follower_method": method.value,
+            "candidate_strategy": strategy,
+            "recomputed_entries_per_round": [0] * budget,
+            "cumulative_seconds_per_round": cumulative_seconds,
+            "reuse_stats": [dict(s) for s in trajectory.reuse_stats[: last.reuse_count]],
+            "engine": dict(last.stats),
+        },
+    )
+
+
 @register_solver(
     "gas",
     description="greedy with per-tree-node follower reuse (Algorithm 6)",
@@ -214,6 +293,14 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
     )
     strategy = choice_param(request, "candidates", ("heap", "scan"), "heap")
     use_heap = strategy == "heap"
+    threshold = engine.full_peel_threshold
+    key = (method.value, strategy, threshold)
+    trajectory = engine.gas_trajectory(key, budget)
+    if trajectory is not None:
+        return _replay(engine, trajectory, budget, method, strategy)
+    # An unanchored solve records its rounds for later replays, kept only if
+    # it ends at the threshold it started at (the key's).
+    recorded: Optional[List[GasRound]] = None if engine.anchors else []
 
     start = time.perf_counter()
     original_state = engine.original_state
@@ -347,6 +434,12 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
         recompute_counts.append(recomputed_entries)
         if decision is not None:
             reuse_rounds.append(stats.fractions())
+        if recorded is not None:
+            # Exactly what a solve whose budget ends at this round reports:
+            # its final advance is the one skipped below.
+            recorded.append(
+                GasRound(best_edge, best_count, len(reuse_rounds), dict(engine.stats))
+            )
 
         if _round + 1 < budget:
             # The incremental state advance, tree patch and reuse analysis
@@ -358,24 +451,23 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             invalidation = engine.take_reuse_decision()
         cumulative_seconds.append(time.perf_counter() - start)
 
-    elapsed = time.perf_counter() - start
-    # Evaluate against the engine's own baseline: no redundant recompute, and
-    # with an anchored baseline_state the reported gain measures the same
-    # problem the rounds actually scored.
-    result = evaluate_anchor_set(
-        graph,
-        engine.anchors,
-        algorithm="GAS",
-        elapsed_seconds=elapsed,
-        baseline_state=original_state,
+    result = _gas_result(
+        engine,
+        time.perf_counter() - start,
+        per_round_gain,
+        {
+            "follower_method": method.value,
+            "candidate_strategy": strategy,
+            "recomputed_entries_per_round": recompute_counts,
+            "cumulative_seconds_per_round": cumulative_seconds,
+            "reuse_stats": reuse_rounds,
+            "engine": dict(engine.stats),
+        },
     )
-    result.per_round_gain = per_round_gain
-    result.extra["follower_method"] = method.value
-    result.extra["candidate_strategy"] = strategy
-    result.extra["recomputed_entries_per_round"] = recompute_counts
-    result.extra["cumulative_seconds_per_round"] = cumulative_seconds
-    result.extra["reuse_stats"] = reuse_rounds
-    result.extra["engine"] = dict(engine.stats)
+    if recorded and engine.full_peel_threshold == threshold:
+        engine.keep_gas_trajectory(
+            GasTrajectory(key, tuple(recorded), tuple(dict(s) for s in reuse_rounds))
+        )
     return result
 
 

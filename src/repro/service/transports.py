@@ -28,7 +28,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.service.protocol import (
     ProtocolError,
@@ -196,7 +196,7 @@ class _LineHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:  # pragma: no cover - exercised via TcpTransport
         server: "_LineServer" = self.server  # type: ignore[assignment]
-        server.track_handler(threading.current_thread())
+        server.track_handler(threading.current_thread(), self.connection)
 
         def _lines():
             for raw in self.rfile:
@@ -230,21 +230,33 @@ class _LineServer(socketserver.ThreadingTCPServer):
         self.count_lock = threading.Lock()
         # ThreadingTCPServer does not track daemon handler threads; the
         # transport's close() needs the live ones to drain (and to *name*
-        # the leak when one refuses to die).
-        self._handlers: set = set()
+        # the leak when one refuses to die), and their sockets to cut them
+        # off.
+        self._handlers: Dict[threading.Thread, socket.socket] = {}
         self._handlers_lock = threading.Lock()
 
-    def track_handler(self, thread: threading.Thread) -> None:
+    def track_handler(self, thread: threading.Thread, conn: socket.socket) -> None:
         with self._handlers_lock:
-            self._handlers.add(thread)
+            self._handlers[thread] = conn
 
     def untrack_handler(self, thread: threading.Thread) -> None:
         with self._handlers_lock:
-            self._handlers.discard(thread)
+            self._handlers.pop(thread, None)
 
     def live_handlers(self) -> List[threading.Thread]:
         with self._handlers_lock:
             return [thread for thread in self._handlers if thread.is_alive()]
+
+    def cut_connections(self) -> None:
+        """Shut every live connection down: its client reads EOF at once,
+        and a reply its handler still writes fails instead of arriving."""
+        with self._handlers_lock:
+            conns = list(self._handlers.values())
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its client
 
 
 class TcpTransport(Transport):
@@ -326,6 +338,9 @@ class TcpTransport(Transport):
         connections to finish their streams before releasing the socket —
         the graceful half of a shutdown (pair it with
         :meth:`SolveService.drain` to also wait out the executor).
+        ``drain=False`` shuts the live connections down at once, so their
+        in-flight requests fail like a crashed process's: the client reads
+        EOF and no reply still being computed reaches it.
 
         Returns the names of any threads that failed to join within
         ``timeout`` (also logged as warnings) — a stuck handler is a
@@ -340,6 +355,8 @@ class TcpTransport(Transport):
                 deadline = time.monotonic() + timeout
                 for handler in handlers:
                     handler.join(max(0.0, deadline - time.monotonic()))
+            else:
+                server.cut_connections()
             leaked.extend(
                 handler.name for handler in handlers if handler.is_alive()
             )

@@ -41,8 +41,17 @@ bundle against a point's graph and anchor schedule:
 ``tree_rollback``
     After the schedule is committed and the session's baseline tree
     patched, :meth:`SolverEngine.reset` must roll the tree back to the
-    signature of a fresh build, and warm GAS solves (b <= 3) on that
-    session must equal a cold one canonically, ``extra.engine`` included.
+    signature of a fresh build, and warm GAS solves of b = 3 and then
+    b + 1 (fewer on a smaller graph) on that session must equal cold ones
+    canonically, ``extra.engine`` included.  The larger second budget runs
+    rounds past the session's recorded GAS trajectory, so a run after a
+    rollback stays covered.
+``gas_prefix``
+    A warm engine that solved unanchored GAS with budget B = 4 (fewer on a
+    smaller graph) must answer every budget b < B by replaying its
+    recorded rounds — running none, so no engine counter moves — and
+    canonically byte-identical to a fresh engine's solve, with the engine
+    forced incremental and forced onto the full-peel fallback.
 
 A failed check raises :class:`InvariantViolation`, whose message embeds the
 single self-contained replay line::
@@ -54,6 +63,7 @@ so any fuzzed failure reproduces from one pasted command.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,6 +98,7 @@ INVARIANTS: Tuple[str, ...] = (
     "peel_backends",
     "follower_search",
     "tree_rollback",
+    "gas_prefix",
 )
 
 _ALWAYS_INCREMENTAL = math.inf
@@ -352,22 +363,55 @@ def _check_tree_rollback(point: WorldPoint, graph: Graph, schedule) -> None:
     budget = min(3, graph.num_edges)
     if budget < 1:
         return
-    cold = engine_module.SolverEngine(
-        graph, full_peel_threshold=_ALWAYS_INCREMENTAL
-    ).solve("gas", budget)
-    want = canonical_result(result_to_json(cold))
-    for attempt in ("first", "second"):
-        got = canonical_result(result_to_json(engine.solve("gas", budget)))
+    for attempt, warm_budget in (
+        ("first", budget),
+        ("second", min(budget + 1, graph.num_edges)),
+    ):
+        cold = engine_module.SolverEngine(
+            graph, full_peel_threshold=_ALWAYS_INCREMENTAL
+        ).solve("gas", warm_budget)
+        want = canonical_result(result_to_json(cold))
+        got = canonical_result(result_to_json(engine.solve("gas", warm_budget)))
         if got != want:
             raise InvariantViolation(
                 point,
                 "tree_rollback",
-                f"the {attempt} warm gas b={budget} solve after a rollback "
+                f"the {attempt} warm gas b={warm_budget} solve after a rollback "
                 f"differs from a cold one: warm gain={got['gain']} "
                 f"anchors={got['anchors']!r} engine={got['extra'].get('engine')!r} "
                 f"vs cold gain={want['gain']} anchors={want['anchors']!r} "
                 f"engine={want['extra'].get('engine')!r}",
             )
+
+
+def _check_gas_prefix(point: WorldPoint, graph: Graph) -> None:
+    def canonical(result) -> str:
+        return json.dumps(canonical_result(result_to_json(result)), sort_keys=True)
+
+    longest = min(4, graph.num_edges)
+    for threshold in (_ALWAYS_INCREMENTAL, _ALWAYS_FULL_PEEL):
+        engine = engine_module.SolverEngine(graph, full_peel_threshold=threshold)
+        engine.solve("gas", longest)
+        for budget in range(1, longest):
+            warm = canonical(engine.solve("gas", budget))
+            worked = {name: count for name, count in engine.stats.items() if count}
+            fresh = canonical(
+                engine_module.SolverEngine(graph, full_peel_threshold=threshold).solve(
+                    "gas", budget
+                )
+            )
+            if worked or warm != fresh:
+                what = (
+                    f"ran rounds instead of replaying them (engine={worked!r})"
+                    if worked
+                    else f"differs from a fresh engine's: {warm} vs {fresh}"
+                )
+                raise InvariantViolation(
+                    point,
+                    "gas_prefix",
+                    f"after gas b={longest}, warm gas b={budget} "
+                    f"(full_peel_threshold={threshold}) {what}",
+                )
 
 
 def check_world_point(
@@ -396,6 +440,8 @@ def check_world_point(
         _check_follower_search(point, graph, schedule)
     if "tree_rollback" in invariants:
         _check_tree_rollback(point, graph, schedule)
+    if "gas_prefix" in invariants:
+        _check_gas_prefix(point, graph)
     return InvariantReport(
         point=point,
         num_vertices=graph.num_vertices,

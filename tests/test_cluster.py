@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -37,6 +39,11 @@ from repro.core.engine import available_solvers, solver_table
 from repro.graph.generators import community_graph
 from repro.obs.metrics import MetricsRegistry
 from repro.service import SolveService, TcpTransport
+from repro.service.faults import (
+    FAULT_SOLVER,
+    install_fault_solver,
+    uninstall_fault_solver,
+)
 from repro.service.resilience import RetryPolicy
 
 
@@ -426,6 +433,115 @@ class TestFailover:
             assert outcome.error_kind == "worker_crash"
             assert outcome.retryable is True
             assert outcome.cache.get("route_exhausted") is True
+        finally:
+            router.close()
+            pool.close()
+
+
+@pytest.fixture
+def fault_solver():
+    """The test-only fault solver, for this test only (other tests assert
+    exact solver tables)."""
+    install_fault_solver()
+    yield
+    uninstall_fault_solver()
+
+
+def slow_spec(request_id: str, sleep_s: float) -> SolveSpec:
+    return SolveSpec(
+        edges=small_edges(seed=17),
+        algorithm=FAULT_SOLVER,
+        budget=2,
+        params={"sleep_s": sleep_s},
+        request_id=request_id,
+    )
+
+
+@pytest.mark.usefixtures("fault_solver")
+class TestSlowAndInFlight:
+    def test_slow_backend_times_out_without_being_marked_down(self):
+        """A reply that outlasts the request timeout is a retryable
+        ``timeout``: the backend is slow, not dead, so it stays up and the
+        solve is not re-run on its successor."""
+        pool = BackendPool(probe_interval_s=30.0)
+        for index in range(2):
+            pool.add_managed(
+                f"b{index}", InProcessBackend(workers=2, session_capacity=2)
+            )
+        router = RouterService(pool, workers=2, request_timeout_s=0.5)
+        try:
+            outcome = router.solve(slow_spec("slow", sleep_s=0.8))
+            assert not outcome.ok
+            assert outcome.error_kind == "timeout"
+            assert outcome.retryable is True
+            counters = router.stats()["counters"]
+            assert counters["reroutes"] == 0
+            assert counters["backend_failures"] == 0
+            assert counters["exhausted"] == 0
+            assert pool.is_up("b0") and pool.is_up("b1")
+            # The timed-out connection was closed: the late reply of the
+            # slow solve cannot be read as the answer to the next request.
+            fast = slow_spec("fast", sleep_s=0.0)
+            answer = router.solve(fast)
+            assert answer.ok, answer.error
+            assert answer.request_id == "fast"
+            assert answer.cache.get("backend") == outcome.cache.get("backend")
+            with SolveService(workers=1) as direct:
+                assert canonical_json(answer) == canonical_json(direct.solve(fast))
+        finally:
+            router.close()
+            pool.close()
+
+    @pytest.mark.parametrize("op", ["health", "metrics"])
+    def test_a_silent_backend_is_reported_down_by_control_requests(self, op):
+        """A backend that takes the health or metrics line but never replies
+        within ``probe_timeout_s`` (wedged, stopped) is reported down; the
+        cluster-wide answer still comes back for the others."""
+        silent = socket.create_server(("127.0.0.1", 0))  # listens, never replies
+        pool = BackendPool(probe_interval_s=30.0, probe_timeout_s=0.3)
+        pool.add_managed("b0", InProcessBackend(workers=1, session_capacity=1))
+        pool.attach("silent", *silent.getsockname()[:2])
+        router = RouterService(pool, workers=1)
+        try:
+            if op == "health":
+                health = router.health()
+                assert health["backends"]["silent"]["status"] == "down"
+                assert health["backends"]["b0"]["health"]["status"] == "ok"
+                assert health["cluster"]["up"] == 1
+            else:
+                snapshot = router.metrics_snapshot()
+                assert snapshot["cluster"]["backends"]["silent"] == {"status": "down"}
+                assert snapshot["cluster"]["backends"]["b0"]["status"] == "ok"
+            assert not pool.is_up("silent")
+            assert pool.is_up("b0")
+        finally:
+            router.close()
+            pool.close()
+            silent.close()
+
+    def test_kill_fails_the_in_flight_request_over(self):
+        """Killing the owner while it solves cuts its connection: the
+        router re-runs the request on the ring successor, whose answer is
+        byte-identical to a direct solve."""
+        pool = BackendPool(probe_interval_s=30.0)
+        for index in range(3):
+            pool.add_managed(
+                f"b{index}", InProcessBackend(workers=2, session_capacity=2)
+            )
+        router = RouterService(pool, workers=2)
+        try:
+            spec = slow_spec("in-flight", sleep_s=0.5)
+            fingerprint = router.fingerprint_of(spec)
+            owner = router.ring.owner(fingerprint)
+            future = router.submit(spec)
+            time.sleep(0.2)
+            pool.kill(owner)
+            outcome = future.result(timeout=30)
+            assert outcome.ok, outcome.error
+            assert outcome.cache.get("backend") == router.ring.successors(fingerprint)[1]
+            assert router.stats()["counters"]["reroutes"] >= 1
+            with SolveService(workers=1) as direct:
+                assert canonical_json(outcome) == canonical_json(direct.solve(spec))
         finally:
             router.close()
             pool.close()

@@ -415,7 +415,9 @@ class TestSessionReuse:
     def test_lifetime_stats_accumulate(self, two_communities):
         engine = SolverEngine(two_communities)
         first = engine.solve("gas", 2)
-        second = engine.solve("gas", 2)
+        # A larger budget runs its rounds; an equal one would be a replay,
+        # which adds no work to the lifetime counters.
+        second = engine.solve("gas", 3)
         info = engine.session_info()
         assert info["solve_count"] == 2
         stats_sum = {

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import SolverEngine
 from repro.core.followers import FollowerMethod
 from repro.core.gas import gas
 from repro.core.greedy import base_greedy, base_plus_greedy
+from repro.datasets.registry import load_dataset
 from repro.graph.generators import community_graph, overlapping_cliques_graph
+from repro.oracles import base_greedy_reference
+from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
+from repro.world import WorldPoint, sample_points
 
 from tests.conftest import random_test_graph
 
@@ -141,3 +146,50 @@ class TestCandidatePoolNarrowing:
     def test_unknown_pool_rejected(self, two_communities):
         with pytest.raises(InvalidParameterError):
             base_greedy(two_communities, 2, candidate_pool="psychic")
+
+
+class TestStarterScreen:
+    """BASE scores a candidate without a starter flag 0 without its re-peel
+    (it has no follower) and counts the evaluation as the re-peel would."""
+
+    @pytest.mark.parametrize(
+        "spec", [point.spec() for point in sample_points(6, seed=3)] + ["college"]
+    )
+    def test_anchors_and_counters_unchanged(self, spec, monkeypatch):
+        graph = (
+            load_dataset(spec) if spec == "college" else WorldPoint.from_spec(spec).build_graph()
+        )
+        budget = min(2, graph.num_edges)
+        screened = SolverEngine(graph).solve("base", budget)
+        reference = base_greedy_reference(graph, budget)
+        assert screened.anchors == reference.anchors, spec
+        assert screened.gain == reference.gain, spec
+        # Every candidate flagged: each one runs its re-peel.
+        monkeypatch.setattr(
+            TrussState,
+            "starter_flags",
+            lambda state: bytearray(b"\x01") * state.index.num_edges,
+        )
+        unscreened = SolverEngine(graph).solve("base", budget)
+        assert unscreened.anchors == screened.anchors, spec
+        assert unscreened.per_round_gain == screened.per_round_gain, spec
+        assert unscreened.extra["engine"] == screened.extra["engine"], spec
+
+    @pytest.mark.parametrize("spec", [point.spec() for point in sample_points(6, seed=3)])
+    def test_full_peel_path_counts_the_same(self, spec, monkeypatch):
+        graph = WorldPoint.from_spec(spec).build_graph()
+        budget = min(2, graph.num_edges)
+        screened = SolverEngine(graph, full_peel_threshold=0.0).solve("base", budget)
+        monkeypatch.setattr(
+            TrussState,
+            "starter_flags",
+            lambda state: bytearray(b"\x01") * state.index.num_edges,
+        )
+        unscreened = SolverEngine(graph, full_peel_threshold=0.0).solve("base", budget)
+        assert unscreened.anchors == screened.anchors, spec
+        assert unscreened.extra["engine"] == screened.extra["engine"], spec
+
+    def test_the_screen_engages(self):
+        graph = load_dataset("college")
+        flags = SolverEngine(graph).original_state.starter_flags()
+        assert 0 < sum(flags) < len(flags)

@@ -398,10 +398,14 @@ class TestWarmSessionRollback:
         assert tree_signature(tree) == fresh
         assert engine.stats["tree_rebuilds"] == 0
 
-        warm = engine.solve(algorithm, budget, initial_anchors=initial)
+        # One round more than the first solve: an equal unanchored GAS budget
+        # would replay the session's recorded rounds, and no round would run
+        # on the rolled-back tree.
+        warm = engine.solve(algorithm, budget + 1, initial_anchors=initial)
         cold = SolverEngine(graph, full_peel_threshold=ALWAYS_INCREMENTAL).solve(
-            algorithm, budget, initial_anchors=initial
+            algorithm, budget + 1, initial_anchors=initial
         )
+        assert warm.extra["engine"]["tree_patches"] > 0
         assert _canonical(warm) == _canonical(cold)
 
     def test_initial_anchors_are_patched_not_rebuilt(self, two_communities):

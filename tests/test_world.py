@@ -6,7 +6,7 @@ of :mod:`repro.world.invariants` — incremental re-peel ≡ full
 decomposition, tree patch ≡ rebuild, assembled reuse decision ≡ tree diff,
 candidate heap ≡ scan, peel backends byte-identical, follower search ≡
 fixed point (and no follower without a starter flag), tree rollback ≡ fresh
-build.  A fast subset runs in tier-1; the full sweep (200+ points) sits
+build, GAS replay of a recorded prefix ≡ a fresh solve.  A fast subset runs in tier-1; the full sweep (200+ points) sits
 behind the ``slow`` marker.  The mutation tests deliberately break the
 engine machinery and assert the rig catches it with a self-contained replay
 line.
@@ -14,6 +14,8 @@ line.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 from unittest import mock
 
@@ -41,6 +43,9 @@ from repro.world import (
     summarize_sweep,
     sweep_rows_to_csv,
 )
+
+#: The GAS module itself: the ``repro.core.gas`` attribute is the solver function.
+gas_module = importlib.import_module("repro.core.gas")
 
 #: The tier-1 rig subset (>= 25 points, every family via round-robin).
 TIER1_POINTS = sample_points(28, seed=20260808)
@@ -400,3 +405,51 @@ class TestMutationCaught:
             code = cli_main(["world", "--replay", violation.point.spec()])
         assert code == 1
         assert replay_command(violation.point) in capsys.readouterr().err
+
+    def test_replay_reporting_the_longest_solves_reuse_stats_is_caught(self, capsys):
+        # Mutation: every recorded round claims all of the recording's
+        # reuse statistics, so a shorter replay reports the longer solve's.
+        real = gas_module._replay
+
+        def replay_all_reuse_stats(engine, trajectory, budget, method, strategy):
+            everything = len(trajectory.reuse_stats)
+            rounds = tuple(
+                dataclasses.replace(step, reuse_count=everything)
+                for step in trajectory.rounds
+            )
+            trajectory = dataclasses.replace(trajectory, rounds=rounds)
+            return real(engine, trajectory, budget, method, strategy)
+
+        violation = None
+        with mock.patch.object(gas_module, "_replay", replay_all_reuse_stats):
+            for point in TIER1_POINTS[:10]:
+                try:
+                    check_world_point(point, invariants=("gas_prefix",))
+                except InvariantViolation as caught:
+                    violation = caught
+                    break
+        assert violation is not None, "replayed reuse stats never tripped the rig"
+        assert violation.invariant == "gas_prefix"
+        assert "differs from a fresh engine" in violation.detail
+        assert replay_command(violation.point) in str(violation)
+        with mock.patch.object(gas_module, "_replay", replay_all_reuse_stats):
+            code = cli_main(["world", "--replay", violation.point.spec()])
+        assert code == 1
+        assert replay_command(violation.point) in capsys.readouterr().err
+
+    def test_a_session_that_never_replays_is_caught(self):
+        # Mutation: the session holds no recording, so every budget runs
+        # its rounds — canonically right, but the replay is never exercised.
+        violation = None
+        with mock.patch.object(
+            engine_module.SolverEngine, "gas_trajectory", lambda self, key, budget: None
+        ):
+            for point in TIER1_POINTS[:10]:
+                try:
+                    check_world_point(point, invariants=("gas_prefix",))
+                except InvariantViolation as caught:
+                    violation = caught
+                    break
+        assert violation is not None, "a session without replay never tripped the rig"
+        assert violation.invariant == "gas_prefix"
+        assert "instead of replaying" in violation.detail
